@@ -86,6 +86,11 @@ def pe_at_time(traj: Trajectory, channels: EnergyChannels, machine: int, t: floa
     return float(_hermite(pe[k], pe[k + 1], dp0, dp1, h, s))
 
 
+def anchor_index(events: Sequence[SwingEvent]) -> int:
+    """Position of the terminal event: the first DLP, else the first event."""
+    return next((k for k, ev in enumerate(events) if ev.kind == DLP), 0)
+
+
 def machine_margin(
     case: StabilityCase,
     traj: Trajectory,
@@ -93,7 +98,25 @@ def machine_margin(
     events: Sequence[SwingEvent],
     machine: int,
 ) -> MachineAssessment:
-    """Assess one machine from its detected events.
+    """Assess one machine from its detected events."""
+    events = tuple(events)
+    if not events:
+        return MachineAssessment(machine, events, UNDETERMINED, None, None, None)
+    anchor = events[anchor_index(events)]
+    a_acc = float(channels.ke[machine, traj.clear_index])
+    pe_clear = float(channels.pe[machine, traj.clear_index])
+    a_dec = pe_at_time(traj, channels, machine, anchor.time) - pe_clear
+    return margin_at_anchor(case, machine, events, a_acc, a_dec)
+
+
+def margin_at_anchor(
+    case: StabilityCase,
+    machine: int,
+    events: tuple[SwingEvent, ...],
+    a_acc: float,
+    a_dec: float,
+) -> MachineAssessment:
+    """Classification and margin from the areas up to the terminal event.
 
     With zero damping the equal-area identity
     |(A_acc - A_dec) - residual_ke| < 1e-5 is checked at the terminal
@@ -101,13 +124,7 @@ def machine_margin(
     divergence-truncated run) and is reported as a warning rather than
     discarding the assessment.
     """
-    events = tuple(events)
-    if not events:
-        return MachineAssessment(machine, events, UNDETERMINED, None, None, None)
-    anchor = next((ev for ev in events if ev.kind == DLP), events[0])
-    a_acc = float(channels.ke[machine, traj.clear_index])
-    pe_clear = float(channels.pe[machine, traj.clear_index])
-    a_dec = pe_at_time(traj, channels, machine, anchor.time) - pe_clear
+    anchor = events[anchor_index(events)]
     if not any(mach.d for mach in case.machines):
         gap = abs((a_acc - a_dec) - anchor.residual_ke)
         if gap >= EAC_IDENTITY_TOL:
@@ -115,7 +132,7 @@ def machine_margin(
                 f"machine {machine}: equal-area identity off by {gap:.3e} "
                 f"at {anchor.kind} t={anchor.time:.4f}s",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
     if anchor.kind == DLP:
         classification = f"unstable-at-swing-{anchor.swing_index}"
@@ -197,20 +214,29 @@ def assess_system(assessments: Sequence[MachineAssessment]) -> SystemAssessment:
     )
 
 
+def event_record(ev: SwingEvent) -> dict:
+    """One event as exported (angles in degrees, as named).
+
+    near_critical appears only when set, so ordinary events keep the
+    six fields.
+    """
+    record = {
+        "machine": ev.machine,
+        "kind": ev.kind,
+        "swing_index": ev.swing_index,
+        "time_s": round(ev.time, 12),
+        "delta_coi_deg": round(math.degrees(ev.delta_coi), 9),
+        "residual_ke_pu": float(f"{ev.residual_ke:.10e}"),
+    }
+    if ev.near_critical:
+        record["near_critical"] = True
+    return record
+
+
 def write_events(stream: IO[str], events: Sequence[SwingEvent]) -> None:
-    """Line-delimited event stream (angles in degrees, as named)."""
+    """Line-delimited event stream, one event_record per line."""
     for ev in events:
-        record = {
-            "machine": ev.machine,
-            "kind": ev.kind,
-            "swing_index": ev.swing_index,
-            "time_s": round(ev.time, 12),
-            "delta_coi_deg": round(math.degrees(ev.delta_coi), 9),
-            "residual_ke_pu": float(f"{ev.residual_ke:.10e}"),
-        }
-        if ev.near_critical:
-            record["near_critical"] = True
-        stream.write(json.dumps(record) + "\n")
+        stream.write(json.dumps(event_record(ev)) + "\n")
 
 
 def write_margins(stream: IO[str], assessments: Sequence[MachineAssessment]) -> None:
@@ -237,17 +263,7 @@ def verdict_document(sa: SystemAssessment) -> dict:
         else round(sa.severity_final_time, 12),
         "eta_sys": [None if eta is None else float(f"{eta:.10e}") for eta in sa.eta_sys],
         "undetermined": list(sa.undetermined),
-        "timeline": [
-            {
-                "machine": ev.machine,
-                "kind": ev.kind,
-                "swing_index": ev.swing_index,
-                "time_s": round(ev.time, 12),
-                "delta_coi_deg": round(math.degrees(ev.delta_coi), 9),
-                "residual_ke_pu": float(f"{ev.residual_ke:.10e}"),
-            }
-            for ev in sa.timeline
-        ],
+        "timeline": [event_record(ev) for ev in sa.timeline],
     }
 
 

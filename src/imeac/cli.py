@@ -4,10 +4,8 @@ Exit codes: 0 success (assess: stable), 1 usage or data error,
 2 assess found the system unstable, 3 the simulation diverged.
 Every command writes the data files it reports plus a JSON run
 manifest.  ``--config FILE`` supplies a JSON object whose entries
-override the corresponding command-line flags (file wins).  The
-IMEAC_WORKERS environment variable sets the thread count for
-internally parallel sweeps.  Case paths may reference bundled cases as
-``bundled:<name>``.
+override the corresponding command-line flags (file wins).  Case
+paths may reference bundled cases as ``bundled:<name>``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from .assess import (
     write_margins,
     write_verdict,
 )
-from .case import StabilityCase, coi_transform, solve_postfault_sep
+from .case import coi_transform, solve_postfault_sep
 from .caseio import load_case
 from .cct import find_cct, write_cct, write_margin_curve
 from .dynamics import SimulationConfig, simulate, write_trajectory
@@ -96,15 +94,6 @@ def _write_manifest(
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _run_assessment(case: StabilityCase, cfg: SimulationConfig):
-    sep = solve_postfault_sep(case)
-    traj = simulate(case, cfg)
-    channels = compute_energy(case, traj, sep)
-    events = detect_events(case, traj)
-    assessments = assess_machines(case, traj, channels, events)
-    return traj, channels, assessments
-
-
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     case = load_case(args.case)
@@ -130,13 +119,18 @@ def cmd_assess(args) -> int:
     started = time.perf_counter()
     case = load_case(args.case)
     cfg = SimulationConfig(t_clear=args.t_clear, t_end=args.t_end, dt=args.dt)
-    traj, channels, assessments = _run_assessment(case, cfg)
+    sep = solve_postfault_sep(case)
+    traj = simulate(case, cfg)
     if traj.diverged:
+        # a truncated record may be too short to scan: no verdict either way
         print(
             f"simulation diverged at t={traj.divergence_time:.6g} s; no verdict",
             file=sys.stderr,
         )
         return 3
+    channels = compute_energy(case, traj, sep)
+    events = detect_events(case, traj)
+    assessments = assess_machines(case, traj, channels, events)
     sa = assess_system(assessments)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

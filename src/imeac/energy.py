@@ -79,21 +79,26 @@ def pe_line_integral(
     return -(weights @ forces) * (end - start)
 
 
+def pe_baseline(case: StabilityCase, sep: EquilibriumPoint | None) -> np.ndarray | None:
+    """PE of the initial point relative to the SEP; None without a converged SEP."""
+    if sep is None or not sep.converged:
+        return None
+    start_coi = coi_transform(case.m_vector(), case.delta0)
+    return pe_line_integral(case.net_postfault, case.machines, sep.delta_s, start_coi)
+
+
 def compute_energy(
     case: StabilityCase, traj: Trajectory, sep: EquilibriumPoint | None
 ) -> EnergyChannels:
     """Assemble the energy channels for a simulated trajectory."""
     m = case.m_vector()
     ke = 0.5 * m[:, None] * traj.omega_coi**2
-    if sep is not None and sep.converged:
-        start_coi = coi_transform(m, case.delta0)
-        baseline = pe_line_integral(case.net_postfault, case.machines, sep.delta_s, start_coi)
-        pe = baseline[:, None] + traj.pe_integral
-        from_sep = True
-    else:
+    baseline = pe_baseline(case, sep)
+    if baseline is None:
         pe = traj.pe_integral.copy()
-        from_sep = False
-    return EnergyChannels(ke=ke, pe=pe, total=ke + pe, baseline_from_sep=from_sep)
+    else:
+        pe = baseline[:, None] + traj.pe_integral
+    return EnergyChannels(ke=ke, pe=pe, total=ke + pe, baseline_from_sep=baseline is not None)
 
 
 def residual_ke(v_ke_clear: float, delta_v_pe: float) -> float:

@@ -13,11 +13,21 @@ channel values at the event use cubic Hermite interpolation with the
 exact derivative channels recorded by the integrator (d delta/dt =
 omega, d omega/dt = f/M, d pe/dt = -f omega), so the Eq.-style energy
 identities hold at events to interpolation accuracy.
+
+There is one implementation, ``EventScanner``: it takes the samples in
+blocks, for many trajectories (rows) at once, and carries per row and
+machine what a scan needs across a block boundary: the largest |omega|
+since the last DSP, the swing count and whether a DLP ended the scan.
+Candidate crossings are found with array operations; Python loops only
+over the few crossings.  ``detect_events`` feeds it one trajectory as a
+single block; clearing-time sweeps stream their lockstep rows through it
+block by block and never hold a whole trajectory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,6 +66,108 @@ def _hermite(p0: float, p1: float, d0: float, d1: float, h: float, s: float) -> 
     )
 
 
+class EventScanner:
+    """Streaming DSP/DLP scan of many rows, fed consecutive sample blocks.
+
+    Each block holds L samples of R rows; a row's next block must start
+    with the last sample of its previous one, so every interval between
+    two samples is scanned exactly once, whatever the block size.  With
+    a potential-energy channel the scanner also records the cubic
+    Hermite PE value at each event (``event_pe``), the anchor of the
+    machine's equal-area margin.
+    """
+
+    def __init__(self, m: np.ndarray, n_rows: int, omega_tol: float = OMEGA_TOL):
+        self.m = np.asarray(m, dtype=float)
+        self.omega_tol = omega_tol
+        n = self.m.shape[0]
+        self.events: list[list[list[SwingEvent]]] = [
+            [[] for _ in range(n)] for _ in range(n_rows)
+        ]
+        self.event_pe: list[list[list[float]]] = [[[] for _ in range(n)] for _ in range(n_rows)]
+        self._swings = [[0] * n for _ in range(n_rows)]
+        self._done = [[False] * n for _ in range(n_rows)]
+        self._moved = np.zeros((n_rows, n))  # max |omega| since the last DSP
+
+    def feed(
+        self,
+        rows: Sequence[int],
+        times: np.ndarray,
+        omega: np.ndarray,
+        force: np.ndarray,
+        delta: np.ndarray,
+        pe: np.ndarray | None = None,
+    ) -> None:
+        """Scan one block of samples.
+
+        times is (L, R); omega (omega_i-SYS), force (f_i-SYS^(PF)), delta
+        (delta_i-SYS) and pe are (L, R, n), for the rows listed in rows.
+        """
+        if times.shape[0] < 2:
+            return
+        w0, w1 = omega[:-1], omega[1:]
+        f0, f1 = force[:-1], force[1:]
+        turning = w0 * w1 < 0.0
+        sign = np.where(w0 > 0.0, 1.0, -1.0)
+        liberating = ~turning & (f0 * sign < 0.0) & (0.0 < f1 * sign)
+        speed = np.abs(w0)
+        hits = np.nonzero((turning | liberating).transpose(1, 2, 0))
+        restart: dict[tuple[int, int], int] = {}  # first interval after a DSP in this block
+        for r, i, k in zip(*(h.tolist() for h in hits)):
+            row = rows[r]
+            if self._done[row][i]:
+                continue
+            if turning[k, r, i]:
+                seg = restart.get((r, i))
+                if seg is None:
+                    moved = max(self._moved[row, i], speed[: k + 1, r, i].max())
+                else:
+                    moved = speed[seg : k + 1, r, i].max()
+                if moved > self.omega_tol:
+                    self._emit(row, r, i, k, DSP, times, omega, force, delta, pe)
+                    restart[(r, i)] = k + 1
+            elif self._emit(row, r, i, k, DLP, times, omega, force, delta, pe):
+                self._done[row][i] = True  # the first DLP ends this machine's scan
+        rows = np.asarray(rows)
+        self._moved[rows] = np.maximum(self._moved[rows], speed.max(axis=0))
+        for (r, i), seg in restart.items():
+            self._moved[rows[r], i] = speed[seg:, r, i].max(initial=0.0)
+
+    def _emit(self, row, r, i, k, kind, times, omega, force, delta, pe) -> bool:
+        """Interpolate and record one event in interval k; False if rejected."""
+        m = self.m
+        t0 = times[k, r]
+        h = times[k + 1, r] - t0
+        w0, w1 = omega[k, r, i], omega[k + 1, r, i]
+        f0, f1 = force[k, r, i], force[k + 1, r, i]
+        s = w0 / (w0 - w1) if kind == DSP else f0 / (f0 - f1)
+        w_star = _hermite(w0, w1, f0 / m[i], f1 / m[i], h, s)
+        if kind == DLP and not abs(w_star) > self.omega_tol:
+            return False
+        t_star = t0 + s * h
+        self.events[row][i].append(
+            SwingEvent(
+                machine=i,
+                kind=kind,
+                swing_index=self._swings[row][i] + 1,
+                time=float(t_star),
+                delta_coi=float(_hermite(delta[k, r, i], delta[k + 1, r, i], w0, w1, h, s)),
+                residual_ke=float(0.5 * m[i] * w_star**2),
+                direction="forward" if w0 > 0.0 else "backward",
+                near_critical=kind == DSP and bool((f0 < 0.0 < f1) or (f1 < 0.0 < f0)),
+            )
+        )
+        if kind == DSP:
+            self._swings[row][i] += 1
+        if pe is not None:
+            self.event_pe[row][i].append(
+                float(_hermite(
+                    pe[k, r, i], pe[k + 1, r, i], -f0 * w0, -f1 * w1, h, (t_star - t0) / h
+                ))
+            )
+        return True
+
+
 def detect_events(
     case: StabilityCase,
     traj: Trajectory,
@@ -74,60 +186,13 @@ def detect_events(
     """
     if traj.n_samples < 2:
         raise ValueError("trajectory must have at least 2 samples")
-    m = case.m_vector()
-    times = traj.times
     start = min(traj.clear_index, traj.n_samples - 1)
-    out: list[list[SwingEvent]] = []
-    for i in range(case.n):
-        omega = traj.omega_coi[i]
-        force = traj.f_coi_pf[i]
-        delta = traj.delta_coi[i]
-        events: list[SwingEvent] = []
-        swings = 0
-        moved = 0.0
-        for k in range(start, traj.n_samples - 1):
-            moved = max(moved, abs(omega[k]))
-            h = times[k + 1] - times[k]
-            w0, w1 = omega[k], omega[k + 1]
-            f0, f1 = force[k], force[k + 1]
-            omega_crossing = w0 * w1 < 0.0
-            direction = "forward" if w0 > 0.0 else "backward"
-            if omega_crossing and moved > omega_tol:
-                s = w0 / (w0 - w1)
-                t_star = times[k] + s * h
-                w_star = _hermite(w0, w1, f0 / m[i], f1 / m[i], h, s)
-                events.append(
-                    SwingEvent(
-                        machine=i,
-                        kind=DSP,
-                        swing_index=swings + 1,
-                        time=float(t_star),
-                        delta_coi=float(_hermite(delta[k], delta[k + 1], w0, w1, h, s)),
-                        residual_ke=float(0.5 * m[i] * w_star**2),
-                        direction=direction,
-                        near_critical=bool((f0 < 0.0 < f1) or (f1 < 0.0 < f0)),
-                    )
-                )
-                swings += 1
-                moved = 0.0
-                continue
-            sign = 1.0 if w0 > 0.0 else -1.0
-            if not omega_crossing and f0 * sign < 0.0 < f1 * sign:
-                s = f0 / (f0 - f1)
-                t_star = times[k] + s * h
-                w_star = _hermite(w0, w1, f0 / m[i], f1 / m[i], h, s)
-                if abs(w_star) > omega_tol:
-                    events.append(
-                        SwingEvent(
-                            machine=i,
-                            kind=DLP,
-                            swing_index=swings + 1,
-                            time=float(t_star),
-                            delta_coi=float(_hermite(delta[k], delta[k + 1], w0, w1, h, s)),
-                            residual_ke=float(0.5 * m[i] * w_star**2),
-                            direction=direction,
-                        )
-                    )
-                    break  # the first DLP ends this machine's scan
-        out.append(events)
-    return out
+    scanner = EventScanner(case.m_vector(), 1, omega_tol)
+    scanner.feed(
+        [0],
+        traj.times[start:, None],
+        traj.omega_coi[:, start:].T[:, None],
+        traj.f_coi_pf[:, start:].T[:, None],
+        traj.delta_coi[:, start:].T[:, None],
+    )
+    return scanner.events[0]

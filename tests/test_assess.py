@@ -179,6 +179,23 @@ class TestExports:
         assert doc["leading_losp"] == {"machine": 2, "time_s": 0.9}
         assert [s["machine"] for s in doc["severity"]] == [2, 1]
 
+    def test_events_and_verdict_timeline_agree(self):
+        # one serializer: the timeline carries near_critical like the
+        # event stream does, field for field
+        events = [fake_event(0, DSP, 0.5), fake_event(1, DLP, 0.9, residual=0.3)]
+        events[0] = SwingEvent(**{**events[0].__dict__, "near_critical": True})
+        sa = assess_system([
+            fake_assessment(0, [events[0]], 0.0),
+            fake_assessment(1, [events[1]], -0.4),
+        ])
+        stream = io.StringIO()
+        write_events(stream, sa.timeline)
+        streamed = [json.loads(line) for line in stream.getvalue().splitlines()]
+        timeline = json.loads(json.dumps(verdict_document(sa)))["timeline"]
+        assert streamed == timeline
+        assert timeline[0]["near_critical"] is True
+        assert "near_critical" not in timeline[1]
+
     def test_table_mentions_every_machine(self):
         assessments = TestSystemAssessment().build()
         text = format_verdict_table(assess_system(assessments), assessments)

@@ -12,13 +12,20 @@ from imeac import (
     BracketError,
     DLP,
     DSP,
+    HorizonError,
     ImeacError,
     MachineAssessment,
+    SimulationConfig,
     SwingEvent,
+    assess_machines,
+    assess_system,
+    compute_energy,
+    detect_events,
     find_cct,
     identify_mdm,
     probe_clearing_time,
     scan_clearing_times,
+    simulate,
 )
 from imeac.cct import write_cct, write_margin_curve
 from conftest import two_machine_case
@@ -66,13 +73,66 @@ class TestScan:
         assert [p.t_clear for p in out] == times
         assert [p.stable for p in out] == [False, True]
 
-    def test_threaded_equals_serial(self, smib):
-        times = [0.150, 0.190, 0.210]
-        serial = scan_clearing_times(smib, times, workers=1)
-        threaded = scan_clearing_times(smib, times, workers=3)
-        assert [p.stable for p in serial] == [p.stable for p in threaded]
-        for a, b in zip(serial, threaded):
-            assert a.total_at_clear == b.total_at_clear
+    def test_batched_equals_per_probe(self, wscc):
+        # unsorted, repeated, both sides of the multi-swing island
+        times = [0.153, 0.121, 0.140, 0.121, 0.110]
+        batched = scan_clearing_times(wscc, times)
+        assert batched == [probe_clearing_time(wscc, t) for t in times]
+
+    def test_probe_equals_trajectory_pipeline(self, wscc, wscc_sep):
+        # the streamed engine reproduces simulate -> energy -> events ->
+        # assess on the full record, bit for bit
+        for t_clear in (0.121, 0.153):
+            cfg = SimulationConfig(t_clear=t_clear, t_end=t_clear + 3.0)
+            traj = simulate(wscc, cfg)
+            channels = compute_energy(wscc, traj, wscc_sep)
+            machines = assess_machines(wscc, traj, channels, detect_events(wscc, traj))
+            probe = probe_clearing_time(wscc, t_clear, sep=wscc_sep)
+            assert probe.machine_assessments == tuple(machines)
+            assert probe.assessment == assess_system(machines)
+            assert probe.total_at_clear == tuple(channels.total[:, traj.clear_index])
+
+    def test_rows_diverging_after_clearing(self):
+        # a light machine: early clearing holds, later clearing runs away
+        # until the divergence guard stops the row; the others go on
+        case = two_machine_case(pm=1.0, m0=1e-4, m1=1.0, fault_b=0.0)
+        times = [0.05, 0.005, 0.02, 0.005, 0.002]
+        with pytest.warns(RuntimeWarning, match="equal-area identity"):
+            batched = scan_clearing_times(case, times, horizon=2.0)
+        assert [p.diverged for p in batched] == [True, False, True, False, False]
+        assert [p.stable for p in batched] == [False, True, False, True, True]
+        with pytest.warns(RuntimeWarning, match="equal-area identity"):
+            assert batched == [probe_clearing_time(case, t, horizon=2.0) for t in times]
+
+    def test_divergence_on_first_postfault_step_is_a_result(self):
+        # no fault-on disturbance, then a feather-light machine loses its
+        # network: the first post-fault step leaves the guard region
+        case = two_machine_case(pm=0.8, m0=1e-8, m1=1.0, fault_b=1.5, post_b=0.0)
+        results = scan_clearing_times(case, [0.2, 0.1], horizon=1.0)
+        for probe in results:
+            assert probe.diverged
+            assert probe.assessment is None
+            assert not probe.stable
+            assert all(not a.determined for a in probe.machine_assessments)
+        assert results == [probe_clearing_time(case, t, horizon=1.0) for t in (0.2, 0.1)]
+
+    def test_fault_on_divergence_raises_for_first_offender(self):
+        case = two_machine_case(pm=1.0, m0=1e-4, m1=1.0, fault_b=0.0)
+        with pytest.raises(ImeacError, match="fault-on") as single:
+            probe_clearing_time(case, 1.6, horizon=1.0)
+        # fine probes before and after, two offenders: the first one's
+        # error, exactly as one-by-one probing reports it
+        with pytest.raises(ImeacError, match="fault-on") as batched:
+            scan_clearing_times(case, [0.005, 1.6, 0.002, 1.5], horizon=1.0)
+        assert str(batched.value) == str(single.value)
+
+    def test_errors_keep_input_order(self, smib):
+        # an earlier off-grid time wins over a later fault-on failure,
+        # and a later off-grid time loses to an earlier horizon failure
+        with pytest.raises(ValueError, match="t_clear"):
+            scan_clearing_times(smib, [0.150, 0.1505, 0.250])
+        with pytest.raises(HorizonError):
+            scan_clearing_times(smib, [0.150, 0.250, 0.1505], horizon=0.01)
 
 
 class TestFindCct:

@@ -21,6 +21,31 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_pair_case(path, **kwargs):
+    """Write a conftest two_machine_case as a case document."""
+    case = two_machine_case(**kwargs)
+
+    def reduced(net):
+        return {"G": net.g.tolist(), "B": net.b.tolist()}
+
+    doc = {
+        "label": case.label,
+        "machines": [
+            {"id": mach.id, "M": mach.m, "Pm": mach.pm, "E": mach.e} for mach in case.machines
+        ],
+        "networks": {
+            "delta0_deg": [float(np.degrees(d)) for d in case.delta0],
+            "reduced": {
+                "prefault": reduced(case.net_prefault),
+                "faulton": reduced(case.net_faulton),
+                "postfault": reduced(case.net_postfault),
+            },
+        },
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestSimulate:
     def test_writes_trajectory_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "traj.tsv"
@@ -127,6 +152,30 @@ class TestAssess:
             for line in (out_dir / "events.jsonl").read_text().splitlines()
         ]
         assert any(ev["kind"] == "DLP" for ev in events)
+
+
+    def test_divergence_on_first_step_exits_3(self, tmp_path, capsys):
+        # the bolted fault throws a feather-light machine out of the guard
+        # region at once: a one-sample record, still "diverged", not a
+        # scan error
+        case_path = write_pair_case(tmp_path / "light.json", pm=0.8, m0=1e-8, fault_b=0.0)
+        code, _, stderr = run(
+            capsys, "assess", case_path, "--t-clear", "0.1", "--t-end", "1.0",
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 3
+        assert "diverged at t=0.001 s" in stderr
+
+    def test_divergence_on_first_postfault_step_exits_3(self, tmp_path, capsys):
+        case_path = write_pair_case(
+            tmp_path / "light.json", pm=0.8, m0=1e-8, fault_b=1.5, post_b=0.0
+        )
+        code, _, stderr = run(
+            capsys, "assess", case_path, "--t-clear", "0.1", "--t-end", "1.0",
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 3
+        assert "diverged at t=0.101 s" in stderr
 
 
 class TestCct:

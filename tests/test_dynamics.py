@@ -16,7 +16,7 @@ from imeac import (
     machine_sys_state,
     simulate,
 )
-from imeac.dynamics import rk4_step, trajectory_header, write_trajectory
+from imeac.dynamics import SwingKernel, trajectory_header, write_trajectory
 from conftest import coi_identity_errors, two_machine_case
 
 
@@ -35,10 +35,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="t_end"):
             SimulationConfig(t_clear=0.1, t_end=1.0007, dt=1e-3)
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            SimulationConfig(t_clear=0.1, t_end=1.0, method="euler")
-
     def test_indices(self):
         cfg = SimulationConfig(t_clear=0.25, t_end=2.0, dt=1e-3)
         assert cfg.clear_index == 250
@@ -46,32 +42,54 @@ class TestConfigValidation:
 
 
 class TestRk4Step:
-    def test_linear_decay_order(self):
-        # e^{-dt} Taylor error of the classical scheme is dt^5/120
-        for dt in (0.1, 0.05):
-            y = rk4_step(lambda y: -y, np.array([1.0]), dt)
-            assert abs(y[0] - math.exp(-dt)) < dt**5 / 100
+    def test_linear_decay_order(self, smib):
+        # fourth order through both stages: halving dt cuts the error ~16x
+        def final_state(dt):
+            traj = simulate(smib, SimulationConfig(t_clear=0.1, t_end=1.0, dt=dt))
+            return np.concatenate([traj.delta[:, -1], traj.omega[:, -1], traj.pe_integral[:, -1]])
+
+        coarse, mid, fine = (final_state(dt) for dt in (0.004, 0.002, 0.001))
+        ratio = np.max(np.abs(coarse - mid)) / np.max(np.abs(mid - fine))
+        assert 14.0 < ratio < 18.0
 
     def test_quadratic_in_time_is_exact(self):
-        # y' = (t, 1) with t carried as a state: exact for polynomials
-        y = np.array([0.0, 0.0])  # (position, time)
-        for _ in range(10):
-            y = rk4_step(lambda s: np.array([s[1], 1.0]), y, 0.1)
-        assert abs(y[0] - 0.5 * y[1] ** 2) < 1e-15
+        # constant acceleration under a bolted fault: exact even for a
+        # step far too coarse for the swing itself
+        case = two_machine_case(pm=0.8, m0=0.05, m1=0.08, fault_b=0.0)
+        cfg = SimulationConfig(t_clear=0.5, t_end=1.0, dt=0.05)
+        traj = simulate(case, cfg)
+        k = cfg.clear_index
+        t = traj.times[: k + 1]
+        a = 0.8 / case.machines[0].m
+        np.testing.assert_allclose(
+            traj.delta[0, : k + 1], case.delta0[0] + 0.5 * a * t**2, rtol=0.0, atol=1e-13
+        )
 
     def test_forward_backward_step_returns_state(self, wscc):
         # undamped swing dynamics one step forward then one step back
+        kernel = SwingKernel(wscc)
         n = wscc.n
-        m = wscc.m_vector()
-        pm = wscc.pm_vector()
-
-        def rhs(y):
-            pe = electrical_power(wscc.net_postfault, wscc.machines, y[:n])
-            return np.concatenate([y[n:], (pm - pe) / m])
-
-        y0 = np.concatenate([wscc.delta0 + 0.3, np.linspace(-1.0, 1.0, n)])
-        y_back = rk4_step(rhs, rk4_step(rhs, y0, 1e-3), -1e-3)
+        y0 = np.concatenate([wscc.delta0 + 0.3, np.linspace(-1.0, 1.0, n), np.zeros(n)])
+        y1 = kernel.step(y0, kernel.stage(y0, False)[0], False, 1e-3)
+        y_back = kernel.step(y1, kernel.stage(y1, False)[0], False, -1e-3)
         np.testing.assert_allclose(y_back, y0, rtol=0.0, atol=1e-10)
+
+    def test_batch_row_equals_single_state(self, wscc):
+        # the stage reduces over machines only: a row of a batch is
+        # advanced bit for bit like the same state alone
+        kernel = SwingKernel(wscc)
+        n = wscc.n
+        rng = np.random.default_rng(3)
+        batch = np.concatenate(
+            [wscc.delta0 + rng.normal(0.0, 0.5, (5, n)), rng.normal(0.0, 2.0, (5, n)),
+             rng.normal(0.0, 0.1, (5, n))],
+            axis=1,
+        )
+        for fault_stage in (True, False):
+            stepped = kernel.step(batch, kernel.stage(batch, fault_stage)[0], fault_stage, 1e-3)
+            for row, y in zip(stepped, batch):
+                alone = kernel.step(y, kernel.stage(y, fault_stage)[0], fault_stage, 1e-3)
+                assert np.array_equal(row, alone)
 
 
 class TestSimulate:
@@ -129,6 +147,15 @@ class TestSimulate:
         np.testing.assert_allclose(
             traj.f_coi[:, k:], traj.f_coi_pf[:, k:], atol=1e-12
         )
+
+    def test_divergence_on_first_step(self):
+        # a feather-light machine under a bolted fault leaves the guard
+        # region on the very first step: one sample survives
+        case = two_machine_case(pm=0.8, m0=1e-8, m1=1.0, fault_b=0.0)
+        traj = simulate(case, SimulationConfig(t_clear=0.1, t_end=0.5))
+        assert traj.diverged
+        assert traj.n_samples == 1
+        assert traj.divergence_time == pytest.approx(1e-3)
 
     def test_divergence_guard_truncates(self):
         case = two_machine_case(pm=1.0, m0=1e-4, m1=1.0, fault_b=0.0)

@@ -1,0 +1,163 @@
+"""Property tests over generated n-machine cases.
+
+Cases come from random bus networks reduced through staged_reduction,
+with the initial point made an exact pre-fault equilibrium by taking Pm
+from the pre-fault electrical power.  Some draws include a light
+machine, so that probes diverge after clearing or during the fault, and
+some use a horizon too short for a verdict; the properties must hold
+for those probes too.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, event, given, seed, settings
+from hypothesis import strategies as st
+
+from imeac import (
+    ImeacError,
+    MachineParams,
+    SimulationConfig,
+    StabilityCase,
+    compute_energy,
+    detect_events,
+    electrical_power,
+    probe_clearing_time,
+    scan_clearing_times,
+    simulate,
+    solve_postfault_sep,
+)
+from imeac.dynamics import BLOCK
+from imeac.events import EventScanner
+from imeac.network import staged_reduction
+
+DT = 2e-3
+HORIZON = 0.6
+horizons = st.sampled_from([HORIZON, HORIZON, 0.02])
+
+PROPERTY_SETTINGS = settings(
+    max_examples=50,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def staged_cases(draw) -> StabilityCase:
+    n = draw(st.integers(2, 4))
+    n_bus = n + draw(st.integers(1, 2))
+    unit = st.floats(0.0, 1.0)
+    # a ring: clearing any one branch leaves every bus connected
+    branches = [
+        (b, (b + 1) % n_bus, 0.02 * draw(unit), 0.05 + 0.25 * draw(unit), 0.0)
+        for b in range(n_bus)
+    ]
+    loads = np.array([
+        complex(0.2 + 0.8 * draw(unit), -0.3 * draw(unit)) if b >= n else 0.0
+        for b in range(n_bus)
+    ])
+    fault_bus = draw(st.integers(0, n_bus - 1))
+    cleared = branches[draw(st.integers(0, n_bus - 1))][:2]
+    net_pre, net_fault, net_post = staged_reduction(
+        n_bus=n_bus,
+        branches=branches,
+        load_admittances=loads,
+        gen_buses=list(range(n)),
+        xd_primes=[0.05 + 0.25 * draw(unit) for _ in range(n)],
+        fault_bus=fault_bus,
+        cleared_branch=cleared,
+    )
+    inertia = [0.02 + 0.2 * draw(unit) for _ in range(n)]
+    emf = [1.0 + 0.2 * draw(unit) for _ in range(n)]
+    delta0 = np.array([0.6 * draw(unit) - 0.3 for _ in range(n)])
+    if draw(st.booleans()):
+        # a light machine leading its neighbours exports power: under
+        # the fault it runs away fast
+        light = draw(st.integers(0, n - 1))
+        inertia[light] = draw(st.sampled_from([3e-4, 1e-4, 5e-5]))
+        delta0[light] += 0.5
+    at_rest = [MachineParams(id=i, m=inertia[i], pm=0.0, e=emf[i]) for i in range(n)]
+    pm = electrical_power(net_pre, at_rest, delta0)
+    return StabilityCase(
+        machines=tuple(
+            MachineParams(id=i, m=inertia[i], pm=float(pm[i]), e=emf[i]) for i in range(n)
+        ),
+        net_prefault=net_pre,
+        net_faulton=net_fault,
+        net_postfault=net_post,
+        delta0=delta0,
+        omega0=np.zeros(n),
+        label="generated",
+    )
+
+
+# clearing times on the 10 ms grid, unsorted, repeats allowed
+clearing_sets = st.lists(st.integers(5, 30), min_size=1, max_size=5).map(
+    lambda ks: [round(0.01 * k, 2) for k in ks]
+)
+
+
+def one_by_one(case, times, horizon, first_swing_only):
+    outcomes = []
+    for t in times:
+        try:
+            outcomes.append(
+                probe_clearing_time(case, t, dt=DT, horizon=horizon, first_swing_only=first_swing_only)
+            )
+        except ImeacError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@seed(20211021)
+@PROPERTY_SETTINGS
+@given(case=staged_cases(), times=clearing_sets, horizon=horizons, first_swing_only=st.booleans())
+def test_scan_equals_probes_one_by_one(case, times, horizon, first_swing_only):
+    def scan(ts):
+        return scan_clearing_times(
+            case, ts, dt=DT, horizon=horizon, first_swing_only=first_swing_only
+        )
+
+    expected = one_by_one(case, times, horizon, first_swing_only)
+    failure = next((o for o in expected if isinstance(o, Exception)), None)
+    if failure is not None:
+        # the batch raises what the first failing probe raised alone
+        event(f"raises {type(failure).__name__}")
+        with pytest.raises(type(failure)) as raised:
+            scan(times)
+        assert str(raised.value) == str(failure)
+    kept = [(t, o) for t, o in zip(times, expected) if not isinstance(o, Exception)]
+    if any(o.diverged for _, o in kept):
+        event("some rows diverged after clearing")
+    if kept:
+        assert scan([t for t, _ in kept]) == [o for _, o in kept]
+
+
+def feed_in_blocks(case, traj, pe, block):
+    start = traj.clear_index
+    scanner = EventScanner(case.m_vector(), 1)
+    channels = (traj.times[:, None], traj.omega_coi.T[:, None], traj.f_coi_pf.T[:, None],
+                traj.delta_coi.T[:, None], pe.T[:, None])
+    for lo in range(start, traj.n_samples - 1, block):
+        hi = min(lo + block, traj.n_samples - 1)
+        scanner.feed([0], *(c[lo : hi + 1] for c in channels))
+    return scanner.events[0], scanner.event_pe[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@seed(20211021)
+@PROPERTY_SETTINGS
+@given(case=staged_cases(), k_clear=st.integers(1, 30))
+def test_scanner_is_blind_to_block_boundaries(case, k_clear):
+    t_clear = round(0.01 * k_clear, 2)
+    traj = simulate(case, SimulationConfig(t_clear=t_clear, t_end=t_clear + HORIZON, dt=DT))
+    if traj.n_samples - 1 <= traj.clear_index:
+        return  # diverged before anything could be scanned
+    pe = compute_energy(case, traj, solve_postfault_sep(case)).pe
+    whole = feed_in_blocks(case, traj, pe, traj.n_samples)
+    assert whole[0] == detect_events(case, traj)
+    for block in (1, 2, BLOCK):
+        assert feed_in_blocks(case, traj, pe, block) == whole, f"block={block}"
