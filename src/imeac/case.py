@@ -51,6 +51,9 @@ class MachineParams:
     d: float = 0.0
 
     def __post_init__(self):
+        for name in ("m", "pm", "e", "d"):
+            if not np.isfinite(getattr(self, name)):
+                raise CaseValidationError(f"machines[{self.id}].{name}", "must be finite")
         if self.m <= 0:
             raise CaseValidationError(f"machines[{self.id}].m", "inertia must be > 0")
         if self.e <= 0:
@@ -64,7 +67,7 @@ class ReducedNetwork:
     """Internal-node network after eliminating all non-generator buses.
 
     g, b: n x n conductance / susceptance matrices, p.u.  Both must be
-    symmetric within 1e-9 (reciprocal network).
+    finite and symmetric within 1e-9 (reciprocal network).
     """
 
     g: np.ndarray
@@ -77,6 +80,9 @@ class ReducedNetwork:
         for label, mat in (("G", self.g), ("B", self.b)):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise CaseValidationError(f"{self.name}.{label}", "matrix must be square")
+            if not np.isfinite(mat).all():
+                # NaN would pass the symmetry test below: nan - nan > tol is False
+                raise CaseValidationError(f"{self.name}.{label}", "non-finite entry")
             if np.max(np.abs(mat - mat.T), initial=0.0) > SYMMETRY_TOL:
                 raise CaseValidationError(
                     f"{self.name}.{label}", "matrix not symmetric within 1e-9"
@@ -118,6 +124,8 @@ class StabilityCase:
         for name, vec in (("delta0", self.delta0), ("omega0", self.omega0)):
             if vec.shape != (n,):
                 raise CaseValidationError(name, f"length {vec.shape} != machine count {n}")
+            if not np.isfinite(vec).all():
+                raise CaseValidationError(name, "non-finite entry")
         ids = [mach.id for mach in self.machines]
         if ids != list(range(n)):
             raise CaseValidationError("machines", "ids must be 0..n-1 in order")

@@ -64,19 +64,39 @@ BUNDLED_PREFIX = "bundled:"
 
 
 def _require(doc: dict, key: str, kind, where: str):
+    if not isinstance(doc, dict):
+        raise CaseValidationError(where, "expected an object")
     if key not in doc:
         raise CaseValidationError(f"{where}.{key}", "missing required field")
     value = doc[key]
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise CaseValidationError(f"{where}.{key}", "expected a number")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):  # json also reads NaN, Infinity and 1e999
+            raise CaseValidationError(f"{where}.{key}", "expected a finite number")
+        return number
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise CaseValidationError(f"{where}.{key}", "expected an integer")
         return value
     if not isinstance(value, kind):
         raise CaseValidationError(f"{where}.{key}", f"expected {kind.__name__}")
+    return value
+
+
+def _number(doc: dict, key: str, where: str) -> float:
+    """An optional number field, 0 when absent."""
+    return _require(doc, key, float, where) if key in doc else 0.0
+
+
+def _positive(doc: dict, key: str, where: str) -> float:
+    value = _require(doc, key, float, where)
+    if not value > 0.0:
+        raise CaseValidationError(f"{where}.{key}", "must be > 0")
     return value
 
 
@@ -92,17 +112,23 @@ def _machine_inertia(entry: dict, where: str, omega_syn: float | None) -> float:
     raise CaseValidationError(f"{where}.M", "machine needs M or H")
 
 
-def _parse_matrix(doc: dict, key: str, n: int, where: str) -> np.ndarray:
+def _parse_array(doc: dict, key: str, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """A numeric list (shape (n,)) or matrix (shape (n, n)) field."""
     raw = _require(doc, key, list, where)
     try:
-        mat = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise CaseValidationError(f"{where}.{key}", "not a numeric matrix") from exc
-    if mat.shape != (n, n):
+        arr = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CaseValidationError(f"{where}.{key}", "not a numeric array") from exc
+    if arr.shape != shape:
         raise CaseValidationError(
-            f"{where}.{key}", f"shape {mat.shape} does not match machine count {n}"
+            f"{where}.{key}", f"shape {arr.shape} does not match machine count {shape[0]}"
         )
-    return mat
+    # numpy would read true/false as 1/0 and "1.5" as 1.5
+    if any(isinstance(v, (bool, str)) for v in np.array(raw, dtype=object).ravel()):
+        raise CaseValidationError(f"{where}.{key}", "entries must be numbers")
+    if not np.isfinite(arr).all():
+        raise CaseValidationError(f"{where}.{key}", "non-finite entry")
+    return arr
 
 
 def case_from_dict(doc: dict, label: str = "") -> StabilityCase:
@@ -112,7 +138,7 @@ def case_from_dict(doc: dict, label: str = "") -> StabilityCase:
     label = doc.get("label", label)
     omega_syn = None
     if "base_frequency_hz" in doc:
-        omega_syn = 2.0 * math.pi * _require(doc, "base_frequency_hz", float, "case")
+        omega_syn = 2.0 * math.pi * _positive(doc, "base_frequency_hz", "case")
 
     raw_machines = _require(doc, "machines", list, "case")
     if not raw_machines:
@@ -134,7 +160,7 @@ def case_from_dict(doc: dict, label: str = "") -> StabilityCase:
         if _require(entry, "id", int, where) != k:
             raise CaseValidationError(f"{where}.id", "machines must be listed as id 0..n-1")
         inertia[k] = _machine_inertia(entry, where, omega_syn)
-        damping[k] = float(entry.get("D", 0.0))
+        damping[k] = _number(entry, "D", where)
 
     if has_explicit:
         pm = np.empty(n)
@@ -144,18 +170,20 @@ def case_from_dict(doc: dict, label: str = "") -> StabilityCase:
             pm[k] = _require(entry, "Pm", float, where)
             emf[k] = _require(entry, "E", float, where)
         nets_doc = _require(doc, "networks", dict, "case")
-        delta0 = np.deg2rad(
-            np.array(_require(nets_doc, "delta0_deg", list, "networks"), dtype=float)
+        delta0 = np.deg2rad(_parse_array(nets_doc, "delta0_deg", (n,), "networks"))
+        omega0 = (
+            _parse_array(nets_doc, "omega0", (n,), "networks")
+            if "omega0" in nets_doc
+            else np.zeros(n)
         )
-        omega0 = np.array(nets_doc.get("omega0", np.zeros(n)), dtype=float)
         reduced = _require(nets_doc, "reduced", dict, "networks")
         nets = {}
         for stage in ("prefault", "faulton", "postfault"):
             stage_doc = _require(reduced, stage, dict, "networks.reduced")
             where = f"networks.reduced.{stage}"
             nets[stage] = ReducedNetwork(
-                g=_parse_matrix(stage_doc, "G", n, where),
-                b=_parse_matrix(stage_doc, "B", n, where),
+                g=_parse_array(stage_doc, "G", (n, n), where),
+                b=_parse_array(stage_doc, "B", (n, n), where),
                 name=f"net_{stage}",
             )
     else:
@@ -198,10 +226,10 @@ def _build_raw(raw: dict, n: int):
         if bid in bus_index:
             raise CaseValidationError(f"{where}.id", f"duplicate bus id {bid}")
         bus_index[bid] = k
-        vm[k] = _require(entry, "vm", float, where)
+        vm[k] = _positive(entry, "vm", where)
         va[k] = math.radians(_require(entry, "va_deg", float, where))
-        p_load = float(entry.get("p_load", 0.0))
-        q_load = float(entry.get("q_load", 0.0))
+        p_load = _number(entry, "p_load", where)
+        q_load = _number(entry, "q_load", where)
         if p_load or q_load:
             load_y[k] = complex(p_load, -q_load) / vm[k] ** 2
 
@@ -214,15 +242,16 @@ def _build_raw(raw: dict, n: int):
     branches = []
     for k, entry in enumerate(_require(raw, "branches", list, "network_raw")):
         where = f"network_raw.branches[{k}]"
-        branches.append(
-            (
-                bus_ref(entry, "from_bus", where),
-                bus_ref(entry, "to_bus", where),
-                float(entry.get("r", 0.0)),
-                _require(entry, "x", float, where),
-                float(entry.get("b", 0.0)),
-            )
+        branch = (
+            bus_ref(entry, "from_bus", where),
+            bus_ref(entry, "to_bus", where),
+            _number(entry, "r", where),
+            _require(entry, "x", float, where),
+            _number(entry, "b", where),
         )
+        if branch[2] == branch[3] == 0.0:
+            raise CaseValidationError(f"{where}.x", "zero series impedance")
+        branches.append(branch)
 
     gens = _require(raw, "generators", list, "network_raw")
     if len(gens) != n:
@@ -242,7 +271,7 @@ def _build_raw(raw: dict, n: int):
             raise CaseValidationError(f"{where}.machine", f"bad machine index {k}")
         seen.add(k)
         gen_bus[k] = bus_ref(entry, "bus", where)
-        xd_prime[k] = _require(entry, "xd_prime", float, where)
+        xd_prime[k] = _positive(entry, "xd_prime", where)
         p_gen = _require(entry, "p_gen", float, where)
         q_gen = _require(entry, "q_gen", float, where)
         v_term = vm[gen_bus[k]] * np.exp(1j * va[gen_bus[k]])

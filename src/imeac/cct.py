@@ -8,14 +8,22 @@ disturbed machine (MDM) is the machine emitting the first DLP on the
 unstable side of the final bracket, and the system's critical transient
 energy is the MDM's total energy at clearing on the stable side.
 
-Probes of one case run through one batched engine (``_Sweep``): the
-fault-on prefix is integrated once and cached, every probe starts
-post-fault from the prefix sample at its own clearing index, all probes
-of a call advance in lockstep as rows of one state array, and their
-samples stream block by block through the event scanner, which also
-records the PE at every event.  So a sweep holds one block per probe,
-never a trajectory.  A single probe is the one-row case of the same
-engine, and every batched row is bit-identical to that probe run alone.
+Probes of one case run through one engine (``_Sweep``): the fault-on
+prefix is integrated once and cached, every probe starts post-fault
+from the prefix sample at its own clearing index as a row of one row
+pool (``dynamics.RowPool``), and the rows' samples stream block by
+block through the event scanner, which also records the PE at every
+event.  So a sweep holds one block per probe, never a trajectory.  A
+scan joins all its rows at step 0; a single probe is the one-row case;
+every row is bit-identical to that probe run alone.
+
+``find_cct`` keeps bisection's probe set but overlaps its rounds: under
+the unity principle one separating machine decides, so a probe's
+verdict is final as unstable as soon as one of its machines emits an
+accepted DLP (on swing 1 only under ``first_swing_only``), and final as
+stable, or failed, only when its row leaves the pool.  After every
+block the search joins the next midpoint for each midpoint whose
+verdict became final, while the earlier rows run out their horizons.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .assess import (
     margin_at_anchor,
 )
 from .case import EquilibriumPoint, StabilityCase, solve_postfault_sep
-from .dynamics import FaultOnPrefix, SimulationConfig, SwingKernel, lockstep
+from .dynamics import FaultOnPrefix, RowPool, SimulationConfig, SwingKernel
 from .energy import pe_baseline
 from .errors import BracketError, HorizonError, ImeacError
 from .events import EventScanner
@@ -87,126 +95,163 @@ def _grid_value(value: float, unit: float, name: str) -> int:
 
 
 class _Sweep:
-    """Probes of one case on one time grid: kernel, fault-on prefix and PE baseline are shared."""
+    """Probes of one case on one time grid, run on one row pool.
 
-    def __init__(self, case: StabilityCase, dt: float, sep: EquilibriumPoint | None):
+    Kernel, fault-on prefix and PE baseline are shared.  ``start`` joins
+    a probe's post-fault row to the pool, ``advance`` steps the pool one
+    block and scans it, and a probe's outcome (a ProbeResult, or the
+    exception the probe raises when run alone) is assembled when its row
+    leaves the pool.
+    """
+
+    def __init__(
+        self,
+        case: StabilityCase,
+        dt: float,
+        sep: EquilibriumPoint | None,
+        horizon: float,
+        first_swing_only: bool,
+    ):
         self.case = case
         self.dt = dt
+        self.horizon = horizon
+        self.first_swing_only = first_swing_only
         self.kernel = SwingKernel(case)
         self.prefix = FaultOnPrefix(self.kernel, case, dt)
         self.baseline = pe_baseline(case, sep)
+        self.pool = RowPool(self.kernel, dt)
+        self.scanner = EventScanner(self.kernel.m, 0)
+        # per probe: None while its row runs, then a ProbeResult or an exception
+        self.outcomes: list = []
+        self._times: list[float] = []
+        self._row: list[int | None] = []  # probe -> pool row
+        self._probe: list[int] = []  # pool row -> probe
+        self._clear = np.empty(0, dtype=int)  # pool row -> clearing index
+        self._at_clear: dict[int, np.ndarray] = {}  # pool row -> clearing sample
 
-    def probe(
-        self, times: Sequence[float], horizon: float, first_swing_only: bool
-    ) -> list[ProbeResult]:
-        """Probe every clearing time, in input order.
+    def start(self, t: float) -> int:
+        """Join the probe at clearing time t to the pool; returns its index."""
+        j = len(self.outcomes)
+        self._times.append(t)
+        self._row.append(None)
+        self.outcomes.append(None)
+        try:
+            steps = _grid_value(t, self.dt, "t_clear") + _grid_value(self.horizon, self.dt, "horizon")
+            cfg = SimulationConfig(t_clear=t, t_end=steps * self.dt, dt=self.dt)
+        except ValueError as exc:
+            self.outcomes[j] = exc
+            return j
+        head = self.prefix.state(cfg.clear_index)
+        if head is None:
+            self.outcomes[j] = ImeacError(
+                "simulation diverged during the fault-on stage at "
+                f"t={self.prefix.divergence_index * self.dt} s"
+            )
+            return j
+        row = int(self.pool.join(head, cfg.n_steps - cfg.clear_index)[0])
+        self.scanner.add_rows(1)
+        self._row[j] = row
+        self._probe.append(j)
+        self._clear = np.append(self._clear, cfg.clear_index)
+        return j
+
+    def start_all(self, times: Sequence[float]) -> list[int]:
+        """Start probes in input order, up to the first invalid clearing time."""
+        started = []
+        for t in times:
+            started.append(self.start(t))
+            if isinstance(self.outcomes[started[-1]], ValueError):
+                break  # the probes after it would never have run
+        return started
+
+    @property
+    def running(self) -> bool:
+        return self.pool.size > 0
+
+    def verdict(self, j: int):
+        """Probe j's final verdict: True (stable), False (unstable), its exception, or None.
+
+        A probe is final as unstable as soon as one of its machines emits
+        an accepted DLP (unity principle; on swing 1 under
+        first_swing_only), and final as stable or failed only when its
+        row has left the pool.  None means not final yet.
+        """
+        outcome = self.outcomes[j]
+        if outcome is None:
+            return False if self.scanner.separated(self._row[j], self.first_swing_only) else None
+        if isinstance(outcome, Exception):
+            return outcome
+        return outcome.stable
+
+    def advance(self) -> None:
+        """Step the pool one block, scan it, and settle the probes whose rows left."""
+        n = self.kernel.n
+        block = self.pool.advance()
+        samples, rows = block.samples, block.rows
+        for r in np.flatnonzero(block.start == 0):
+            self._at_clear[rows[r]] = samples[0, r].copy()
+        steps = block.start + np.arange(samples.shape[0])[:, None]
+        self.scanner.feed(
+            rows,
+            (self._clear[rows] + steps) * self.dt,
+            samples[..., 3 * n : 4 * n],
+            samples[..., 4 * n :],
+            self.kernel.coi(samples[..., :n]),
+            self._pe(samples[..., 2 * n : 3 * n]),
+        )
+        for row in block.done.tolist():
+            self.outcomes[self._probe[row]] = self._result(row, row in block.lost)
+
+    def probe(self, times: Sequence[float]) -> list[ProbeResult]:
+        """Probe every clearing time, all rows from step 0, results in input order.
 
         A failing probe raises its error; when several fail, the first
         in input order wins, as if the probes had run one by one.
         """
-        clear: list[int] = []
-        post_steps = 0  # the same for every probe: one horizon
-        invalid = None
-        for t in times:
-            try:
-                steps = _grid_value(t, self.dt, "t_clear") + _grid_value(horizon, self.dt, "horizon")
-                cfg = SimulationConfig(t_clear=t, t_end=steps * self.dt, dt=self.dt)
-            except ValueError as exc:
-                invalid = exc  # the probes after it would never have run
-                break
-            clear.append(cfg.clear_index)
-            post_steps = cfg.n_steps - cfg.clear_index
-        outcomes = self._run(times, clear, post_steps, first_swing_only)
-        for outcome in outcomes:
+        self.start_all(times)
+        while self.running:
+            self.advance()
+        for outcome in self.outcomes:
             if isinstance(outcome, Exception):
                 raise outcome
-        if invalid is not None:
-            raise invalid
-        return outcomes
+        return self.outcomes
 
-    def _run(self, times, clear, steps, first_swing_only) -> list:
-        """One ProbeResult or exception per clearing index."""
-        heads = [self.prefix.state(c) for c in clear]
-        outcomes: list = [
-            ImeacError(
-                "simulation diverged during the fault-on stage at "
-                f"t={self.prefix.divergence_index * self.dt} s"
-            )
-            if head is None
-            else None
-            for head in heads
-        ]
-        live = [j for j, head in enumerate(heads) if head is not None]
-        if not live:
-            return outcomes
-        scanner, at_clear, diverged = self._stream(
-            [heads[j] for j in live], np.array([clear[j] for j in live]), steps
-        )
+    def _result(self, row: int, diverged: bool):
+        """The ProbeResult of a row that left the pool, or the HorizonError it raises."""
         n = self.kernel.n
-        ke = 0.5 * self.kernel.m * at_clear[:, 3 * n : 4 * n] ** 2
-        pe = self._pe(at_clear[:, 2 * n : 3 * n])
+        at_clear = self._at_clear.pop(row)
+        ke = 0.5 * self.kernel.m * at_clear[3 * n : 4 * n] ** 2
+        pe = self._pe(at_clear[2 * n : 3 * n])
         total = ke + pe
-        for q, j in enumerate(live):
-            machines = []
-            for i in range(n):
-                events = scanner.events[q][i]
-                if first_swing_only:
-                    # swing indices never decrease, so this keeps a prefix
-                    # of the list and event_pe still lines up
-                    events = [ev for ev in events if ev.swing_index == 1]
-                if not events:
-                    machines.append(MachineAssessment(i, (), UNDETERMINED, None, None, None))
-                    continue
-                a_dec = scanner.event_pe[q][i][anchor_index(events)] - float(pe[q, i])
-                machines.append(
-                    margin_at_anchor(self.case, i, tuple(events), float(ke[q, i]), a_dec)
-                )
-            try:
-                assessment = assess_system(machines)
-            except HorizonError as exc:
-                if not diverged[q]:
-                    outcomes[j] = exc
-                    continue
-                assessment = None
-            outcomes[j] = ProbeResult(
-                t_clear=times[j],
-                assessment=assessment,
-                machine_assessments=tuple(machines),
-                total_at_clear=tuple(float(v) for v in total[q]),
-                diverged=bool(diverged[q]),
-            )
-        return outcomes
+        machines = []
+        for i in range(n):
+            events = self.scanner.events[row][i]
+            if self.first_swing_only:
+                # swing indices never decrease, so this keeps a prefix
+                # of the list and event_pe still lines up
+                events = [ev for ev in events if ev.swing_index == 1]
+            if not events:
+                machines.append(MachineAssessment(i, (), UNDETERMINED, None, None, None))
+                continue
+            a_dec = self.scanner.event_pe[row][i][anchor_index(events)] - float(pe[i])
+            machines.append(margin_at_anchor(self.case, i, tuple(events), float(ke[i]), a_dec))
+        try:
+            assessment = assess_system(machines)
+        except HorizonError as exc:
+            if not diverged:
+                return exc
+            assessment = None
+        return ProbeResult(
+            t_clear=self._times[self._probe[row]],
+            assessment=assessment,
+            machine_assessments=tuple(machines),
+            total_at_clear=tuple(float(v) for v in total),
+            diverged=diverged,
+        )
 
     def _pe(self, w: np.ndarray) -> np.ndarray:
         """Potential energy from the integrated channel W (baseline added)."""
         return w if self.baseline is None else self.baseline + w
-
-    def _stream(self, heads, clear, steps):
-        """Run the rows post-fault in lockstep and scan them block by block.
-
-        Returns the scanner, each row's clearing sample (state | omega_coi
-        | f_coi_pf) and a per-row divergence flag.
-        """
-        kern = self.kernel
-        n = kern.n
-        y = heads[0] if len(heads) == 1 else np.stack(heads)
-        scanner = EventScanner(kern.m, len(heads))
-        at_clear = None
-        diverged = np.zeros(len(heads), dtype=bool)
-        for start, block, rows, lost in lockstep(kern, y, steps, self.dt):
-            if at_clear is None:
-                at_clear = block[0].copy()
-            offsets = np.arange(start, start + block.shape[0])[:, None]
-            scanner.feed(
-                rows,
-                (clear[rows] + offsets) * self.dt,
-                block[..., 3 * n : 4 * n],
-                block[..., 4 * n :],
-                kern.coi(block[..., :n]),
-                self._pe(block[..., 2 * n : 3 * n]),
-            )
-            diverged[lost] = True
-        return scanner, at_clear, diverged
 
 
 def probe_clearing_time(
@@ -220,7 +265,7 @@ def probe_clearing_time(
     """Simulate one clearing time and assess the system."""
     if sep is None:
         sep = solve_postfault_sep(case)
-    return _Sweep(case, dt, sep).probe([t_clear], horizon, first_swing_only)[0]
+    return _Sweep(case, dt, sep, horizon, first_swing_only).probe([t_clear])[0]
 
 
 def scan_clearing_times(
@@ -234,10 +279,10 @@ def scan_clearing_times(
 
     Each result equals probe_clearing_time for the same clearing time,
     bit for bit; the batch shares the fault-on prefix and integrates the
-    post-fault rows in lockstep.  Unsorted and repeated times are fine.
+    post-fault rows together.  Unsorted and repeated times are fine.
     """
-    sweep = _Sweep(case, dt, solve_postfault_sep(case))
-    return sweep.probe(times, horizon, first_swing_only)
+    sweep = _Sweep(case, dt, solve_postfault_sep(case), horizon, first_swing_only)
+    return sweep.probe(times)
 
 
 def identify_mdm(
@@ -282,27 +327,61 @@ def find_cct(
 ) -> CctResult:
     """Bisect the clearing time on the resolution grid.
 
-    t_lo must be stable and t_hi unstable (both are simulated first, as
-    one two-row batch, and validated); the midpoints reuse the cached
-    fault-on prefix.  Every probe lands on an integer multiple of resolution,
+    t_lo must be stable and t_hi unstable (both are simulated and
+    validated).  Every probe lands on an integer multiple of resolution,
     which itself must be an integer multiple of dt, so the returned CCT
     is exactly what an exhaustive scan of the same grid would select.
     Evaluations are at most 2 + ceil(log2(bracket / resolution)).
+
+    The probes are bisection's, but their runs overlap in time on one
+    row pool.  The first midpoint starts with the bracket ends; on an
+    invalid bracket its result is discarded.  Each later midpoint starts
+    as soon as the previous one's verdict is final: unstable once one of
+    its machines emits an accepted DLP (the unity principle: one
+    separating machine decides), stable or failed only when its run
+    ends.  Every probe still runs its whole horizon for its full result,
+    and each equals the same probe run alone, so the result, errors
+    included, is that of probing one midpoint after another.
     """
     _grid_value(resolution, dt, "resolution")
     lo = _grid_value(t_lo, resolution, "t_lo")
     hi = _grid_value(t_hi, resolution, "t_hi")
     if not lo < hi:
         raise ValueError(f"need t_lo < t_hi, got {t_lo} >= {t_hi}")
-    sweep = _Sweep(case, dt, solve_postfault_sep(case))
-    probes: dict[int, ProbeResult] = {}
-
-    def run(*ks: int) -> list[ProbeResult]:
-        results = sweep.probe([k * resolution for k in ks], horizon, first_swing_only)
-        probes.update(zip(ks, results))
-        return results
-
-    lo_probe, hi_probe = run(lo, hi)
+    sweep = _Sweep(case, dt, solve_postfault_sep(case), horizon, first_swing_only)
+    ends = sweep.start_all([lo * resolution, hi * resolution])
+    probes = dict(zip((lo, hi), ends))  # grid index -> probe index, in probing order
+    a, b = lo, hi  # the bracket as bisection narrows it once the ends hold
+    mid = None  # the midpoint whose verdict the next one waits for
+    chain = len(ends) == 2
+    while True:
+        while chain:
+            v_lo, v_hi = (sweep.verdict(j) for j in ends)
+            if v_lo not in (None, True) or v_hi not in (None, False):
+                chain = False  # the bracket is ruled out: no more midpoints
+                break
+            if mid is not None:
+                verdict = sweep.verdict(probes[mid])
+                if verdict is None:
+                    break
+                if isinstance(verdict, Exception):
+                    chain = False
+                    break
+                a, b = (mid, b) if verdict else (a, mid)
+            if b - a <= 1:
+                chain = False
+                break
+            mid = (a + b) // 2
+            probes[mid] = sweep.start(mid * resolution)
+        if not sweep.running:
+            break
+        sweep.advance()
+    # report as probing one midpoint after another would: the ends as
+    # one batch, then the bracket check, then the midpoints in order
+    for j in ends:
+        if isinstance(sweep.outcomes[j], Exception):
+            raise sweep.outcomes[j]
+    lo_probe, hi_probe = (sweep.outcomes[j] for j in ends)
     if not lo_probe.stable:
         raise BracketError(
             f"t_lo={t_lo} must be stable: got unstable at t_lo, "
@@ -310,20 +389,19 @@ def find_cct(
         )
     if hi_probe.stable:
         raise BracketError(f"t_hi={t_hi} must be unstable: got stable at both ends")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if run(mid)[0].stable:
-            lo = mid
-        else:
-            hi = mid
-    ordered = sorted(probes.items())
+    for j in probes.values():
+        if isinstance(sweep.outcomes[j], Exception):
+            raise sweep.outcomes[j]
+    results = {k: sweep.outcomes[j] for k, j in probes.items()}
+    lo, hi = a, b
+    ordered = sorted(results.items())
     for (ka, pa), (kb, pb) in zip(ordered, ordered[1:]):
         if not pa.stable and pb.stable:
             raise ImeacError(
                 f"non-monotone verdicts: unstable at {ka * resolution:.6g} s but "
                 f"stable at {kb * resolution:.6g} s"
             )
-    mdm = identify_mdm(probes[lo].machine_assessments, probes[hi].machine_assessments)
+    mdm = identify_mdm(results[lo].machine_assessments, results[hi].machine_assessments)
     curve = tuple(
         (k * resolution, p.machine_assessments[mdm].margin)
         for k, p in ordered
@@ -334,9 +412,9 @@ def find_cct(
         cct_unstable=hi * resolution,
         resolution=resolution,
         mdm=mdm,
-        critical_energy=probes[lo].total_at_clear[mdm],
+        critical_energy=results[lo].total_at_clear[mdm],
         margin_curve=curve,
-        evaluations=len(probes),
+        evaluations=len(results),
     )
 
 

@@ -4,7 +4,8 @@ Exit codes: 0 success (assess: stable), 1 usage or data error,
 2 assess found the system unstable, 3 the simulation diverged.
 Every command writes the data files it reports plus a JSON run
 manifest.  ``--config FILE`` supplies a JSON object whose entries
-override the corresponding command-line flags (file wins).  Case
+override the corresponding command-line flags (file wins); they are
+parsed as those flags, so they pass the same checks.  Case
 paths may reference bundled cases as ``bundled:<name>``.
 """
 
@@ -55,24 +56,56 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Merge --config file values over the parsed flags (file wins)."""
-    if not getattr(args, "config", None):
-        return
+def _finite(text: str) -> float:
+    """argparse type of every real-valued option: nan and inf are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
+def _apply_config(
+    parser: _Parser, argv: list[str], args: argparse.Namespace
+) -> argparse.Namespace:
+    """Parse again with the --config file's entries appended as flags (file wins).
+
+    So a config value passes the same type and choice checks as the flag
+    it stands for.  JSON types must match too: a string for a text
+    option, a number for a numeric one, true/false for an on/off flag.
+    """
+    if not args.config:
+        return args
     path = Path(args.config)
     if not path.is_file():
         raise _UsageError(f"config file not found: {path}")
     try:
         overrides = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _UsageError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise _UsageError(f"config file {path} must hold a JSON object")
+    flags = []
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if attr in ("config", "command", "func") or not hasattr(args, attr):
-            raise _UsageError(f"config file {path}: unknown option '{key}'")
-        setattr(args, attr, value)
+        if attr in ("config", "command", "func", "case") or not hasattr(args, attr):
+            raise _UsageError(f"config file {path}: unknown option {key!r}")
+        flag = "--" + attr.replace("_", "-")
+        if isinstance(getattr(args, attr), bool):
+            if not isinstance(value, bool):
+                raise _UsageError(f"config file {path}: option {key!r} expects true or false")
+            flags.append(flag if value else f"--no-{flag[2:]}")
+        else:
+            flags.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    merged = parser.parse_args(argv + flags)
+    for key, value in overrides.items():
+        parsed = getattr(merged, key.replace("-", "_"))
+        if isinstance(value, str) != isinstance(parsed, str):
+            kind = "a string" if isinstance(parsed, str) else "a number"
+            raise _UsageError(f"config file {path}: option {key!r} expects {kind}")
+    return merged
 
 
 def _write_manifest(
@@ -273,30 +306,30 @@ def build_parser() -> _Parser:
     def common(p: _Parser) -> None:
         p.add_argument("case", help="case file path or bundled:<name>")
         p.add_argument("--config", help="JSON file overriding the flags below")
-        p.add_argument("--dt", type=float, default=1e-3, help="integration step, s")
+        p.add_argument("--dt", type=_finite, default=1e-3, help="integration step, s")
 
     p = sub.add_parser("simulate", help="integrate one staged fault scenario")
     common(p)
-    p.add_argument("--t-clear", type=float, required=True, help="fault clearing time, s")
-    p.add_argument("--t-end", type=float, required=True, help="simulation horizon, s")
+    p.add_argument("--t-clear", type=_finite, required=True, help="fault clearing time, s")
+    p.add_argument("--t-end", type=_finite, required=True, help="simulation horizon, s")
     p.add_argument("--out", required=True, help="trajectory output path")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("assess", help="simulate and produce the stability verdict")
     common(p)
-    p.add_argument("--t-clear", type=float, required=True, help="fault clearing time, s")
-    p.add_argument("--t-end", type=float, required=True, help="simulation horizon, s")
+    p.add_argument("--t-clear", type=_finite, required=True, help="fault clearing time, s")
+    p.add_argument("--t-end", type=_finite, required=True, help="simulation horizon, s")
     p.add_argument("--out-dir", required=True, help="directory for events/margins/verdict")
     p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("cct", help="bisect the critical clearing time")
     common(p)
-    p.add_argument("--t-lo", type=float, required=True, help="stable bracket end, s")
-    p.add_argument("--t-hi", type=float, required=True, help="unstable bracket end, s")
-    p.add_argument("--resolution", type=float, default=1e-3, help="bracket resolution, s")
-    p.add_argument("--horizon", type=float, default=3.0, help="post-clearing window, s")
+    p.add_argument("--t-lo", type=_finite, required=True, help="stable bracket end, s")
+    p.add_argument("--t-hi", type=_finite, required=True, help="unstable bracket end, s")
+    p.add_argument("--resolution", type=_finite, default=1e-3, help="bracket resolution, s")
+    p.add_argument("--horizon", type=_finite, default=3.0, help="post-clearing window, s")
     p.add_argument(
-        "--first-swing-only", action="store_true",
+        "--first-swing-only", action=argparse.BooleanOptionalAction, default=False,
         help="classify from first-swing events only",
     )
     p.add_argument("--out", required=True, help="CCT result output path")
@@ -309,12 +342,12 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("grid", "trajectories"), default="grid")
     p.add_argument("--window", help="angle window xlo:xhi:ylo:yhi, rad")
     p.add_argument(
-        "--half-width", type=float, default=2.0,
+        "--half-width", type=_finite, default=2.0,
         help="window half-width around the SEP when --window is absent, rad",
     )
     p.add_argument("--grid-n", type=int, default=81, help="grid points per axis")
     p.add_argument("--sweep", help="clearing-time family: start:stop:step or list")
-    p.add_argument("--t-end", type=float, default=3.0, help="family horizon, s")
+    p.add_argument("--t-end", type=_finite, default=3.0, help="family horizon, s")
     p.add_argument("--out", required=True, help="surface output path")
     p.set_defaults(func=cmd_surface)
     return parser
@@ -322,14 +355,11 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        _apply_config(args)
+        args = _apply_config(parser, argv, parser.parse_args(argv))
         return args.func(args)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except (ImeacError, ValueError, OSError) as exc:
+    except (_UsageError, ImeacError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,24 +24,31 @@ share work:
   ``FaultOnPrefix`` integrates it once, up to the largest clearing
   sample, and every probe starts post-fault from the prefix sample at
   its own clearing index;
-* the post-fault system is autonomous, so ``lockstep`` advances all
-  probes together as one (B, 3n) state for the same number of steps.
-  A row that leaves the finite, |omega| <= OMEGA_DIVERGENCE region is
-  truncated at its last good sample and dropped; the others go on;
-* samples leave ``lockstep`` in blocks of a reused buffer, consecutive
-  blocks overlapping by one sample, for a streaming consumer (the event
-  scanner).  No row ever holds its whole trajectory, so a sweep's memory
-  stays flat in the horizon and grows only by the block per row.
+* the post-fault system is autonomous, so rows at different local
+  times can share a step: ``RowPool`` advances every probe in flight
+  as one (B, 3n) state.  Rows join between blocks, each from its own
+  prefix head, and leave when their horizon ends or their next state
+  leaves the finite, |omega| <= OMEGA_DIVERGENCE region (truncated at
+  their last good sample); the others go on.  A block is cut early
+  when a row reaches its last sample, so no row steps past its horizon.
+  A scan is the case where every row joins at step 0; a bisection
+  joins each midpoint as soon as the previous verdict is known;
+* samples leave the pool in blocks of a reused buffer, consecutive
+  blocks of a row overlapping by one sample, for a streaming consumer
+  (the event scanner).  No row ever holds its whole trajectory, so a
+  sweep's memory stays flat in the horizon and grows only by the block
+  per row.  All bookkeeping happens at block boundaries; the step
+  itself is the same for one row or many.
 
 ``simulate`` is the one-row case of the same path: the prefix up to its
-clearing sample, then ``lockstep`` on one state, every block copied into
-the full record.
+clearing sample, then a pool of one row, every block copied into the
+full record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -233,58 +240,126 @@ class FaultOnPrefix:
         return None
 
 
-def lockstep(
-    kernel: SwingKernel, y: np.ndarray, steps: int, dt: float
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Advance post-fault rows together and stream their samples in blocks.
+class Block(NamedTuple):
+    """One block of pooled post-fault samples (see ``RowPool.advance``)."""
 
-    y is one state (3n,) or B rows (B, 3n), each at its own clearing
-    sample; all advance ``steps`` RK4 steps on the post-fault network.
-    Yields (start, samples, rows, lost): ``samples`` is (L, R, 5n) with
-    state | omega_coi | f_coi_pf for samples start .. start + L - 1 of
-    the R rows still running, ``rows`` their indices into y.  The next
-    block starts with the last sample of this one.  ``lost`` lists rows
-    whose next state failed the divergence guard: their record ends with
-    this block and they are absent from every later one.  ``samples`` is
-    a view of a buffer reused for the next block.
+    samples: np.ndarray  # (L, R, 5n): state | omega_coi | f_coi_pf
+    rows: np.ndarray  # (R,) ids of the rows in the block
+    start: np.ndarray  # (R,) each row's post-fault sample number at samples[0]
+    done: np.ndarray  # ids of the rows whose record ends with this block
+    lost: np.ndarray  # the subset of done that failed the divergence guard
+
+
+class RowPool:
+    """Post-fault rows in flight, advanced together as one state array.
+
+    The post-fault system is autonomous, so rows at different local times
+    can share a step.  A row joins, between blocks, with its clearing
+    state and a step budget; ``advance`` steps every row in flight at
+    once and hands out the samples as one ``Block``.  A block ends after
+    ``block`` steps, earlier when a row reaches its last sample (so no
+    row steps past its horizon) or when a row's next state fails the
+    divergence guard.  Either way that row's record ends with the block
+    and it leaves the pool; the others go on and the next block starts
+    with the last sample of this one.  Rows get ids 0, 1, ... in join
+    order.  Samples live in one reused buffer: a block's ``samples`` are
+    valid until the next ``join`` or ``advance``.
     """
-    n = kernel.n
-    rows = np.arange(1 if y.ndim == 1 else y.shape[0])
-    buf = np.empty((BLOCK + 1, rows.size, 5 * n))
-    none = rows[:0]
 
-    def record(slot: np.ndarray, state: np.ndarray) -> np.ndarray:
-        k1, omega_coi, _, f_pf = kernel.stage(state, False)
+    def __init__(self, kernel: SwingKernel, dt: float, block: int = BLOCK):
+        n = kernel.n
+        self.kernel = kernel
+        self.dt = dt
+        self.block = block
+        self.rows = np.empty(0, dtype=int)  # ids of the rows in flight
+        self._start = np.empty(0, dtype=int)
+        self._left = np.empty(0, dtype=int)  # steps still to take, per row
+        self._y = np.empty((0, 3 * n))
+        self._k1 = np.empty((0, 3 * n))
+        self._buf = np.empty((block + 1, 0, 5 * n))
+        self._carry: tuple[int, np.ndarray] | None = None  # last block's (end, kept rows)
+        self._joined = 0
+
+    @property
+    def size(self) -> int:
+        """Rows in flight."""
+        return self.rows.size
+
+    def _record(self, slot: np.ndarray, state: np.ndarray) -> np.ndarray:
+        n = self.kernel.n
+        k1, omega_coi, _, f_pf = self.kernel.stage(state, False)
         slot[:, : 3 * n] = state
         slot[:, 3 * n : 4 * n] = omega_coi
         slot[:, 4 * n :] = f_pf
         return k1
 
-    live = rows.size
-    start = pos = 0
-    k1 = record(buf[0, :live], y)
-    for _ in range(steps):
-        y_next = kernel.step(y, k1, False, dt)
-        if not kernel.healthy(y_next, None):
-            ok = np.atleast_1d(kernel.healthy(y_next))
-            yield start, buf[: pos + 1, :live], rows, rows[~ok]
-            if not ok.any():
-                return
-            buf[0, : ok.sum()] = buf[pos, :live][ok]
-            rows, y_next = rows[ok], y_next[ok]
-            live = rows.size
-            start += pos
-            pos = 0
-        y = y_next
-        pos += 1
-        k1 = record(buf[pos, :live], y)
-        if pos == BLOCK:
-            yield start, buf[:, :live], rows, none
-            buf[0, :live] = buf[BLOCK, :live]
-            start += BLOCK
-            pos = 0
-    if pos:
-        yield start, buf[: pos + 1, :live], rows, none
+    def _settle(self) -> None:
+        """Move the last sample of the rows still in flight to the buffer's head."""
+        if self._carry is not None:
+            end, keep = self._carry
+            self._buf[0, : keep.sum()] = self._buf[end, : keep.size][keep]
+            self._carry = None
+
+    def join(self, heads: np.ndarray, steps: int) -> np.ndarray:
+        """Add rows at their clearing states (3n,) or (k, 3n), each to take ``steps`` steps.
+
+        Returns the new rows' ids; they step with the others from the
+        next block on.
+        """
+        self._settle()
+        heads = np.atleast_2d(heads)
+        live, k = self.rows.size, heads.shape[0]
+        if live + k > self._buf.shape[1]:
+            buf = np.empty((self.block + 1, max(2 * live, live + k), self._buf.shape[2]))
+            buf[0, :live] = self._buf[0, :live]
+            self._buf = buf
+        k1 = self._record(self._buf[0, live : live + k], heads)
+        ids = np.arange(self._joined, self._joined + k)
+        self._joined += k
+        self.rows = np.concatenate((self.rows, ids))
+        self._start = np.concatenate((self._start, np.zeros(k, dtype=int)))
+        self._left = np.concatenate((self._left, np.full(k, steps)))
+        self._y = np.concatenate((self._y, heads))
+        self._k1 = np.concatenate((self._k1, k1))
+        return ids
+
+    def advance(self) -> Block:
+        """Step every row in flight through one block; rows that end leave the pool."""
+        self._settle()
+        kernel, dt, buf = self.kernel, self.dt, self._buf
+        live = self.rows.size
+        y, k1 = self._y, self._k1
+        if live == 1:
+            # a lone row steps as a plain state: the same numbers, less
+            # numpy overhead per call than a batch of one
+            y, k1 = y[0], k1[0]
+        length = min(self.block, int(self._left.min()))
+        healthy = None
+        pos = 0
+        while pos < length:
+            y_next = kernel.step(y, k1, False, dt)
+            if not kernel.healthy(y_next, None):
+                # cut the block here; the survivors redo this step next block
+                healthy = np.atleast_1d(kernel.healthy(y_next))
+                break
+            y = y_next
+            pos += 1
+            k1 = self._record(buf[pos, :live], y)
+        left = self._left - pos
+        keep = left > 0 if healthy is None else healthy
+        block = Block(
+            samples=buf[: pos + 1, :live],
+            rows=self.rows,
+            start=self._start,
+            done=self.rows[~keep],
+            lost=self.rows[:0] if healthy is None else self.rows[~healthy],
+        )
+        self.rows = self.rows[keep]
+        self._start = (self._start + pos)[keep]
+        self._left = left[keep]
+        self._y, self._k1 = np.atleast_2d(y)[keep], np.atleast_2d(k1)[keep]
+        self._carry = (pos, keep)
+        return block
 
 
 def simulate(case: StabilityCase, cfg: SimulationConfig) -> Trajectory:
@@ -307,14 +382,18 @@ def simulate(case: StabilityCase, cfg: SimulationConfig) -> Trajectory:
     table[:end] = prefix.samples[:end]
     divergence_index = prefix.divergence_index
     if head is not None:
-        for start, samples, _, lost in lockstep(kernel, head, cfg.n_steps - clear, cfg.dt):
-            block = samples[:, 0]
-            end = clear + start + block.shape[0]
-            rows = table[clear + start : end]
-            rows[:, : 5 * n] = block
+        pool = RowPool(kernel, cfg.dt)
+        pool.join(head, cfg.n_steps - clear)
+        while pool.size:
+            block = pool.advance()
+            samples = block.samples[:, 0]
+            first = clear + int(block.start[0])
+            end = first + samples.shape[0]
+            rows = table[first:end]
+            rows[:, : 5 * n] = samples
             # after clearing the active network is the post-fault one
-            rows[:, 5 * n :] = block[:, 4 * n :]
-            if lost.size:
+            rows[:, 5 * n :] = samples[:, 4 * n :]
+            if block.lost.size:
                 divergence_index = end
     table = table[:end]
     return Trajectory(

@@ -20,8 +20,9 @@ machine what a scan needs across a block boundary: the largest |omega|
 since the last DSP, the swing count and whether a DLP ended the scan.
 Candidate crossings are found with array operations; Python loops only
 over the few crossings.  ``detect_events`` feeds it one trajectory as a
-single block; clearing-time sweeps stream their lockstep rows through it
-block by block and never hold a whole trajectory.
+single block; clearing-time sweeps stream their pooled rows through it
+block by block and never hold a whole trajectory, and a bisection asks
+it (``separated``) whether a probe's verdict is already final.
 """
 
 from __future__ import annotations
@@ -80,14 +81,33 @@ class EventScanner:
     def __init__(self, m: np.ndarray, n_rows: int, omega_tol: float = OMEGA_TOL):
         self.m = np.asarray(m, dtype=float)
         self.omega_tol = omega_tol
+        self.events: list[list[list[SwingEvent]]] = []
+        self.event_pe: list[list[list[float]]] = []
+        self._swings: list[list[int]] = []
+        self._done: list[list[bool]] = []
+        self._moved = np.zeros((0, self.m.shape[0]))  # max |omega| since the last DSP
+        self.add_rows(n_rows)
+
+    def add_rows(self, count: int) -> None:
+        """Make room for ``count`` more rows, numbered after the existing ones."""
         n = self.m.shape[0]
-        self.events: list[list[list[SwingEvent]]] = [
-            [[] for _ in range(n)] for _ in range(n_rows)
-        ]
-        self.event_pe: list[list[list[float]]] = [[[] for _ in range(n)] for _ in range(n_rows)]
-        self._swings = [[0] * n for _ in range(n_rows)]
-        self._done = [[False] * n for _ in range(n_rows)]
-        self._moved = np.zeros((n_rows, n))  # max |omega| since the last DSP
+        for _ in range(count):
+            self.events.append([[] for _ in range(n)])
+            self.event_pe.append([[] for _ in range(n)])
+            self._swings.append([0] * n)
+            self._done.append([False] * n)
+        self._moved = np.concatenate((self._moved, np.zeros((count, n))))
+
+    def separated(self, row: int, first_swing_only: bool = False) -> bool:
+        """Whether some machine of the row has emitted its DLP (on swing 1 only, if asked).
+
+        Under the unity principle that settles the row's verdict,
+        unstable, however long the row still runs.
+        """
+        return any(
+            done and (not first_swing_only or events[-1].swing_index == 1)
+            for done, events in zip(self._done[row], self.events[row])
+        )
 
     def feed(
         self,

@@ -133,3 +133,41 @@ def two_machine_case(
         omega0=np.zeros(2),
         label=label,
     )
+
+
+def run_pool(kernel, heads, steps, dt, block, join_after=0):
+    """Run heads through one RowPool and return each row's record.
+
+    heads[0] joins before the first block, every later head after
+    ``join_after`` more blocks (or as soon as the pool runs empty).
+    Returns per head (samples (L, 5n), diverged) with the one-sample
+    overlap of consecutive blocks checked and removed.
+    """
+    from imeac.dynamics import RowPool
+
+    pool = RowPool(kernel, dt, block)
+    waiting = list(heads)
+    ids: list[int] = []
+    record: dict[int, list[np.ndarray]] = {}
+    lost: set[int] = set()
+    blocks = 0
+    while waiting or pool.size:
+        if waiting and (not ids or blocks >= join_after or not pool.size):
+            ids.append(int(pool.join(waiting.pop(0), steps)[0]))
+            blocks = 0
+        block_out = pool.advance()
+        blocks += 1
+        for r, row in enumerate(block_out.rows.tolist()):
+            chunk = block_out.samples[:, r]
+            parts = record.setdefault(row, [])
+            if parts:
+                assert block_out.start[r] == sum(len(p) for p in parts) - 1
+                assert np.array_equal(chunk[0], parts[-1][-1])
+                chunk = chunk[1:]
+            else:
+                assert block_out.start[r] == 0
+            if len(chunk):  # a block cut on its first step adds nothing new
+                parts.append(chunk.copy())
+        lost.update(block_out.lost.tolist())
+        assert set(block_out.lost.tolist()) <= set(block_out.done.tolist())
+    return [(np.concatenate(record[i]), i in lost) for i in ids]

@@ -40,6 +40,14 @@ class TestValidation:
         with pytest.raises(CaseValidationError, match="damping"):
             MachineParams(id=0, m=1.0, pm=1.0, e=1.0, d=-0.1)
 
+    def test_non_finite_values_are_named(self):
+        with pytest.raises(CaseValidationError, match=r"machines\[1\].pm: must be finite"):
+            MachineParams(id=1, m=1.0, pm=math.nan, e=1.0)
+        # a NaN pair passes the symmetry test (nan - nan > tol is False)
+        b = np.array([[-1.8, math.nan], [math.nan, -1.8]])
+        with pytest.raises(CaseValidationError, match="net_x.B: non-finite"):
+            ReducedNetwork(g=np.zeros((2, 2)), b=b, name="net_x")
+
     def test_network_square(self):
         with pytest.raises(CaseValidationError, match="square"):
             ReducedNetwork(g=np.zeros((2, 3)), b=np.zeros((2, 3)), name="net_x")

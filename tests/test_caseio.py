@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -93,7 +94,64 @@ class TestExplicitForm:
             case_from_dict(doc)
 
 
+    def test_nan_network_entry_names_the_field(self):
+        doc = explicit_doc()
+        b = doc["networks"]["reduced"]["postfault"]["B"]
+        b[0][1] = b[1][0] = math.nan
+        with pytest.raises(CaseValidationError, match=r"networks\.reduced\.postfault\.B"):
+            case_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "entry, match",
+        [
+            ({"D": "x"}, r"machines\[0\]\.D: expected a number"),
+            ({"D": math.inf}, r"machines\[0\]\.D: expected a finite number"),
+            ({"M": 10**400}, r"machines\[0\]\.M: expected a finite number"),
+        ],
+    )
+    def test_machine_numbers_name_the_field(self, entry, match):
+        doc = explicit_doc()
+        doc["machines"][0].update(entry)
+        with pytest.raises(CaseValidationError, match=match):
+            case_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", ["12.5", True, None])
+    def test_array_entries_must_be_numbers(self, bad):
+        # numpy alone would read "12.5" as 12.5, true as 1 and null as nan
+        doc = explicit_doc()
+        doc["networks"]["delta0_deg"][1] = bad
+        with pytest.raises(CaseValidationError, match=r"networks\.delta0_deg"):
+            case_from_dict(doc)
+
+
+def wscc_raw_doc() -> dict:
+    return json.loads((resources.files("imeac") / "cases" / "wscc9.json").read_text())
+
+
 class TestRawForm:
+    @pytest.mark.parametrize(
+        "path, value, match",
+        [
+            (("base_frequency_hz",), 0.0, r"base_frequency_hz: must be > 0"),
+            (("network_raw", "buses", 4, "p_load"), "x", r"buses\[4\]\.p_load"),
+            (("network_raw", "buses", 4, "vm"), 0.0, r"buses\[4\]\.vm: must be > 0"),
+            (("network_raw", "branches", 0, "b"), None, r"branches\[0\]\.b"),
+            (("network_raw", "branches", 0, "x"), 0.0, r"branches\[0\]\.x: zero series"),
+            (("network_raw", "generators", 0, "xd_prime"), 0.0, r"xd_prime: must be > 0"),
+            (("network_raw", "buses", 2), [], r"buses\[2\]: expected an object"),
+        ],
+    )
+    def test_bad_field_is_named(self, path, value, match):
+        # each of these used to end in a bare ValueError, TypeError or
+        # ZeroDivisionError without a field name
+        doc = wscc_raw_doc()
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        with pytest.raises(CaseValidationError, match=match):
+            case_from_dict(doc)
+
     def test_pm_forbidden(self):
         doc = explicit_doc()
         del doc["networks"]

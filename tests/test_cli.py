@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from imeac.cli import main
 from conftest import two_machine_case
@@ -294,6 +302,36 @@ class TestConfigFile:
         assert code == 1
         assert "t-cleer" in stderr
 
+    @pytest.mark.parametrize(
+        "command, config, named",
+        [
+            ("assess", {"t_clear": "0.1"}, "t_clear"),
+            ("surface", {"grid_n": 2.5}, "--grid-n"),
+            ("cct", {"first_swing_only": "yes"}, "first_swing_only"),
+        ],
+    )
+    def test_wrong_typed_config_value(self, tmp_path, capsys, command, config, named):
+        # parsed as the flag it stands for: one error line naming it, exit 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = command_argv(command, str(tmp_path))
+        code, _, stderr = run(capsys, *argv, "--config", str(path))
+        assert code == 1
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert named in stderr
+
+    def test_config_switch_overrides_flag(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"first-swing-only": False}))
+        out = tmp_path / "cct.json"
+        code, _, _ = run(
+            capsys, "cct", SMIB, "--t-lo", "0.195", "--t-hi", "0.196", "--first-swing-only",
+            "--config", str(config), "--out", str(out),
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "cct.json.manifest.json").read_text())
+        assert manifest["config"]["first_swing_only"] is False
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, stderr = run(
             capsys, "simulate", SMIB, "--t-clear", "0.1", "--t-end", "0.5",
@@ -301,3 +339,149 @@ class TestConfigFile:
         )
         assert code == 1
         assert "config file not found" in stderr
+
+
+def run_quiet(argv):
+    """main() with its output captured: (exit code, stderr lines)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue().splitlines()
+
+
+def assert_one_error_line(code, lines):
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+FUZZ_SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+# every option of each command by the kind of value it takes
+NUMBER, INTEGER, TEXT, SWITCH = "number", "integer", "text", "switch"
+COMMAND_OPTIONS = {
+    "simulate": {"dt": NUMBER, "t_clear": NUMBER, "t_end": NUMBER, "out": TEXT},
+    "assess": {"dt": NUMBER, "t_clear": NUMBER, "t_end": NUMBER, "out_dir": TEXT},
+    "cct": {
+        "dt": NUMBER, "t_lo": NUMBER, "t_hi": NUMBER, "resolution": NUMBER,
+        "horizon": NUMBER, "first_swing_only": SWITCH, "out": TEXT,
+    },
+    "surface": {
+        "dt": NUMBER, "focus": INTEGER, "axes": TEXT, "mode": TEXT, "window": TEXT,
+        "half_width": NUMBER, "grid_n": INTEGER, "sweep": TEXT, "t_end": NUMBER, "out": TEXT,
+    },
+}
+
+
+def command_argv(command, out):
+    return {
+        "simulate": ["simulate", SMIB, "--t-clear", "0.1", "--t-end", "0.2", "--out", f"{out}/t.tsv"],
+        "assess": ["assess", SMIB, "--t-clear", "0.1", "--t-end", "0.2", "--out-dir", out],
+        "cct": ["cct", SMIB, "--t-lo", "0.195", "--t-hi", "0.196", "--out", f"{out}/c.json"],
+        "surface": ["surface", STAR, "--focus", "0", "--axes", "1,2", "--grid-n", "3",
+                    "--out", f"{out}/s.tsv"],
+    }[command]
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+# for each kind, JSON values it must refuse
+WRONG_VALUES = {
+    NUMBER: json_values.filter(
+        lambda v: isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+    ),
+    INTEGER: json_values.filter(lambda v: isinstance(v, bool) or not isinstance(v, int)),
+    TEXT: json_values.filter(lambda v: not isinstance(v, str)),
+    SWITCH: json_values.filter(lambda v: not isinstance(v, bool)),
+}
+
+
+@st.composite
+def bad_configs(draw):
+    """A command and a --config file text that it must refuse."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    options = COMMAND_OPTIONS[command]
+    how = draw(st.sampled_from(["value", "key", "document", "text"]))
+    if how == "value":
+        key = draw(st.sampled_from(sorted(options)))
+        value = draw(WRONG_VALUES[options[key]])
+        doc = {draw(st.sampled_from([key, key.replace("_", "-")])): value}
+    elif how == "key":
+        key = draw(st.text(min_size=1, max_size=12).filter(
+            lambda k: k.replace("-", "_") not in options
+        ))
+        doc = {key: draw(json_values)}
+    elif how == "document":
+        doc = draw(json_values.filter(lambda v: not isinstance(v, dict)))
+    else:
+        return command, draw(st.sampled_from(["", "{", '{"dt": }', "[1,", "\x00", "nul"]))
+    return command, json.dumps(doc)
+
+
+class TestFuzz:
+    @seed(20211021)
+    @FUZZ_SETTINGS
+    @given(bad=bad_configs())
+    def test_malformed_config_is_one_error_line(self, bad):
+        command, text = bad
+        with tempfile.TemporaryDirectory() as out:
+            config = Path(out) / "cfg.json"
+            config.write_text(text)
+            argv = command_argv(command, out) + ["--config", str(config)]
+            assert_one_error_line(*run_quiet(argv))
+
+    @seed(20211021)
+    @FUZZ_SETTINGS
+    @given(data=st.data(), name=st.sampled_from(["smib", "wscc9"]))
+    def test_malformed_case_is_one_error_line(self, data, name):
+        doc = json.loads(resources.files("imeac").joinpath(f"cases/{name}.json").read_text())
+        # every place in the document a case must fill with a checked value
+        places = []
+
+        def walk(node, path, in_array):
+            if path:
+                places.append((path, node, in_array))
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    if key != "label":
+                        walk(value, path + (key,), False)
+            elif isinstance(node, list):
+                numbers = all(not isinstance(v, (dict, list)) for v in node)
+                for k, value in enumerate(node):
+                    walk(value, path + (k,), numbers or in_array)
+
+        walk(doc, (), False)
+        path, old, in_array = data.draw(st.sampled_from(places))
+        optional = {"D", "omega0", "p_load", "q_load", "r", "b"}
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if isinstance(path[-1], str) and path[-1] not in optional and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            if isinstance(old, (int, float)):
+                wrong = st.one_of(
+                    st.none(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
+                    st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
+                    st.none() if in_array else st.booleans(),
+                )
+            else:
+                wrong = json_values.filter(lambda v: type(v) is not type(old))
+            parent[path[-1]] = data.draw(wrong)
+        with tempfile.TemporaryDirectory() as out:
+            case = Path(out) / "case.json"
+            case.write_text(json.dumps(doc))
+            argv = ["assess", str(case), "--t-clear", "0.1", "--t-end", "0.2", "--out-dir", out]
+            assert_one_error_line(*run_quiet(argv))
+
+    @pytest.mark.parametrize("text", ["", "{", "[1, 2]", '"case"', "\ud800"])
+    def test_unreadable_case_document(self, tmp_path, text):
+        case = tmp_path / "case.json"
+        case.write_text(text, errors="surrogatepass")
+        argv = ["assess", str(case), "--t-clear", "0.1", "--t-end", "0.2", "--out-dir", str(tmp_path)]
+        assert_one_error_line(*run_quiet(argv))

@@ -16,8 +16,8 @@ from imeac import (
     machine_sys_state,
     simulate,
 )
-from imeac.dynamics import SwingKernel, trajectory_header, write_trajectory
-from conftest import coi_identity_errors, two_machine_case
+from imeac.dynamics import FaultOnPrefix, SwingKernel, trajectory_header, write_trajectory
+from conftest import coi_identity_errors, run_pool, two_machine_case
 
 
 class TestConfigValidation:
@@ -189,3 +189,38 @@ class TestTrajectoryExport:
         assert data.shape == (traj.n_samples, 1 + 7 * wscc.n)
         np.testing.assert_allclose(data[:, 0], traj.times, atol=1e-12)
         np.testing.assert_allclose(data[:, 1 : 1 + wscc.n].T, traj.delta, rtol=1e-9)
+
+
+class TestRowPool:
+    @pytest.mark.parametrize("block", [1, 2, 128])
+    def test_late_joiner_equals_row_alone(self, wscc, block):
+        # a row that joins a running pool at a block boundary steps bit
+        # for bit as it does alone, and so does the row it joined
+        kernel = SwingKernel(wscc)
+        prefix = FaultOnPrefix(kernel, wscc, 1e-3)
+        heads = [prefix.state(140), prefix.state(160)]
+        alone = [run_pool(kernel, [h], 300, 1e-3, block)[0] for h in heads]
+        for join_after in (0, 1, 3, 300 // block):
+            joined = run_pool(kernel, heads, 300, 1e-3, block, join_after)
+            for (got, got_lost), (want, want_lost) in zip(joined, alone):
+                assert np.array_equal(got, want)
+                assert got_lost == want_lost
+        assert alone[0][0].shape == (301, 5 * wscc.n)
+
+    def test_row_matches_simulate(self, wscc):
+        cfg = SimulationConfig(t_clear=0.15, t_end=0.65)
+        traj = simulate(wscc, cfg)
+        kernel = SwingKernel(wscc)
+        head = FaultOnPrefix(kernel, wscc, cfg.dt).state(cfg.clear_index)
+        (samples, lost), = run_pool(kernel, [head], 500, cfg.dt, 7)
+        assert not lost
+        assert np.array_equal(samples[:, : wscc.n].T, traj.delta[:, cfg.clear_index :])
+        assert np.array_equal(samples[:, 4 * wscc.n :].T, traj.f_coi_pf[:, cfg.clear_index :])
+
+    def test_rows_leave_at_their_own_horizon(self, wscc):
+        # rows that join at different times end at different samples; no
+        # row steps past its budget
+        kernel = SwingKernel(wscc)
+        prefix = FaultOnPrefix(kernel, wscc, 1e-3)
+        records = run_pool(kernel, [prefix.state(100), prefix.state(120)], 50, 1e-3, 16, 1)
+        assert [r.shape[0] for r, _ in records] == [51, 51]

@@ -5,7 +5,9 @@ with the initial point made an exact pre-fault equilibrium by taking Pm
 from the pre-fault electrical power.  Some draws include a light
 machine, so that probes diverge after clearing or during the fault, and
 some use a horizon too short for a verdict; the properties must hold
-for those probes too.
+for those probes too.  The engine's contract is checked against plain
+references: one probe at a time, one row alone, bisection one midpoint
+after another.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ import pytest
 from hypothesis import HealthCheck, event, given, seed, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
+import imeac.cct
 from imeac import (
+    BracketError,
+    CctResult,
     ImeacError,
     MachineParams,
     SimulationConfig,
@@ -23,14 +30,17 @@ from imeac import (
     compute_energy,
     detect_events,
     electrical_power,
+    find_cct,
+    identify_mdm,
     probe_clearing_time,
     scan_clearing_times,
     simulate,
     solve_postfault_sep,
 )
-from imeac.dynamics import BLOCK
+from imeac.dynamics import BLOCK, FaultOnPrefix, SwingKernel
 from imeac.events import EventScanner
 from imeac.network import staged_reduction
+from conftest import run_pool
 
 DT = 2e-3
 HORIZON = 0.6
@@ -161,3 +171,143 @@ def test_scanner_is_blind_to_block_boundaries(case, k_clear):
     assert whole[0] == detect_events(case, traj)
     for block in (1, 2, BLOCK):
         assert feed_in_blocks(case, traj, pe, block) == whole, f"block={block}"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@seed(20211021)
+@PROPERTY_SETTINGS
+@given(
+    case=staged_cases(),
+    k_clear=st.lists(st.integers(1, 150), min_size=2, max_size=3),
+    block=st.sampled_from([1, 2, BLOCK]),
+    join_after=st.integers(0, 20),
+)
+def test_row_joining_mid_run_equals_row_alone(case, k_clear, block, join_after):
+    # rows join a running pool at block boundaries, each from its own
+    # clearing sample: every row's record, divergence included, is bit
+    # for bit what the row gives alone
+    kernel = SwingKernel(case)
+    prefix = FaultOnPrefix(kernel, case, DT)
+    heads = [prefix.state(k) for k in k_clear]
+    heads = [h for h in heads if h is not None]
+    if not heads:
+        return  # the fault-on stage diverged first
+    steps = round(HORIZON / DT)
+    alone = [run_pool(kernel, [h], steps, DT, block)[0] for h in heads]
+    if any(lost for _, lost in alone):
+        event("some rows diverged")
+    joined = run_pool(kernel, heads, steps, DT, block, join_after)
+    for (got, got_lost), (want, want_lost) in zip(joined, alone):
+        assert got_lost == want_lost
+        assert np.array_equal(got, want)
+
+
+RESOLUTION = 5 * DT
+
+
+def reference_bisection(case, t_lo, t_hi, horizon, first_swing_only):
+    """find_cct's contract spelled out: probe the ends, then one midpoint at a time.
+
+    Returns the CctResult and the grid indices probed.
+    """
+    probes = {}
+
+    def probe(k):
+        probes[k] = probe_clearing_time(
+            case, k * RESOLUTION, dt=DT, horizon=horizon, first_swing_only=first_swing_only
+        )
+        return probes[k]
+
+    lo, hi = round(t_lo / RESOLUTION), round(t_hi / RESOLUTION)
+    lo_probe, hi_probe = probe(lo), probe(hi)
+    if not lo_probe.stable:
+        raise BracketError(
+            f"t_lo={t_lo} must be stable: got unstable at t_lo, "
+            f"{'unstable' if not hi_probe.stable else 'stable'} at t_hi"
+        )
+    if hi_probe.stable:
+        raise BracketError(f"t_hi={t_hi} must be unstable: got stable at both ends")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if probe(mid).stable:
+            lo = mid
+        else:
+            hi = mid
+    ordered = sorted(probes.items())
+    for (ka, pa), (kb, pb) in zip(ordered, ordered[1:]):
+        if not pa.stable and pb.stable:
+            raise ImeacError(
+                f"non-monotone verdicts: unstable at {ka * RESOLUTION:.6g} s but "
+                f"stable at {kb * RESOLUTION:.6g} s"
+            )
+    mdm = identify_mdm(probes[lo].machine_assessments, probes[hi].machine_assessments)
+    result = CctResult(
+        cct=lo * RESOLUTION,
+        cct_unstable=hi * RESOLUTION,
+        resolution=RESOLUTION,
+        mdm=mdm,
+        critical_energy=probes[lo].total_at_clear[mdm],
+        margin_curve=tuple(
+            (k * RESOLUTION, p.machine_assessments[mdm].margin)
+            for k, p in ordered
+            if p.machine_assessments[mdm].margin is not None
+        ),
+        evaluations=len(probes),
+    )
+    return result, sorted(probes)
+
+
+def draw_bracket(data, case, horizon, first_swing_only) -> tuple[int, int]:
+    """Grid indices of a bracket: stable/unstable ends from a scan when it has them, else any."""
+    grid = list(range(1, 31))
+    try:
+        scan = scan_clearing_times(
+            case, [k * RESOLUTION for k in grid], dt=DT, horizon=horizon,
+            first_swing_only=first_swing_only,
+        )
+    except ImeacError:
+        scan = []
+    stable = [k for k, p in zip(grid, scan) if p.stable]
+    unstable = [k for k, p in zip(grid, scan) if not p.stable and stable and k > stable[0]]
+    if unstable:
+        hi = data.draw(st.sampled_from(unstable))
+        return data.draw(st.sampled_from([k for k in stable if k < hi])), hi
+    lo = data.draw(st.integers(1, 29))
+    return lo, data.draw(st.integers(lo + 1, 30))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@seed(20211021)
+@PROPERTY_SETTINGS
+@given(case=staged_cases(), data=st.data(), horizon=horizons, first_swing_only=st.booleans())
+def test_find_cct_equals_reference_bisection(case, data, horizon, first_swing_only):
+    # the pipelined search probes exactly bisection's clearing times and
+    # returns its result, or raises its error (type and message)
+    k_lo, k_hi = draw_bracket(data, case, horizon, first_swing_only)
+    t_lo, t_hi = k_lo * RESOLUTION, k_hi * RESOLUTION
+    try:
+        expected, expected_probes = reference_bisection(
+            case, t_lo, t_hi, horizon, first_swing_only
+        )
+    except ImeacError as exc:
+        expected = exc
+    started = []
+    real_start = imeac.cct._Sweep.start
+
+    def start(sweep, t):
+        started.append(round(t / RESOLUTION))
+        return real_start(sweep, t)
+
+    with mock.patch.object(imeac.cct._Sweep, "start", start):
+        if isinstance(expected, Exception):
+            event(f"raises {type(expected).__name__}: {str(expected).split('=')[0][:30]}")
+            with pytest.raises(type(expected)) as raised:
+                find_cct(case, t_lo, t_hi, resolution=RESOLUTION, dt=DT, horizon=horizon,
+                         first_swing_only=first_swing_only)
+            assert str(raised.value) == str(expected)
+            return
+        event(f"{expected.evaluations} evaluations")
+        result = find_cct(case, t_lo, t_hi, resolution=RESOLUTION, dt=DT, horizon=horizon,
+                          first_swing_only=first_swing_only)
+    assert result == expected
+    assert sorted(started) == expected_probes
