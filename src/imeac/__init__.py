@@ -34,13 +34,12 @@ from .cct import (
     probe_clearing_time,
     scan_clearing_times,
 )
-from .dynamics import SimulationConfig, Trajectory, machine_sys_state, simulate
+from .dynamics import SimulationConfig, Trajectory, simulate
 from .energy import (
     EnergyChannels,
     compute_energy,
     critical_machines,
     pe_line_integral,
-    residual_ke,
 )
 from .errors import (
     BracketError,
@@ -105,13 +104,11 @@ __all__ = [
     "load_bundled",
     "load_case",
     "machine_margin",
-    "machine_sys_state",
     "margin_from_areas",
     "pe_at_time",
     "pe_line_integral",
     "pe_line_to_nodes",
     "probe_clearing_time",
-    "residual_ke",
     "scan_clearing_times",
     "simulate",
     "solve_postfault_sep",

@@ -21,9 +21,10 @@ every row is bit-identical to that probe run alone.
 the unity principle one separating machine decides, so a probe's
 verdict is final as unstable as soon as one of its machines emits an
 accepted DLP (on swing 1 only under ``first_swing_only``), and final as
-stable, or failed, only when its row leaves the pool.  After every
-block the search joins the next midpoint for each midpoint whose
-verdict became final, while the earlier rows run out their horizons.
+stable, or failed, only when its row leaves the pool.  The search is
+one pass per midpoint: join it, then advance the pool until its verdict
+is final or an end rules the bracket out; the earlier rows run out
+their horizons alongside.
 """
 
 from __future__ import annotations
@@ -98,10 +99,10 @@ class _Sweep:
     """Probes of one case on one time grid, run on one row pool.
 
     Kernel, fault-on prefix and PE baseline are shared.  ``start`` joins
-    a probe's post-fault row to the pool, ``advance`` steps the pool one
-    block and scans it, and a probe's outcome (a ProbeResult, or the
-    exception the probe raises when run alone) is assembled when its row
-    leaves the pool.
+    a probe's post-fault row to the pool and keeps its clearing energies,
+    ``advance`` steps the pool one block and scans it, and a probe's
+    outcome (a ProbeResult, or the exception the probe raises when run
+    alone) is assembled when its row leaves the pool.
     """
 
     def __init__(
@@ -123,16 +124,13 @@ class _Sweep:
         self.scanner = EventScanner(self.kernel.m, 0)
         # per probe: None while its row runs, then a ProbeResult or an exception
         self.outcomes: list = []
-        self._times: list[float] = []
         self._row: list[int | None] = []  # probe -> pool row
-        self._probe: list[int] = []  # pool row -> probe
-        self._clear = np.empty(0, dtype=int)  # pool row -> clearing index
-        self._at_clear: dict[int, np.ndarray] = {}  # pool row -> clearing sample
+        # pool row -> (probe, clearing time, per-machine KE and PE at clearing)
+        self._joined: list[tuple[int, float, np.ndarray, np.ndarray]] = []
 
     def start(self, t: float) -> int:
         """Join the probe at clearing time t to the pool; returns its index."""
         j = len(self.outcomes)
-        self._times.append(t)
         self._row.append(None)
         self.outcomes.append(None)
         try:
@@ -148,11 +146,12 @@ class _Sweep:
                 f"t={self.prefix.divergence_index * self.dt} s"
             )
             return j
-        row = int(self.pool.join(head, cfg.n_steps - cfg.clear_index)[0])
+        row = int(self.pool.join(head, cfg.clear_index, cfg.n_steps - cfg.clear_index)[0])
         self.scanner.add_rows(1)
         self._row[j] = row
-        self._probe.append(j)
-        self._clear = np.append(self._clear, cfg.clear_index)
+        kernel, n = self.kernel, self.kernel.n
+        ke = 0.5 * kernel.m * kernel.coi(head[n : 2 * n]) ** 2
+        self._joined.append((j, t, ke, self._pe(head[2 * n : 3 * n])))
         return j
 
     def start_all(self, times: Sequence[float]) -> list[int]:
@@ -187,20 +186,17 @@ class _Sweep:
         """Step the pool one block, scan it, and settle the probes whose rows left."""
         n = self.kernel.n
         block = self.pool.advance()
-        samples, rows = block.samples, block.rows
-        for r in np.flatnonzero(block.start == 0):
-            self._at_clear[rows[r]] = samples[0, r].copy()
-        steps = block.start + np.arange(samples.shape[0])[:, None]
+        samples = block.samples
         self.scanner.feed(
-            rows,
-            (self._clear[rows] + steps) * self.dt,
+            block.rows,
+            (block.start + np.arange(samples.shape[0])[:, None]) * self.dt,
             samples[..., 3 * n : 4 * n],
             samples[..., 4 * n :],
             self.kernel.coi(samples[..., :n]),
             self._pe(samples[..., 2 * n : 3 * n]),
         )
         for row in block.done.tolist():
-            self.outcomes[self._probe[row]] = self._result(row, row in block.lost)
+            self.outcomes[self._joined[row][0]] = self._result(row, row in block.lost)
 
     def probe(self, times: Sequence[float]) -> list[ProbeResult]:
         """Probe every clearing time, all rows from step 0, results in input order.
@@ -218,13 +214,10 @@ class _Sweep:
 
     def _result(self, row: int, diverged: bool):
         """The ProbeResult of a row that left the pool, or the HorizonError it raises."""
-        n = self.kernel.n
-        at_clear = self._at_clear.pop(row)
-        ke = 0.5 * self.kernel.m * at_clear[3 * n : 4 * n] ** 2
-        pe = self._pe(at_clear[2 * n : 3 * n])
+        j, t, ke, pe = self._joined[row]
         total = ke + pe
         machines = []
-        for i in range(n):
+        for i in range(self.kernel.n):
             events = self.scanner.events[row][i]
             if self.first_swing_only:
                 # swing indices never decrease, so this keeps a prefix
@@ -242,7 +235,7 @@ class _Sweep:
                 return exc
             assessment = None
         return ProbeResult(
-            t_clear=self._times[self._probe[row]],
+            t_clear=t,
             assessment=assessment,
             machine_assessments=tuple(machines),
             total_at_clear=tuple(float(v) for v in total),
@@ -351,30 +344,21 @@ def find_cct(
     sweep = _Sweep(case, dt, solve_postfault_sep(case), horizon, first_swing_only)
     ends = sweep.start_all([lo * resolution, hi * resolution])
     probes = dict(zip((lo, hi), ends))  # grid index -> probe index, in probing order
+
+    def ruled_out() -> bool:
+        v_lo, v_hi = (sweep.verdict(j) for j in ends)
+        return v_lo not in (None, True) or v_hi not in (None, False)
+
     a, b = lo, hi  # the bracket as bisection narrows it once the ends hold
-    mid = None  # the midpoint whose verdict the next one waits for
-    chain = len(ends) == 2
-    while True:
-        while chain:
-            v_lo, v_hi = (sweep.verdict(j) for j in ends)
-            if v_lo not in (None, True) or v_hi not in (None, False):
-                chain = False  # the bracket is ruled out: no more midpoints
-                break
-            if mid is not None:
-                verdict = sweep.verdict(probes[mid])
-                if verdict is None:
-                    break
-                if isinstance(verdict, Exception):
-                    chain = False
-                    break
-                a, b = (mid, b) if verdict else (a, mid)
-            if b - a <= 1:
-                chain = False
-                break
-            mid = (a + b) // 2
-            probes[mid] = sweep.start(mid * resolution)
-        if not sweep.running:
-            break
+    while len(ends) == 2 and b - a > 1 and not ruled_out():
+        mid = (a + b) // 2
+        j = probes[mid] = sweep.start(mid * resolution)
+        while (verdict := sweep.verdict(j)) is None and not ruled_out():
+            sweep.advance()
+        if not isinstance(verdict, bool):
+            break  # the midpoint failed, or an end ruled the bracket out
+        a, b = (mid, b) if verdict else (a, mid)
+    while sweep.running:
         sweep.advance()
     # report as probing one midpoint after another would: the ends as
     # one batch, then the bracket check, then the midpoints in order

@@ -38,6 +38,7 @@ from .errors import ImeacError
 from .events import detect_events
 from .surface import (
     SurfaceSpec,
+    check_surface_inputs,
     surface_from_trajectories,
     surface_grid,
     write_surface_grid,
@@ -250,9 +251,9 @@ def cmd_surface(args) -> int:
     started = time.perf_counter()
     case = load_case(args.case)
     axes = _parse_axes(args.axes)
-    if args.window:
-        window = _parse_window(args.window)
-    else:
+    window = _parse_window(args.window) if args.window else None
+    check_surface_inputs(case.n, args.focus, axes, window)
+    if window is None:
         sep = solve_postfault_sep(case)
         if sep.converged:
             cx, cy = sep.delta_s[axes[0]], sep.delta_s[axes[1]]

@@ -33,12 +33,12 @@ share work:
   when a row reaches its last sample, so no row steps past its horizon.
   A scan is the case where every row joins at step 0; a bisection
   joins each midpoint as soon as the previous verdict is known;
-* samples leave the pool in blocks of a reused buffer, consecutive
-  blocks of a row overlapping by one sample, for a streaming consumer
-  (the event scanner).  No row ever holds its whole trajectory, so a
-  sweep's memory stays flat in the horizon and grows only by the block
-  per row.  All bookkeeping happens at block boundaries; the step
-  itself is the same for one row or many.
+* each block's samples are a fresh array, consecutive blocks of a row
+  overlapping by one sample, for a streaming consumer (the event
+  scanner).  No row ever holds its whole trajectory, so a sweep's
+  memory stays flat in the horizon and grows only by the block per
+  row.  All bookkeeping happens at block boundaries; the step itself
+  is the same for one row or many.
 
 ``simulate`` is the one-row case of the same path: the prefix up to its
 clearing sample, then a pool of one row, every block copied into the
@@ -52,7 +52,7 @@ from typing import IO, NamedTuple
 
 import numpy as np
 
-from .case import StabilityCase, coi_reference
+from .case import StabilityCase
 
 OMEGA_DIVERGENCE = 1e4  # rad/s; far beyond any physical swing
 GRID_TOL = 1e-12  # s; switching instants must land on the sample grid
@@ -245,7 +245,7 @@ class Block(NamedTuple):
 
     samples: np.ndarray  # (L, R, 5n): state | omega_coi | f_coi_pf
     rows: np.ndarray  # (R,) ids of the rows in the block
-    start: np.ndarray  # (R,) each row's post-fault sample number at samples[0]
+    start: np.ndarray  # (R,) each row's sample number at samples[0]
     done: np.ndarray  # ids of the rows whose record ends with this block
     lost: np.ndarray  # the subset of done that failed the divergence guard
 
@@ -255,15 +255,14 @@ class RowPool:
 
     The post-fault system is autonomous, so rows at different local times
     can share a step.  A row joins, between blocks, with its clearing
-    state and a step budget; ``advance`` steps every row in flight at
-    once and hands out the samples as one ``Block``.  A block ends after
-    ``block`` steps, earlier when a row reaches its last sample (so no
-    row steps past its horizon) or when a row's next state fails the
-    divergence guard.  Either way that row's record ends with the block
-    and it leaves the pool; the others go on and the next block starts
-    with the last sample of this one.  Rows get ids 0, 1, ... in join
-    order.  Samples live in one reused buffer: a block's ``samples`` are
-    valid until the next ``join`` or ``advance``.
+    state, that state's sample number and a step budget; ``advance``
+    steps every row in flight at once and hands out the samples as one
+    ``Block``.  A block ends after ``block`` steps, earlier when a row
+    reaches its last sample (so no row steps past its horizon) or when a
+    row's next state fails the divergence guard.  Either way that row's
+    record ends with the block and it leaves the pool; the others go on
+    and the next block starts with the last sample of this one.  Rows
+    get ids 0, 1, ... in join order.
     """
 
     def __init__(self, kernel: SwingKernel, dt: float, block: int = BLOCK):
@@ -272,12 +271,10 @@ class RowPool:
         self.dt = dt
         self.block = block
         self.rows = np.empty(0, dtype=int)  # ids of the rows in flight
-        self._start = np.empty(0, dtype=int)
+        self._start = np.empty(0, dtype=int)  # sample number of each row's last sample
         self._left = np.empty(0, dtype=int)  # steps still to take, per row
-        self._y = np.empty((0, 3 * n))
+        self._last = np.empty((0, 5 * n))  # each row's last sample; the next block steps from it
         self._k1 = np.empty((0, 3 * n))
-        self._buf = np.empty((block + 1, 0, 5 * n))
-        self._carry: tuple[int, np.ndarray] | None = None  # last block's (end, kept rows)
         self._joined = 0
 
     @property
@@ -293,47 +290,36 @@ class RowPool:
         slot[:, 4 * n :] = f_pf
         return k1
 
-    def _settle(self) -> None:
-        """Move the last sample of the rows still in flight to the buffer's head."""
-        if self._carry is not None:
-            end, keep = self._carry
-            self._buf[0, : keep.sum()] = self._buf[end, : keep.size][keep]
-            self._carry = None
+    def join(self, heads: np.ndarray, first: int, steps: int) -> np.ndarray:
+        """Add rows at their clearing states (3n,) or (k, 3n), sample number ``first``.
 
-    def join(self, heads: np.ndarray, steps: int) -> np.ndarray:
-        """Add rows at their clearing states (3n,) or (k, 3n), each to take ``steps`` steps.
-
-        Returns the new rows' ids; they step with the others from the
-        next block on.
+        Each row takes ``steps`` steps.  Returns the new rows' ids; they
+        step with the others from the next block on.
         """
-        self._settle()
         heads = np.atleast_2d(heads)
-        live, k = self.rows.size, heads.shape[0]
-        if live + k > self._buf.shape[1]:
-            buf = np.empty((self.block + 1, max(2 * live, live + k), self._buf.shape[2]))
-            buf[0, :live] = self._buf[0, :live]
-            self._buf = buf
-        k1 = self._record(self._buf[0, live : live + k], heads)
+        k = heads.shape[0]
+        last = np.empty((k, self._last.shape[1]))
+        k1 = self._record(last, heads)
         ids = np.arange(self._joined, self._joined + k)
         self._joined += k
         self.rows = np.concatenate((self.rows, ids))
-        self._start = np.concatenate((self._start, np.zeros(k, dtype=int)))
+        self._start = np.concatenate((self._start, np.full(k, first)))
         self._left = np.concatenate((self._left, np.full(k, steps)))
-        self._y = np.concatenate((self._y, heads))
+        self._last = np.concatenate((self._last, last))
         self._k1 = np.concatenate((self._k1, k1))
         return ids
 
     def advance(self) -> Block:
         """Step every row in flight through one block; rows that end leave the pool."""
-        self._settle()
-        kernel, dt, buf = self.kernel, self.dt, self._buf
-        live = self.rows.size
-        y, k1 = self._y, self._k1
-        if live == 1:
+        kernel, dt = self.kernel, self.dt
+        y, k1 = self._last[:, : 3 * kernel.n], self._k1
+        if self.rows.size == 1:
             # a lone row steps as a plain state: the same numbers, less
             # numpy overhead per call than a batch of one
             y, k1 = y[0], k1[0]
         length = min(self.block, int(self._left.min()))
+        buf = np.empty((length + 1,) + self._last.shape)
+        buf[0] = self._last
         healthy = None
         pos = 0
         while pos < length:
@@ -344,11 +330,11 @@ class RowPool:
                 break
             y = y_next
             pos += 1
-            k1 = self._record(buf[pos, :live], y)
+            k1 = self._record(buf[pos], y)
         left = self._left - pos
         keep = left > 0 if healthy is None else healthy
         block = Block(
-            samples=buf[: pos + 1, :live],
+            samples=buf[: pos + 1],
             rows=self.rows,
             start=self._start,
             done=self.rows[~keep],
@@ -357,8 +343,7 @@ class RowPool:
         self.rows = self.rows[keep]
         self._start = (self._start + pos)[keep]
         self._left = left[keep]
-        self._y, self._k1 = np.atleast_2d(y)[keep], np.atleast_2d(k1)[keep]
-        self._carry = (pos, keep)
+        self._last, self._k1 = buf[pos][keep], np.atleast_2d(k1)[keep]
         return block
 
 
@@ -383,11 +368,11 @@ def simulate(case: StabilityCase, cfg: SimulationConfig) -> Trajectory:
     divergence_index = prefix.divergence_index
     if head is not None:
         pool = RowPool(kernel, cfg.dt)
-        pool.join(head, cfg.n_steps - clear)
+        pool.join(head, clear, cfg.n_steps - clear)
         while pool.size:
             block = pool.advance()
             samples = block.samples[:, 0]
-            first = clear + int(block.start[0])
+            first = int(block.start[0])
             end = first + samples.shape[0]
             rows = table[first:end]
             rows[:, : 5 * n] = samples
@@ -411,29 +396,6 @@ def simulate(case: StabilityCase, cfg: SimulationConfig) -> Trajectory:
     )
 
 
-def machine_sys_state(
-    case: StabilityCase, traj: Trajectory, sample: int
-) -> tuple[float, float, float]:
-    """Machine-SYS aggregates (delta_SYS, omega_SYS, P_SYS) at one sample.
-
-    P_SYS is recomputed from the stage network active at that sample.
-    """
-    from .case import electrical_power
-
-    m = case.m_vector()
-    delta = traj.delta[:, sample]
-    omega = traj.omega[:, sample]
-    net = case.net_faulton if sample < traj.clear_index else case.net_postfault
-    pe = electrical_power(net, case.machines, delta)
-    p_sys = float(np.sum(case.pm_vector() - pe))
-    return (
-        float(coi_reference(m, delta)),
-        float(coi_reference(m, omega)),
-        p_sys,
-    )
-
-
-TRAJECTORY_CHANNELS = ("delta", "omega", "delta_coi", "omega_coi", "f_coi", "ke", "pe")
 _CHANNEL_UNITS = {
     "delta": "rad",
     "omega": "radps",
@@ -447,8 +409,8 @@ _CHANNEL_UNITS = {
 
 def trajectory_header(n: int) -> str:
     cols = ["t_s"]
-    for channel in TRAJECTORY_CHANNELS:
-        cols.extend(f"{channel}_{i}_{_CHANNEL_UNITS[channel]}" for i in range(n))
+    for channel, unit in _CHANNEL_UNITS.items():
+        cols.extend(f"{channel}_{i}_{unit}" for i in range(n))
     return "# " + "\t".join(cols)
 
 
@@ -466,5 +428,6 @@ def write_trajectory(stream: IO[str], traj: Trajectory, ke: np.ndarray, pe: np.n
         ke, pe,
     ]
     table = np.vstack(blocks).T
-    for row in table:
-        stream.write("\t".join(f"{v:.10e}" for v in row) + "\n")
+    row_format = "\t".join(["%.10e"] * table.shape[1]) + "\n"
+    for row in table:  # row by row: the whole table as Python floats is several MB
+        stream.write(row_format % tuple(row.tolist()))

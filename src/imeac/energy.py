@@ -101,11 +101,6 @@ def compute_energy(
     return EnergyChannels(ke=ke, pe=pe, total=ke + pe, baseline_from_sep=baseline is not None)
 
 
-def residual_ke(v_ke_clear: float, delta_v_pe: float) -> float:
-    """Kinetic energy left at the IMPP: V_KE^c - delta V_PE (= A_acc - A_dec)."""
-    return v_ke_clear - delta_v_pe
-
-
 def critical_machines(
     channels: EnergyChannels, clear_index: int, threshold: float = 0.1
 ) -> list[int]:

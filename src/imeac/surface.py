@@ -16,6 +16,7 @@ modes agree only approximately; for lossless cases they coincide.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import IO, Sequence
@@ -75,13 +76,6 @@ class SurfaceGrid:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def samples(self) -> list[SurfaceSample]:
-        return [
-            SurfaceSample(float(x), float(y), float(self.pe[i, j]), "grid")
-            for i, x in enumerate(self.x_axis)
-            for j, y in enumerate(self.y_axis)
-        ]
-
     def interpolate(self, x: float, y: float) -> float:
         """Bilinear PE value at an in-window point."""
         if not (self.x_axis[0] <= x <= self.x_axis[-1]) or not (
@@ -101,8 +95,30 @@ class SurfaceGrid:
         )
 
 
+def check_surface_inputs(
+    n: int,
+    focus: int,
+    axes: tuple[int, int],
+    window: tuple[tuple[float, float], tuple[float, float]] | None = None,
+) -> None:
+    """Refuse a focus, axis pair or window that does not fit an n-machine case.
+
+    Both modes and the CLI check here before anything indexes a machine
+    or lays out an axis; each message starts with the input it names.
+    """
+    for name, i in (("focus", focus), ("axes", axes[0]), ("axes", axes[1])):
+        if not 0 <= i < n:
+            raise ImeacError(f"{name}: machine {i} out of range for a {n}-machine case")
+    if axes[0] == axes[1]:
+        raise ImeacError(f"axes: axis machines must be distinct, got {axes[0]},{axes[1]}")
+    for name, (lo, hi) in zip("xy", window or ()):
+        if not -math.inf < lo < hi < math.inf:
+            raise ImeacError(f"window: {name} range {lo}:{hi} needs finite lo < hi")
+
+
 def surface_from_trajectories(case: StabilityCase, spec: SurfaceSpec) -> list[SurfaceSample]:
     """Sample the surface along a family of simulated trajectories."""
+    check_surface_inputs(case.n, spec.focus_machine, spec.axis_machines, spec.window)
     if not spec.trajectory_family:
         raise ImeacError("trajectory_family is empty")
     a, b = spec.axis_machines
@@ -184,8 +200,7 @@ def surface_grid(case: StabilityCase, spec: SurfaceSpec) -> SurfaceGrid:
             f"grid mode needs exactly 3 machines (got {case.n}); "
             "use surface_from_trajectories"
         )
-    if spec.focus_machine not in range(case.n):
-        raise ImeacError(f"focus machine {spec.focus_machine} out of range")
+    check_surface_inputs(case.n, spec.focus_machine, spec.axis_machines, spec.window)
     sep = solve_postfault_sep(case)
     if not sep.converged:
         raise ImeacError("post-fault SEP did not converge; grid PE has no baseline")

@@ -135,11 +135,12 @@ def two_machine_case(
     )
 
 
-def run_pool(kernel, heads, steps, dt, block, join_after=0):
+def run_pool(kernel, heads, steps, dt, block, join_after=0, first=0):
     """Run heads through one RowPool and return each row's record.
 
     heads[0] joins before the first block, every later head after
-    ``join_after`` more blocks (or as soon as the pool runs empty).
+    ``join_after`` more blocks (or as soon as the pool runs empty); each
+    joins as sample number ``first``.
     Returns per head (samples (L, 5n), diverged) with the one-sample
     overlap of consecutive blocks checked and removed.
     """
@@ -153,7 +154,7 @@ def run_pool(kernel, heads, steps, dt, block, join_after=0):
     blocks = 0
     while waiting or pool.size:
         if waiting and (not ids or blocks >= join_after or not pool.size):
-            ids.append(int(pool.join(waiting.pop(0), steps)[0]))
+            ids.append(int(pool.join(waiting.pop(0), first, steps)[0]))
             blocks = 0
         block_out = pool.advance()
         blocks += 1
@@ -161,11 +162,11 @@ def run_pool(kernel, heads, steps, dt, block, join_after=0):
             chunk = block_out.samples[:, r]
             parts = record.setdefault(row, [])
             if parts:
-                assert block_out.start[r] == sum(len(p) for p in parts) - 1
+                assert block_out.start[r] == first + sum(len(p) for p in parts) - 1
                 assert np.array_equal(chunk[0], parts[-1][-1])
                 chunk = chunk[1:]
             else:
-                assert block_out.start[r] == 0
+                assert block_out.start[r] == first
             if len(chunk):  # a block cut on its first step adds nothing new
                 parts.append(chunk.copy())
         lost.update(block_out.lost.tolist())

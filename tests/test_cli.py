@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from imeac.cli import main
@@ -423,7 +423,42 @@ def bad_configs(draw):
     return command, json.dumps(doc)
 
 
+@st.composite
+def bad_surface_inputs(draw):
+    """Surface options for threebus_lossless with a focus, axis or window that cannot fit."""
+    index = st.integers(-4, 6)
+    focus, a, b = draw(index), draw(index), draw(index)
+    bound = st.floats(-4, 4) | st.sampled_from([math.nan, math.inf, -math.inf])
+    ranges = st.tuples(bound, bound)
+    window = draw(st.none() | st.tuples(ranges, ranges))
+    fits = all(0 <= i < 3 for i in (focus, a, b)) and a != b
+    assume(not fits or (window is not None and any(
+        not -math.inf < lo < hi < math.inf for lo, hi in window
+    )))
+    argv = [f"--focus={focus}", f"--axes={a},{b}", "--grid-n", "3"]
+    if window is not None:
+        argv.append("--window=" + ":".join(str(v) for pair in window for v in pair))
+    if draw(st.booleans()):
+        argv += ["--mode", "trajectories", "--sweep", "0.05", "--t-end", "0.1"]
+    return argv
+
+
 class TestFuzz:
+    @seed(20211021)
+    @FUZZ_SETTINGS
+    @given(extra=bad_surface_inputs())
+    @example(extra=["--focus", "0", "--axes", "1,5"])
+    @example(extra=["--focus", "0", "--axes=-1,1"])
+    @example(extra=["--focus", "0", "--axes", "1,2", "--window", "1:0:0:1"])
+    @example(extra=["--focus", "9", "--axes", "1,2", "--mode", "trajectories", "--sweep", "0.05,0.1"])
+    def test_bad_surface_input_is_one_error_line(self, extra):
+        # checked against the case before anything indexes a machine
+        with tempfile.TemporaryDirectory() as out:
+            code, lines = run_quiet(["surface", STAR, *extra, "--out", f"{out}/s.tsv"])
+            assert_one_error_line(code, lines)
+            assert lines[0].split(":")[1] in (" focus", " axes", " window"), lines
+            assert not Path(out, "s.tsv").exists()
+
     @seed(20211021)
     @FUZZ_SETTINGS
     @given(bad=bad_configs())

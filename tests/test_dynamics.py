@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import math
 
 import numpy as np
 import pytest
@@ -12,8 +11,8 @@ from imeac import (
     SimulationConfig,
     Trajectory,
     coi_forces,
+    compute_energy,
     electrical_power,
-    machine_sys_state,
     simulate,
 )
 from imeac.dynamics import FaultOnPrefix, SwingKernel, trajectory_header, write_trajectory
@@ -166,15 +165,6 @@ class TestSimulate:
         assert traj.n_samples < cfg.n_steps + 1
         assert np.all(np.isfinite(traj.omega))
 
-    def test_machine_sys_state_matches_manual_aggregate(self, wscc, wscc_stable_run):
-        traj = wscc_stable_run
-        m = wscc.m_vector()
-        for sample in (0, traj.clear_index, traj.n_samples - 1):
-            d_sys, w_sys, p_sys = machine_sys_state(wscc, traj, sample)
-            assert d_sys == pytest.approx((m @ traj.delta[:, sample]) / m.sum(), abs=1e-12)
-            assert w_sys == pytest.approx((m @ traj.omega[:, sample]) / m.sum(), abs=1e-12)
-            assert math.isfinite(p_sys)
-
 
 class TestTrajectoryExport:
     def test_roundtrip_through_tsv(self, wscc, wscc_stable_run):
@@ -189,6 +179,23 @@ class TestTrajectoryExport:
         assert data.shape == (traj.n_samples, 1 + 7 * wscc.n)
         np.testing.assert_allclose(data[:, 0], traj.times, atol=1e-12)
         np.testing.assert_allclose(data[:, 1 : 1 + wscc.n].T, traj.delta, rtol=1e-9)
+
+    def test_bytes_equal_per_value_formatting(self, wscc, wscc_sep, wscc_stable_run):
+        # the one-format-per-row writer against formatting every value alone
+        traj = wscc_stable_run
+        channels = compute_energy(wscc, traj, wscc_sep)
+        pe = channels.pe.copy()
+        pe[0, :5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+        stream = io.StringIO()
+        write_trajectory(stream, traj, channels.ke, pe)
+        table = np.vstack([
+            traj.times[None, :], traj.delta, traj.omega, traj.delta_coi, traj.omega_coi,
+            traj.f_coi, channels.ke, pe,
+        ]).T
+        expected = trajectory_header(wscc.n) + "\n" + "".join(
+            "\t".join(f"{v:.10e}" for v in row) + "\n" for row in table
+        )
+        assert stream.getvalue().encode() == expected.encode()
 
 
 class TestRowPool:
@@ -212,7 +219,7 @@ class TestRowPool:
         traj = simulate(wscc, cfg)
         kernel = SwingKernel(wscc)
         head = FaultOnPrefix(kernel, wscc, cfg.dt).state(cfg.clear_index)
-        (samples, lost), = run_pool(kernel, [head], 500, cfg.dt, 7)
+        (samples, lost), = run_pool(kernel, [head], 500, cfg.dt, 7, first=cfg.clear_index)
         assert not lost
         assert np.array_equal(samples[:, : wscc.n].T, traj.delta[:, cfg.clear_index :])
         assert np.array_equal(samples[:, 4 * wscc.n :].T, traj.f_coi_pf[:, cfg.clear_index :])

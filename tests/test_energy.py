@@ -16,7 +16,6 @@ from imeac import (
     critical_machines,
     detect_events,
     pe_line_integral,
-    residual_ke,
     simulate,
     solve_postfault_sep,
 )
@@ -121,11 +120,6 @@ class TestComputeEnergy:
         channels = compute_energy(wscc, wscc_stable_run, wscc_sep)
         k = wscc_stable_run.clear_index
         assert np.all(channels.ke[:, k] > 0.0)
-
-
-class TestResidualKe:
-    def test_difference(self):
-        assert residual_ke(2.0, 1.25) == pytest.approx(0.75)
 
 
 class TestScalingProperty:

@@ -257,18 +257,24 @@ def reference_bisection(case, t_lo, t_hi, horizon, first_swing_only):
     return result, sorted(probes)
 
 
-def draw_bracket(data, case, horizon, first_swing_only) -> tuple[int, int]:
-    """Grid indices of a bracket: stable/unstable ends from a scan when it has them, else any."""
-    grid = list(range(1, 31))
+GRID = range(1, 31)  # bracket grid indices, in units of RESOLUTION
+
+
+def scan_grid(case, horizon, first_swing_only) -> list:
+    """The probe at every grid point, or [] when one of them fails."""
     try:
-        scan = scan_clearing_times(
-            case, [k * RESOLUTION for k in grid], dt=DT, horizon=horizon,
+        return scan_clearing_times(
+            case, [k * RESOLUTION for k in GRID], dt=DT, horizon=horizon,
             first_swing_only=first_swing_only,
         )
     except ImeacError:
-        scan = []
-    stable = [k for k, p in zip(grid, scan) if p.stable]
-    unstable = [k for k, p in zip(grid, scan) if not p.stable and stable and k > stable[0]]
+        return []
+
+
+def draw_bracket(data, scan) -> tuple[int, int]:
+    """Grid indices of a bracket: stable/unstable ends from the scan when it has them, else any."""
+    stable = [k for k, p in zip(GRID, scan) if p.stable]
+    unstable = [k for k, p in zip(GRID, scan) if not p.stable and stable and k > stable[0]]
     if unstable:
         hi = data.draw(st.sampled_from(unstable))
         return data.draw(st.sampled_from([k for k in stable if k < hi])), hi
@@ -283,7 +289,7 @@ def draw_bracket(data, case, horizon, first_swing_only) -> tuple[int, int]:
 def test_find_cct_equals_reference_bisection(case, data, horizon, first_swing_only):
     # the pipelined search probes exactly bisection's clearing times and
     # returns its result, or raises its error (type and message)
-    k_lo, k_hi = draw_bracket(data, case, horizon, first_swing_only)
+    k_lo, k_hi = draw_bracket(data, scan_grid(case, horizon, first_swing_only))
     t_lo, t_hi = k_lo * RESOLUTION, k_hi * RESOLUTION
     try:
         expected, expected_probes = reference_bisection(
@@ -311,3 +317,28 @@ def test_find_cct_equals_reference_bisection(case, data, horizon, first_swing_on
                           first_swing_only=first_swing_only)
     assert result == expected
     assert sorted(started) == expected_probes
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@seed(20211021)
+@PROPERTY_SETTINGS
+@given(case=staged_cases(), data=st.data(), first_swing_only=st.booleans())
+def test_find_cct_equals_exhaustive_scan(case, data, first_swing_only):
+    # an oracle that shares no code with the bisection loop: wherever the
+    # scan of the bracket grid is stable up to one point and unstable
+    # after it, find_cct returns that edge
+    scan = scan_grid(case, HORIZON, first_swing_only)
+    k_lo, k_hi = draw_bracket(data, scan)
+    verdicts = [p.stable for p in scan[k_lo - 1 : k_hi]]
+    if not (verdicts and verdicts[0] and not verdicts[-1]
+            and verdicts == sorted(verdicts, reverse=True)):
+        event("no monotone bracket on the grid")
+        return
+    event("monotone bracket")
+    edge = k_lo - 1 + verdicts.count(True)  # scan index of the first unstable probe
+    result = find_cct(
+        case, k_lo * RESOLUTION, k_hi * RESOLUTION, resolution=RESOLUTION, dt=DT,
+        horizon=HORIZON, first_swing_only=first_swing_only,
+    )
+    assert result.cct == scan[edge - 1].t_clear
+    assert result.cct_unstable == scan[edge].t_clear

@@ -95,6 +95,21 @@ class TestSurfaceGrid:
         with pytest.raises(ImeacError, match="out of range"):
             surface_grid(star, small_spec(focus_machine=7))
 
+    @pytest.mark.parametrize("axes", [(1, 5), (-1, 1), (2, -3)])
+    def test_axes_in_range(self, star, axes):
+        # a negative index must not wrap to a machine from the end
+        with pytest.raises(ImeacError, match="^axes: machine -?[0-9] out of range"):
+            surface_grid(star, small_spec(axis_machines=axes))
+
+    @pytest.mark.parametrize(
+        "window",
+        [((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (0.5, 0.5)), ((0.0, np.inf), (0.0, 1.0)),
+         ((np.nan, 1.0), (0.0, 1.0))],
+    )
+    def test_window_needs_lo_below_hi(self, star, window):
+        with pytest.raises(ImeacError, match="^window: [xy] range"):
+            surface_grid(star, small_spec(window=window))
+
     def test_interpolate_rejects_outside_window(self, star):
         grid = surface_grid(star, small_spec())
         with pytest.raises(ValueError):
@@ -119,6 +134,22 @@ class TestTrajectoryFamily:
         assert first[k].t == pytest.approx(traj.times[k])
         assert first[k].x == pytest.approx(traj.delta_coi[1, k])
         assert first[k].pe == pytest.approx(channels.pe[1, k], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (dict(focus_machine=9), "focus"),
+            (dict(focus_machine=-1), "focus"),
+            (dict(axis_machines=(1, 3)), "axes"),
+            (dict(axis_machines=(-1, 1)), "axes"),
+            (dict(window=((0.0, 1.0), (1.0, -1.0))), "window"),
+        ],
+    )
+    def test_inputs_checked_before_simulating(self, star, overrides, named):
+        family = (SimulationConfig(t_clear=0.05, t_end=0.2),)
+        spec = small_spec(trajectory_family=family, **overrides)
+        with pytest.raises(ImeacError, match=f"^{named}: "):
+            surface_from_trajectories(star, spec)
 
     def test_empty_family_is_an_error(self, star):
         with pytest.raises(ImeacError, match="empty"):
