@@ -53,7 +53,6 @@ from .events import DLP, DSP, SwingEvent, detect_events
 from .network import build_bus_admittance, kron_reduce
 from .surface import (
     SurfaceGrid,
-    SurfaceSample,
     SurfaceSpec,
     grid_node_angles,
     pe_line_to_nodes,
@@ -82,7 +81,6 @@ __all__ = [
     "SimulationConfig",
     "StabilityCase",
     "SurfaceGrid",
-    "SurfaceSample",
     "SurfaceSpec",
     "SwingEvent",
     "SystemAssessment",

@@ -122,17 +122,16 @@ class _Sweep:
         self.baseline = pe_baseline(case, sep)
         self.pool = RowPool(self.kernel, dt)
         self.scanner = EventScanner(self.kernel.m, 0)
-        # per probe: None while its row runs, then a ProbeResult or an exception
+        # per probe = pool row = scanner row: None while running, then a ProbeResult or an exception
         self.outcomes: list = []
-        self._row: list[int | None] = []  # probe -> pool row
-        # pool row -> (probe, clearing time, per-machine KE and PE at clearing)
-        self._joined: list[tuple[int, float, np.ndarray, np.ndarray]] = []
+        # probe -> (clearing time, per-machine KE and PE at clearing), once joined
+        self._joined: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
 
     def start(self, t: float) -> int:
         """Join the probe at clearing time t to the pool; returns its index."""
         j = len(self.outcomes)
-        self._row.append(None)
         self.outcomes.append(None)
+        self.scanner.add_rows(1)
         try:
             steps = _grid_value(t, self.dt, "t_clear") + _grid_value(self.horizon, self.dt, "horizon")
             cfg = SimulationConfig(t_clear=t, t_end=steps * self.dt, dt=self.dt)
@@ -146,12 +145,10 @@ class _Sweep:
                 f"t={self.prefix.divergence_index * self.dt} s"
             )
             return j
-        row = int(self.pool.join(head, cfg.clear_index, cfg.n_steps - cfg.clear_index)[0])
-        self.scanner.add_rows(1)
-        self._row[j] = row
+        self.pool.join([j], head, cfg.clear_index, cfg.n_steps - cfg.clear_index)
         kernel, n = self.kernel, self.kernel.n
         ke = 0.5 * kernel.m * kernel.coi(head[n : 2 * n]) ** 2
-        self._joined.append((j, t, ke, self._pe(head[2 * n : 3 * n])))
+        self._joined[j] = (t, ke, self._pe(head[2 * n : 3 * n]))
         return j
 
     def start_all(self, times: Sequence[float]) -> list[int]:
@@ -177,7 +174,7 @@ class _Sweep:
         """
         outcome = self.outcomes[j]
         if outcome is None:
-            return False if self.scanner.separated(self._row[j], self.first_swing_only) else None
+            return False if self.scanner.separated(j, self.first_swing_only) else None
         if isinstance(outcome, Exception):
             return outcome
         return outcome.stable
@@ -195,8 +192,8 @@ class _Sweep:
             self.kernel.coi(samples[..., :n]),
             self._pe(samples[..., 2 * n : 3 * n]),
         )
-        for row in block.done.tolist():
-            self.outcomes[self._joined[row][0]] = self._result(row, row in block.lost)
+        for j in block.done.tolist():
+            self.outcomes[j] = self._result(j, j in block.lost)
 
     def probe(self, times: Sequence[float]) -> list[ProbeResult]:
         """Probe every clearing time, all rows from step 0, results in input order.
@@ -212,13 +209,13 @@ class _Sweep:
                 raise outcome
         return self.outcomes
 
-    def _result(self, row: int, diverged: bool):
-        """The ProbeResult of a row that left the pool, or the HorizonError it raises."""
-        j, t, ke, pe = self._joined[row]
+    def _result(self, j: int, diverged: bool):
+        """The ProbeResult of probe j, whose row left the pool, or the HorizonError it raises."""
+        t, ke, pe = self._joined[j]
         total = ke + pe
         machines = []
         for i in range(self.kernel.n):
-            events = self.scanner.events[row][i]
+            events = self.scanner.events[j][i]
             if self.first_swing_only:
                 # swing indices never decrease, so this keeps a prefix
                 # of the list and event_pe still lines up
@@ -226,7 +223,7 @@ class _Sweep:
             if not events:
                 machines.append(MachineAssessment(i, (), UNDETERMINED, None, None, None))
                 continue
-            a_dec = self.scanner.event_pe[row][i][anchor_index(events)] - float(pe[i])
+            a_dec = self.scanner.event_pe[j][i][anchor_index(events)] - float(pe[i])
             machines.append(margin_at_anchor(self.case, i, tuple(events), float(ke[i]), a_dec))
         try:
             assessment = assess_system(machines)

@@ -29,7 +29,7 @@ from .assess import (
     write_margins,
     write_verdict,
 )
-from .case import coi_transform, solve_postfault_sep
+from .case import solve_postfault_sep
 from .caseio import load_case
 from .cct import find_cct, write_cct, write_margin_curve
 from .dynamics import SimulationConfig, simulate, write_trajectory
@@ -254,13 +254,11 @@ def cmd_surface(args) -> int:
     window = _parse_window(args.window) if args.window else None
     check_surface_inputs(case.n, args.focus, axes, window)
     if window is None:
-        sep = solve_postfault_sep(case)
-        if sep.converged:
-            cx, cy = sep.delta_s[axes[0]], sep.delta_s[axes[1]]
-        else:
-            centre = coi_transform(case.m_vector(), case.delta0)
-            cx, cy = centre[axes[0]], centre[axes[1]]
         half = args.half_width
+        if half <= 0:
+            raise _UsageError(f"--half-width must be > 0, got {half}")
+        # grid mode refuses an unconverged SEP; trajectories mode never reads the window
+        cx, cy = solve_postfault_sep(case).delta_s[list(axes)]
         window = ((cx - half, cx + half), (cy - half, cy + half))
     family: tuple[SimulationConfig, ...] = ()
     if args.mode == "trajectories":
@@ -285,14 +283,13 @@ def cmd_surface(args) -> int:
         count = grid.pe.size
         pe_lo, pe_hi = float(np.min(grid.pe)), float(np.max(grid.pe))
     else:
-        samples = surface_from_trajectories(case, spec)
-        if not samples:
+        table = surface_from_trajectories(case, spec)
+        if not table.size:
             raise ImeacError("all family members diverged; no surface samples")
         with out.open("w") as stream:
-            write_surface_trajectories(stream, samples)
-        count = len(samples)
-        pes = [s.pe for s in samples]
-        pe_lo, pe_hi = min(pes), max(pes)
+            write_surface_trajectories(stream, table)
+        count = table.shape[0]
+        pe_lo, pe_hi = float(np.min(table[:, 4])), float(np.max(table[:, 4]))
     _write_manifest(out.with_name(out.name + ".manifest.json"), "surface", args, [out], started)
     print(f"wrote {count} samples to {out}")
     print(f"pe range: [{pe_lo:.6f}, {pe_hi:.6f}] p.u.")

@@ -48,7 +48,7 @@ full record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, NamedTuple
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -261,8 +261,8 @@ class RowPool:
     reaches its last sample (so no row steps past its horizon) or when a
     row's next state fails the divergence guard.  Either way that row's
     record ends with the block and it leaves the pool; the others go on
-    and the next block starts with the last sample of this one.  Rows
-    get ids 0, 1, ... in join order.
+    and the next block starts with the last sample of this one.  The
+    caller names each row with its own id when it joins.
     """
 
     def __init__(self, kernel: SwingKernel, dt: float, block: int = BLOCK):
@@ -275,7 +275,6 @@ class RowPool:
         self._left = np.empty(0, dtype=int)  # steps still to take, per row
         self._last = np.empty((0, 5 * n))  # each row's last sample; the next block steps from it
         self._k1 = np.empty((0, 3 * n))
-        self._joined = 0
 
     @property
     def size(self) -> int:
@@ -290,24 +289,21 @@ class RowPool:
         slot[:, 4 * n :] = f_pf
         return k1
 
-    def join(self, heads: np.ndarray, first: int, steps: int) -> np.ndarray:
-        """Add rows at their clearing states (3n,) or (k, 3n), sample number ``first``.
+    def join(self, ids: Sequence[int], heads: np.ndarray, first: int, steps: int) -> None:
+        """Add rows ``ids`` at their clearing states (3n,) or (k, 3n), sample number ``first``.
 
-        Each row takes ``steps`` steps.  Returns the new rows' ids; they
-        step with the others from the next block on.
+        Each row takes ``steps`` steps; the new rows step with the others
+        from the next block on.
         """
         heads = np.atleast_2d(heads)
         k = heads.shape[0]
         last = np.empty((k, self._last.shape[1]))
         k1 = self._record(last, heads)
-        ids = np.arange(self._joined, self._joined + k)
-        self._joined += k
         self.rows = np.concatenate((self.rows, ids))
         self._start = np.concatenate((self._start, np.full(k, first)))
         self._left = np.concatenate((self._left, np.full(k, steps)))
         self._last = np.concatenate((self._last, last))
         self._k1 = np.concatenate((self._k1, k1))
-        return ids
 
     def advance(self) -> Block:
         """Step every row in flight through one block; rows that end leave the pool."""
@@ -368,7 +364,7 @@ def simulate(case: StabilityCase, cfg: SimulationConfig) -> Trajectory:
     divergence_index = prefix.divergence_index
     if head is not None:
         pool = RowPool(kernel, cfg.dt)
-        pool.join(head, clear, cfg.n_steps - clear)
+        pool.join([0], head, clear, cfg.n_steps - clear)
         while pool.size:
             block = pool.advance()
             samples = block.samples[:, 0]

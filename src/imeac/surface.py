@@ -4,7 +4,8 @@ Two construction modes:
 
 * trajectory mode runs a family of simulations and emits each sample's
   (delta_a-SYS, delta_b-SYS, pe_focus) as one ribbon per trajectory:
-  the surface as traced by actual system motion;
+  the surface as traced by actual system motion.  The ribbons are one
+  table with the columns of their export: traj_id, t, x, y, pe;
 * grid mode (3-machine cases only, where the COI plane is exactly
   two-dimensional: the third angle follows from sum M_i delta_i-SYS = 0)
   evaluates the focus machine's potential energy at every node of a
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -47,17 +48,6 @@ class SurfaceSpec:
             raise ValueError("axis machines must be distinct")
         if self.grid_n < 2:
             raise ValueError(f"grid_n must be >= 2, got {self.grid_n}")
-
-
-@dataclass(frozen=True)
-class SurfaceSample:
-    """One surface point: plotting angles, focus-machine PE, provenance."""
-
-    x: float
-    y: float
-    pe: float
-    source: str
-    t: float | None = None
 
 
 @dataclass(frozen=True)
@@ -116,14 +106,19 @@ def check_surface_inputs(
             raise ImeacError(f"window: {name} range {lo}:{hi} needs finite lo < hi")
 
 
-def surface_from_trajectories(case: StabilityCase, spec: SurfaceSpec) -> list[SurfaceSample]:
-    """Sample the surface along a family of simulated trajectories."""
+def surface_from_trajectories(case: StabilityCase, spec: SurfaceSpec) -> np.ndarray:
+    """Sample the surface along a family of simulated trajectories.
+
+    Returns one (K, 5) table with the columns traj_id, t, x, y, pe: every
+    sample of every member that did not diverge, members in family order
+    (traj_id is the member's index).  (0, 5) when every member diverged.
+    """
     check_surface_inputs(case.n, spec.focus_machine, spec.axis_machines, spec.window)
     if not spec.trajectory_family:
         raise ImeacError("trajectory_family is empty")
     a, b = spec.axis_machines
     sep = solve_postfault_sep(case)
-    samples: list[SurfaceSample] = []
+    ribbons = [np.empty((0, 5))]
     for tid, cfg in enumerate(spec.trajectory_family):
         traj = simulate(case, cfg)
         if traj.diverged:
@@ -133,16 +128,11 @@ def surface_from_trajectories(case: StabilityCase, spec: SurfaceSpec) -> list[Su
                 stacklevel=2,
             )
             continue
-        channels = compute_energy(case, traj, sep)
-        source = f"traj-{tid}"
-        xs = traj.delta_coi[a]
-        ys = traj.delta_coi[b]
-        pes = channels.pe[spec.focus_machine]
-        samples.extend(
-            SurfaceSample(float(x), float(y), float(pe), source, t=float(t))
-            for x, y, pe, t in zip(xs, ys, pes, traj.times)
-        )
-    return samples
+        pe = compute_energy(case, traj, sep).pe[spec.focus_machine]
+        ribbons.append(np.column_stack((
+            np.full(traj.n_samples, tid), traj.times, traj.delta_coi[a], traj.delta_coi[b], pe,
+        )))
+    return np.concatenate(ribbons)
 
 
 def grid_node_angles(
@@ -232,11 +222,8 @@ def write_surface_grid(stream: IO[str], grid: SurfaceGrid) -> None:
         stream.write("\n")
 
 
-def write_surface_trajectories(stream: IO[str], samples: Sequence[SurfaceSample]) -> None:
-    """Trajectory-ribbon format: traj_id t x y pe rows."""
+def write_surface_trajectories(stream: IO[str], table: np.ndarray) -> None:
+    """Trajectory-ribbon format: traj_id t x y pe rows, from surface_from_trajectories."""
     stream.write("# traj_id\tt_s\tx_rad\ty_rad\tpe_pu\n")
-    for sample in samples:
-        t = 0.0 if sample.t is None else sample.t
-        stream.write(
-            f"{sample.source}\t{t:.6f}\t{sample.x:.10e}\t{sample.y:.10e}\t{sample.pe:.10e}\n"
-        )
+    for row in table:  # row by row: the whole table as Python floats is several MB
+        stream.write("traj-%d\t%.6f\t%.10e\t%.10e\t%.10e\n" % tuple(row.tolist()))

@@ -154,7 +154,8 @@ def run_pool(kernel, heads, steps, dt, block, join_after=0, first=0):
     blocks = 0
     while waiting or pool.size:
         if waiting and (not ids or blocks >= join_after or not pool.size):
-            ids.append(int(pool.join(waiting.pop(0), first, steps)[0]))
+            ids.append(len(ids))
+            pool.join(ids[-1:], waiting.pop(0), first, steps)
             blocks = 0
         block_out = pool.advance()
         blocks += 1

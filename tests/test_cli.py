@@ -451,12 +451,18 @@ class TestFuzz:
     @example(extra=["--focus", "0", "--axes=-1,1"])
     @example(extra=["--focus", "0", "--axes", "1,2", "--window", "1:0:0:1"])
     @example(extra=["--focus", "9", "--axes", "1,2", "--mode", "trajectories", "--sweep", "0.05,0.1"])
+    @example(extra=["--focus", "0", "--axes", "1,2", "--half-width", "0"])
+    @example(extra=["--focus", "0", "--axes", "1,2", "--half-width", "-1"])
     def test_bad_surface_input_is_one_error_line(self, extra):
-        # checked against the case before anything indexes a machine
+        # checked against the case before anything indexes a machine; the
+        # error names the input at fault
         with tempfile.TemporaryDirectory() as out:
             code, lines = run_quiet(["surface", STAR, *extra, "--out", f"{out}/s.tsv"])
             assert_one_error_line(code, lines)
-            assert lines[0].split(":")[1] in (" focus", " axes", " window"), lines
+            if "--half-width" in extra:
+                assert lines[0].startswith("error: --half-width must be > 0, got "), lines
+            else:
+                assert lines[0].split(":")[1] in (" focus", " axes", " window"), lines
             assert not Path(out, "s.tsv").exists()
 
     @seed(20211021)

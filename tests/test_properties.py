@@ -21,6 +21,7 @@ from unittest import mock
 
 import imeac.cct
 from imeac import (
+    DLP,
     BracketError,
     CctResult,
     ImeacError,
@@ -40,7 +41,7 @@ from imeac import (
 from imeac.dynamics import BLOCK, FaultOnPrefix, SwingKernel
 from imeac.events import EventScanner
 from imeac.network import staged_reduction
-from conftest import run_pool
+from conftest import coi_identity_errors, run_pool
 
 DT = 2e-3
 HORIZON = 0.6
@@ -144,6 +145,24 @@ def test_scan_equals_probes_one_by_one(case, times, horizon, first_swing_only):
         event("some rows diverged after clearing")
     if kept:
         assert scan([t for t, _ in kept]) == [o for _, o in kept]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@seed(20211021)
+@PROPERTY_SETTINGS
+@given(case=staged_cases(), k_clear=st.integers(1, 30))
+def test_coi_identities_hold_at_every_sample(case, k_clear):
+    # criterion 1's tolerances on generated cases, diverging runs included:
+    # the COI momentum and the relative forces on the active and on the
+    # post-fault network sum to zero at every recorded sample
+    t_clear = round(0.01 * k_clear, 2)
+    traj = simulate(case, SimulationConfig(t_clear=t_clear, t_end=t_clear + HORIZON, dt=DT))
+    if traj.diverged:
+        event("diverged")
+    momentum, force = coi_identity_errors(case, traj)
+    assert momentum < 1e-9 * case.m_vector().sum()
+    assert force < 1e-8
+    assert np.max(np.abs(traj.f_coi_pf.sum(axis=0))) < 1e-8
 
 
 def feed_in_blocks(case, traj, pe, block):
@@ -342,3 +361,20 @@ def test_find_cct_equals_exhaustive_scan(case, data, first_swing_only):
     )
     assert result.cct == scan[edge - 1].t_clear
     assert result.cct_unstable == scan[edge].t_clear
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@seed(20211021)
+@PROPERTY_SETTINGS
+@given(case=staged_cases(), horizon=horizons, first_swing_only=st.booleans())
+def test_margin_sign_rule(case, horizon, first_swing_only):
+    # criterion 4's rule on generated scans: wherever a machine has events
+    # and its eta is defined, eta < 0 exactly when a DLP is among them
+    checked = 0
+    for probe in scan_grid(case, horizon, first_swing_only):
+        for a in probe.machine_assessments:
+            if a.events and a.margin is not None:
+                checked += 1
+                has_dlp = any(ev.kind == DLP for ev in a.events)
+                assert (a.margin < 0) == has_dlp, (probe.t_clear, a.machine, a.margin)
+    event("machines checked" if checked else "no scan (a probe failed)")

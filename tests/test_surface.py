@@ -123,17 +123,18 @@ class TestTrajectoryFamily:
             SimulationConfig(t_clear=0.10, t_end=1.0),
         )
         spec = small_spec(trajectory_family=family)
-        samples = surface_from_trajectories(star, spec)
-        assert {s.source for s in samples} == {"traj-0", "traj-1"}
+        table = surface_from_trajectories(star, spec)
+        assert table.shape[1] == 5
+        assert set(table[:, 0].tolist()) == {0.0, 1.0}
         sep = solve_postfault_sep(star)
         traj = simulate(star, family[0])
         channels = compute_energy(star, traj, sep)
-        first = [s for s in samples if s.source == "traj-0"]
+        first = table[table[:, 0] == 0]
         assert len(first) == traj.n_samples
         k = traj.n_samples // 2
-        assert first[k].t == pytest.approx(traj.times[k])
-        assert first[k].x == pytest.approx(traj.delta_coi[1, k])
-        assert first[k].pe == pytest.approx(channels.pe[1, k], abs=1e-12)
+        assert first[k, 1] == pytest.approx(traj.times[k])
+        assert first[k, 2] == pytest.approx(traj.delta_coi[1, k])
+        assert first[k, 4] == pytest.approx(channels.pe[1, k], abs=1e-12)
 
     @pytest.mark.parametrize(
         "overrides, named",
@@ -166,8 +167,8 @@ class TestTrajectoryFamily:
             trajectory_family=(SimulationConfig(t_clear=2.0, t_end=3.0),),
         )
         with pytest.warns(RuntimeWarning, match="diverged"):
-            samples = surface_from_trajectories(case, spec)
-        assert samples == []
+            table = surface_from_trajectories(case, spec)
+        assert table.shape == (0, 5)
 
 
 class TestExports:
@@ -191,6 +192,23 @@ class TestExports:
         assert lines[0].startswith("# traj_id")
         assert len(lines) == 1 + len(samples)
         assert lines[1].split("\t")[0] == "traj-0"
+
+    def test_ribbon_bytes_equal_per_value_formatting(self, star):
+        # the one-format-per-row writer against formatting every value alone
+        family = (
+            SimulationConfig(t_clear=0.05, t_end=0.2),
+            SimulationConfig(t_clear=0.10, t_end=0.3),
+        )
+        table = surface_from_trajectories(star, small_spec(trajectory_family=family)).copy()
+        table[:5, 4] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+        table[5:9, 2] = [np.nan, np.inf, -np.inf, -0.0]
+        table[9, 3] = 5e-324
+        stream = io.StringIO()
+        write_surface_trajectories(stream, table)
+        expected = "# traj_id\tt_s\tx_rad\ty_rad\tpe_pu\n" + "".join(
+            f"traj-{int(i)}\t{t:.6f}\t{x:.10e}\t{y:.10e}\t{pe:.10e}\n" for i, t, x, y, pe in table
+        )
+        assert stream.getvalue().encode() == expected.encode()
 
 
 class TestImppOnRidge:
