@@ -237,13 +237,15 @@ def main() -> None:
         path.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {path}")
 
-    from imeac import coi_forces, load_bundled, solve_postfault_sep
-    from imeac.case import electrical_power
+    from imeac import load_bundled, solve_postfault_sep
+    from imeac.case import machine_forces, network_products
 
     for name in ("wscc9", "smib", "threebus_lossless"):
         case = load_bundled(name)
-        pe = electrical_power(case.net_prefault, case.machines, case.delta0)
-        eq = np.max(np.abs(case.pm_vector() - pe))
+        m = case.m_vector()
+        products = network_products(case.net_prefault, case.e_vector())
+        acc, _ = machine_forces(products, case.pm_vector(), m / m.sum(), case.delta0)
+        eq = np.max(np.abs(acc))
         sep = solve_postfault_sep(case)
         print(
             f"{name}: pre-fault residual {eq:.3e}, "

@@ -21,8 +21,6 @@ from .case import (
     ReducedNetwork,
     StabilityCase,
     coi_forces,
-    coi_transform,
-    electrical_power,
     solve_postfault_sep,
 )
 from .caseio import case_from_dict, load_bundled, load_case
@@ -90,11 +88,9 @@ __all__ = [
     "build_bus_admittance",
     "case_from_dict",
     "coi_forces",
-    "coi_transform",
     "compute_energy",
     "critical_machines",
     "detect_events",
-    "electrical_power",
     "find_cct",
     "grid_node_angles",
     "identify_mdm",

@@ -2,10 +2,11 @@
 
 The case model is the immutable input to everything else: machine
 parameters, the three reduced admittance networks (pre-fault, fault-on,
-post-fault), and the initial operating point.  It also hosts the two
-model-level computations that belong to the network rather than to time:
-the classical-model electrical power and the post-fault stable
-equilibrium point (SEP) used as the potential-energy baseline.
+post-fault), and the initial operating point.  It also holds the one
+formula for the classical-model force (``machine_forces``), which the
+RK4 stage, the equilibrium check, the post-fault stable equilibrium
+point (SEP) solve, the potential-energy baseline and the surface grid
+all evaluate, and the one COI projection (``coi_frame``).
 
 Conventions: angles in radians, time in seconds, power and energy in
 per unit on the system base.  Machine inertia M is in p.u. s^2/rad
@@ -15,7 +16,7 @@ machine with M = 1e6, so single-machine cases need no special path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,9 @@ SYMMETRY_TOL = 1e-9
 EQUILIBRIUM_TOL = 1e-6
 SEP_TOL = 1e-8
 SEP_MAX_ITER = 50
+
+# the ufunc called directly: the ndarray method's wrapper costs an RK4 stage measurably
+_sum = np.add.reduce
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -129,7 +133,10 @@ class StabilityCase:
         ids = [mach.id for mach in self.machines]
         if ids != list(range(n)):
             raise CaseValidationError("machines", "ids must be 0..n-1 in order")
-        mismatch = np.abs(self.pm_vector() - electrical_power(self.net_prefault, self.machines, self.delta0))
+        m = self.m_vector()
+        products = network_products(self.net_prefault, self.e_vector())
+        acc, _ = machine_forces(products, self.pm_vector(), m / m.sum(), self.delta0)
+        mismatch = np.abs(acc)
         worst = int(np.argmax(mismatch))
         if mismatch[worst] > EQUILIBRIUM_TOL:
             raise CaseValidationError(
@@ -171,60 +178,41 @@ class EquilibriumPoint:
             )
 
 
-def electrical_power(
-    net: ReducedNetwork, machines: Sequence[MachineParams], delta: np.ndarray
-) -> np.ndarray:
-    """Classical-model electrical power of every machine.
+def network_products(net: ReducedNetwork, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One network's products (E_i E_j G_ij, E_i E_j B_ij) for the EMFs e."""
+    ee = np.outer(e, e)
+    return ee * net.g, ee * net.b
 
-    P_ei = E_i^2 G_ii + sum_{j != i} E_i E_j (G_ij cos d_ij + B_ij sin d_ij)
 
-    delta may be a single angle vector (n,) or a batch (..., n); only
-    angle differences enter, so any common reference shift cancels.
+def coi_frame(x: np.ndarray, m_share: np.ndarray) -> np.ndarray:
+    """COI-frame values x_i - x_SYS along the machine axis; m_share is M_i / M_SYS."""
+    return x - _sum(x * m_share, -1, keepdims=True)
+
+
+def machine_forces(products, pm, m_share, delta) -> tuple[np.ndarray, np.ndarray]:
+    """The classical-model force on one network's products: (P_m - P_e, f_i-SYS).
+
+    P_ei = sum_j E_i E_j (G_ij cos d_ij + B_ij sin d_ij) at angles (n,) or
+    (..., n), and f_i-SYS = P_mi - P_ei - (M_i / M_SYS) P_SYS sums to zero.
+    Only the machine axis is reduced, so a batch row is bit-identical to
+    the same angles alone.  cos and sin are temporaries here, so numpy
+    writes the products over them in place: the surface grid's large
+    batches allocate no further (..., n, n) arrays.
     """
-    delta = np.asarray(delta, dtype=float)
-    e = np.array([mach.e for mach in machines])
+    eg, eb = products
     diff = delta[..., :, None] - delta[..., None, :]
-    kernel = net.g * np.cos(diff) + net.b * np.sin(diff)
-    return e * np.einsum("...ij,j->...i", kernel, e)
-
-
-def coi_reference(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Inertia-weighted aggregate (1/M_SYS) sum M_i x_i along the last axis."""
-    return np.einsum("i,...i->...", m, x) / np.sum(m)
-
-
-def coi_transform(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Map synchronous-frame quantities to the COI frame: x_i - x_SYS."""
-    return x - coi_reference(m, x)[..., None]
+    acc = pm - _sum(eg * np.cos(diff) + eb * np.sin(diff), -1)
+    return acc, acc - _sum(acc, -1, keepdims=True) * m_share
 
 
 def coi_forces(
     net: ReducedNetwork, machines: Sequence[MachineParams], delta: np.ndarray
 ) -> np.ndarray:
-    """Accelerating force of every machine relative to Machine-SYS.
-
-    f_i-SYS = P_mi - P_ei - (M_i / M_SYS) P_SYS with P_SYS = sum (P_mi - P_ei).
-    The forces sum to zero by construction.
-    """
+    """Force f_i-SYS of every machine on net at angles (n,) or (..., n); see machine_forces."""
     m = np.array([mach.m for mach in machines])
     pm = np.array([mach.pm for mach in machines])
-    pe = electrical_power(net, machines, delta)
-    acc = pm - pe
-    p_sys = np.sum(acc, axis=-1)
-    return acc - p_sys[..., None] * (m / np.sum(m))
-
-
-def _power_jacobian(
-    net: ReducedNetwork, e: np.ndarray, delta: np.ndarray
-) -> np.ndarray:
-    """d P_ei / d delta_j for the classical-model power."""
-    diff = delta[:, None] - delta[None, :]
-    ee = np.outer(e, e)
-    off = ee * (net.g * np.sin(diff) - net.b * np.cos(diff))
-    np.fill_diagonal(off, 0.0)
-    jac = off.copy()
-    np.fill_diagonal(jac, -off.sum(axis=1))
-    return jac
+    products = network_products(net, np.array([mach.e for mach in machines]))
+    return machine_forces(products, pm, m / m.sum(), np.asarray(delta, dtype=float))[1]
 
 
 def solve_postfault_sep(case: StabilityCase) -> EquilibriumPoint:
@@ -235,29 +223,30 @@ def solve_postfault_sep(case: StabilityCase) -> EquilibriumPoint:
     to the COI frame.  A simple backtracking line search guards against
     overshooting on badly scaled steps.
     """
-    machines = case.machines
-    net = case.net_postfault
+    eg, eb = network_products(case.net_postfault, case.e_vector())
     m = case.m_vector()
-    e = case.e_vector()
-    n = case.n
+    m_share = m / m.sum()
 
     def full_angles(u: np.ndarray) -> np.ndarray:
-        last = -np.dot(m[:-1], u) / m[-1]
-        return np.append(u, last)
+        return np.append(u, -np.dot(m[:-1], u) / m[-1])
 
     def residual(u: np.ndarray) -> np.ndarray:
-        return coi_forces(net, machines, full_angles(u))
+        return coi_forces(case.net_postfault, case.machines, full_angles(u))
 
-    u = coi_transform(m, case.delta0)[:-1]
+    u = coi_frame(case.delta0, m_share)[:-1]
     f = residual(u)
     best = float(np.max(np.abs(f)))
     for _ in range(SEP_MAX_ITER):
         if best < SEP_TOL:
             return EquilibriumPoint(full_angles(u), True, best)
         delta = full_angles(u)
-        dpe = _power_jacobian(net, e, delta)
+        diff = delta[:, None] - delta[None, :]
+        # d P_ei / d delta_j on the same products as the force
+        off = eg * np.sin(diff) - eb * np.cos(diff)
+        np.fill_diagonal(off, 0.0)
+        dpe = off - np.diag(off.sum(axis=1))
         # d f_i / d delta_j, including the COI share of d P_SYS
-        jac_full = -dpe + np.outer(m / m.sum(), dpe.sum(axis=0))
+        jac_full = -dpe + np.outer(m_share, dpe.sum(axis=0))
         # chain rule through delta_last = -(sum M_j u_j) / M_last
         jac = jac_full[:-1, :-1] - np.outer(jac_full[:-1, -1], m[:-1] / m[-1])
         try:
@@ -275,5 +264,4 @@ def solve_postfault_sep(case: StabilityCase) -> EquilibriumPoint:
             scale *= 0.5
         else:
             break
-    converged = best < SEP_TOL
-    return EquilibriumPoint(full_angles(u), converged, best)
+    return EquilibriumPoint(full_angles(u), best < SEP_TOL, best)

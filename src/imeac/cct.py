@@ -45,7 +45,7 @@ from .assess import (
     assess_system,
     margin_at_anchor,
 )
-from .case import EquilibriumPoint, StabilityCase, solve_postfault_sep
+from .case import EquilibriumPoint, StabilityCase, coi_frame, solve_postfault_sep
 from .dynamics import FaultOnPrefix, RowPool, SimulationConfig, SwingKernel
 from .energy import pe_baseline
 from .errors import BracketError, HorizonError, ImeacError
@@ -147,7 +147,7 @@ class _Sweep:
             return j
         self.pool.join([j], head, cfg.clear_index, cfg.n_steps - cfg.clear_index)
         kernel, n = self.kernel, self.kernel.n
-        ke = 0.5 * kernel.m * kernel.coi(head[n : 2 * n]) ** 2
+        ke = 0.5 * kernel.m * coi_frame(head[n : 2 * n], kernel.m_share) ** 2
         self._joined[j] = (t, ke, self._pe(head[2 * n : 3 * n]))
         return j
 
@@ -189,7 +189,7 @@ class _Sweep:
             (block.start + np.arange(samples.shape[0])[:, None]) * self.dt,
             samples[..., 3 * n : 4 * n],
             samples[..., 4 * n :],
-            self.kernel.coi(samples[..., :n]),
+            coi_frame(samples[..., :n], self.kernel.m_share),
             self._pe(samples[..., 2 * n : 3 * n]),
         )
         for j in block.done.tolist():

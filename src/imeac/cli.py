@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,12 +254,14 @@ def cmd_surface(args) -> int:
     axes = _parse_axes(args.axes)
     window = _parse_window(args.window) if args.window else None
     check_surface_inputs(case.n, args.focus, axes, window)
+    # one solve per run: the SEP centres the default window and is the PE baseline
+    sep = solve_postfault_sep(case)
     if window is None:
         half = args.half_width
         if half <= 0:
             raise _UsageError(f"--half-width must be > 0, got {half}")
         # grid mode refuses an unconverged SEP; trajectories mode never reads the window
-        cx, cy = solve_postfault_sep(case).delta_s[list(axes)]
+        cx, cy = sep.delta_s[list(axes)]
         window = ((cx - half, cx + half), (cy - half, cy + half))
     family: tuple[SimulationConfig, ...] = ()
     if args.mode == "trajectories":
@@ -277,13 +280,13 @@ def cmd_surface(args) -> int:
     )
     out = Path(args.out)
     if args.mode == "grid":
-        grid = surface_grid(case, spec)
+        grid = surface_grid(case, spec, sep)
         with out.open("w") as stream:
             write_surface_grid(stream, grid)
         count = grid.pe.size
         pe_lo, pe_hi = float(np.min(grid.pe)), float(np.max(grid.pe))
     else:
-        table = surface_from_trajectories(case, spec)
+        table = surface_from_trajectories(case, spec, sep)
         if not table.size:
             raise ImeacError("all family members diverged; no surface samples")
         with out.open("w") as stream:
@@ -354,12 +357,15 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _apply_config(parser, argv, parser.parse_args(argv))
-        return args.func(args)
-    except (_UsageError, ImeacError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # every warning is one stderr line, as it happens, without Python's source echo
+        warnings.showwarning = lambda message, *_, **__: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = _apply_config(parser, argv, parser.parse_args(argv))
+            return args.func(args)
+        except (_UsageError, ImeacError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .case import StabilityCase
+from .case import StabilityCase, coi_frame, machine_forces, network_products
 
 OMEGA_DIVERGENCE = 1e4  # rad/s; far beyond any physical swing
 GRID_TOL = 1e-12  # s; switching instants must land on the sample grid
@@ -60,7 +60,6 @@ BLOCK = 128  # samples per streamed block (plus the one-sample overlap)
 
 # ufunc reductions called directly: the ndarray methods add a Python-level
 # wrapper per call, a measurable share of a step on small cases
-_sum = np.add.reduce
 _all = np.logical_and.reduce
 _max = np.maximum.reduce
 
@@ -144,45 +143,30 @@ class SwingKernel:
 
     States are (..., 3n): delta | omega | W.  Every method accepts one
     state or a batch of rows and reduces over the machine axis only.
+    Forces come from ``case.machine_forces`` on ``case.network_products``,
+    the one formula the SEP solve, the PE baseline and the grid use too.
     """
 
     def __init__(self, case: StabilityCase):
         m = case.m_vector()
-        ee = np.outer(case.e_vector(), case.e_vector())
         self.n = case.n
         self.m = m
         self.pm = case.pm_vector()
         self.d = case.d_vector()
         self.m_share = m / m.sum()
-        self.post = (ee * case.net_postfault.g, ee * case.net_postfault.b)
-        self.fault = (ee * case.net_faulton.g, ee * case.net_faulton.b)
-
-    def coi(self, x: np.ndarray) -> np.ndarray:
-        """COI-frame values x_i - x_SYS along the machine axis."""
-        return x - _sum(x * self.m_share, -1, keepdims=True)
+        self.post = network_products(case.net_postfault, case.e_vector())
+        self.fault = network_products(case.net_faulton, case.e_vector())
 
     def stage(self, y: np.ndarray, fault_stage: bool):
         """Return (dy/dt, omega_coi, f_active, f_pf) at state y."""
-        n = self.n
-        pm = self.pm
-        m_share = self.m_share
-        delta = y[..., :n]
-        omega = y[..., n : 2 * n]
-        diff = delta[..., :, None] - delta[..., None, :]
-        cos_d = np.cos(diff)
-        sin_d = np.sin(diff)
-        eg, eb = self.post
-        acc_post = pm - _sum(eg * cos_d + eb * sin_d, -1)
-        f_pf = acc_post - _sum(acc_post, -1, keepdims=True) * m_share
+        delta = y[..., : self.n]
+        omega = y[..., self.n : 2 * self.n]
+        acc_post, f_pf = machine_forces(self.post, self.pm, self.m_share, delta)
         if fault_stage:
-            eg, eb = self.fault
-            acc_act = pm - _sum(eg * cos_d + eb * sin_d, -1)
-            f_act = acc_act - _sum(acc_act, -1, keepdims=True) * m_share
+            acc_act, f_act = machine_forces(self.fault, self.pm, self.m_share, delta)
         else:
-            acc_act = acc_post
-            f_act = f_pf
-        # the COI speed as coi() computes it, inlined: this runs 4x a step
-        omega_coi = omega - _sum(omega * m_share, -1, keepdims=True)
+            acc_act, f_act = acc_post, f_pf
+        omega_coi = coi_frame(omega, self.m_share)
         dy = np.concatenate(
             (omega, (acc_act - self.d * omega) / self.m, -f_pf * omega_coi), axis=-1
         )
@@ -381,7 +365,7 @@ def simulate(case: StabilityCase, cfg: SimulationConfig) -> Trajectory:
         times=np.arange(table.shape[0]) * cfg.dt,
         delta=table[:, :n].T,
         omega=table[:, n : 2 * n].T,
-        delta_coi=kernel.coi(table[:, :n]).T,
+        delta_coi=coi_frame(table[:, :n], kernel.m_share).T,
         omega_coi=table[:, 3 * n : 4 * n].T,
         f_coi=table[:, 4 * n : 5 * n].T,
         f_coi_pf=table[:, 5 * n :].T,

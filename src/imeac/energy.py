@@ -25,7 +25,7 @@ from .case import (
     ReducedNetwork,
     StabilityCase,
     coi_forces,
-    coi_transform,
+    coi_frame,
 )
 from .dynamics import Trajectory
 
@@ -83,7 +83,8 @@ def pe_baseline(case: StabilityCase, sep: EquilibriumPoint | None) -> np.ndarray
     """PE of the initial point relative to the SEP; None without a converged SEP."""
     if sep is None or not sep.converged:
         return None
-    start_coi = coi_transform(case.m_vector(), case.delta0)
+    m = case.m_vector()
+    start_coi = coi_frame(case.delta0, m / m.sum())
     return pe_line_integral(case.net_postfault, case.machines, sep.delta_s, start_coi)
 
 

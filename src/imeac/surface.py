@@ -29,7 +29,7 @@ from .dynamics import SimulationConfig, simulate
 from .energy import PATH_SEGMENTS, compute_energy, simpson_weights
 from .errors import ImeacError
 
-GRID_CHUNK = 256  # nodes per quadrature batch, keeps intermediates small
+GRID_CHUNK = 64  # nodes per quadrature batch: the force temporaries stay near cache size
 
 
 @dataclass(frozen=True)
@@ -106,18 +106,19 @@ def check_surface_inputs(
             raise ImeacError(f"window: {name} range {lo}:{hi} needs finite lo < hi")
 
 
-def surface_from_trajectories(case: StabilityCase, spec: SurfaceSpec) -> np.ndarray:
+def surface_from_trajectories(case: StabilityCase, spec: SurfaceSpec, sep=None) -> np.ndarray:
     """Sample the surface along a family of simulated trajectories.
 
     Returns one (K, 5) table with the columns traj_id, t, x, y, pe: every
     sample of every member that did not diverge, members in family order
     (traj_id is the member's index).  (0, 5) when every member diverged.
+    The post-fault SEP is solved unless the caller passes it.
     """
     check_surface_inputs(case.n, spec.focus_machine, spec.axis_machines, spec.window)
     if not spec.trajectory_family:
         raise ImeacError("trajectory_family is empty")
     a, b = spec.axis_machines
-    sep = solve_postfault_sep(case)
+    sep = solve_postfault_sep(case) if sep is None else sep
     ribbons = [np.empty((0, 5))]
     for tid, cfg in enumerate(spec.trajectory_family):
         traj = simulate(case, cfg)
@@ -178,12 +179,12 @@ def pe_line_to_nodes(
     return out
 
 
-def surface_grid(case: StabilityCase, spec: SurfaceSpec) -> SurfaceGrid:
+def surface_grid(case: StabilityCase, spec: SurfaceSpec, sep=None) -> SurfaceGrid:
     """Evaluate the focus machine's PE on a regular (x, y) grid.
 
     Only defined for 3-machine cases; larger systems have no exact
     two-angle representation, use surface_from_trajectories instead.
-    The SEP node evaluates to exactly zero by construction.
+    The SEP node (solved unless the caller passes it) evaluates to exactly zero.
     """
     if case.n != 3:
         raise ImeacError(
@@ -191,7 +192,7 @@ def surface_grid(case: StabilityCase, spec: SurfaceSpec) -> SurfaceGrid:
             "use surface_from_trajectories"
         )
     check_surface_inputs(case.n, spec.focus_machine, spec.axis_machines, spec.window)
-    sep = solve_postfault_sep(case)
+    sep = solve_postfault_sep(case) if sep is None else sep
     if not sep.converged:
         raise ImeacError("post-fault SEP did not converge; grid PE has no baseline")
     (x_lo, x_hi), (y_lo, y_hi) = spec.window

@@ -9,12 +9,14 @@ import math
 import tempfile
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
+import imeac.surface
 from imeac.cli import main
 from conftest import two_machine_case
 
@@ -247,6 +249,46 @@ class TestSurface:
         )
         assert code == 1
         assert "--sweep" in stderr
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ("--grid-n", "11"),
+            ("--grid-n", "11", "--window=-1:1:-1:1"),
+            ("--mode", "trajectories", "--sweep", "0.05,0.1", "--t-end", "0.5"),
+        ],
+    )
+    def test_one_sep_solve_per_run(self, tmp_path, capsys, mode):
+        # the default window and the PE baseline share one solve
+        solve = imeac.surface.solve_postfault_sep
+        with mock.patch("imeac.cli.solve_postfault_sep", wraps=solve) as in_cli, mock.patch(
+            "imeac.surface.solve_postfault_sep", wraps=solve
+        ) as in_surface:
+            code, _, _ = run(
+                capsys, "surface", STAR, "--focus", "1", "--axes", "1,2", *mode,
+                "--out", str(tmp_path / "s.tsv"),
+            )
+        assert code == 0
+        assert in_cli.call_count + in_surface.call_count == 1
+
+    def test_warnings_are_one_line_each(self, tmp_path, capsys):
+        # every member of a light-machine family diverges: one line per
+        # warning, no file path or source echo, then the error
+        doc = json.loads(resources.files("imeac").joinpath("cases/smib.json").read_text())
+        doc["machines"][0]["H"] = 0.001
+        path = tmp_path / "light.json"
+        path.write_text(json.dumps(doc))
+        code, _, stderr = run(
+            capsys, "surface", str(path), "--mode", "trajectories", "--focus", "0",
+            "--axes", "0,1", "--sweep", "0.1,0.2", "--t-end", "1",
+            "--out", str(tmp_path / "s.tsv"),
+        )
+        assert code == 1
+        assert stderr.splitlines() == [
+            "warning: family member 0 diverged at t=0.054 s; skipped",
+            "warning: family member 1 diverged at t=0.054 s; skipped",
+            "error: all family members diverged; no surface samples",
+        ]
 
 
 class TestErrorPaths:

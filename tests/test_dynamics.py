@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -12,11 +13,25 @@ from imeac import (
     Trajectory,
     coi_forces,
     compute_energy,
-    electrical_power,
     simulate,
 )
 from imeac.dynamics import FaultOnPrefix, SwingKernel, trajectory_header, write_trajectory
 from conftest import coi_identity_errors, run_pool, two_machine_case
+
+
+def double_sum_forces(case, net, delta):
+    """f_i-SYS written out as loops: an oracle independent of the force code."""
+    n = case.n
+    e, m, pm = case.e_vector(), case.m_vector(), case.pm_vector()
+    acc = [
+        pm[i] - sum(
+            e[i] * e[j] * (net.g[i, j] * math.cos(delta[i] - delta[j])
+                           + net.b[i, j] * math.sin(delta[i] - delta[j]))
+            for j in range(n)
+        )
+        for i in range(n)
+    ]
+    return np.array([acc[i] - m[i] / m.sum() * sum(acc) for i in range(n)])
 
 
 class TestConfigValidation:
@@ -90,6 +105,25 @@ class TestRk4Step:
                 alone = kernel.step(y, kernel.stage(y, fault_stage)[0], fault_stage, 1e-3)
                 assert np.array_equal(row, alone)
 
+    def test_stage_forces_are_coi_forces(self, wscc):
+        # one force formula: the stage's f_active and f_pf are coi_forces
+        # on the fault-on and post-fault networks, bit for bit
+        kernel = SwingKernel(wscc)
+        n = wscc.n
+        rng = np.random.default_rng(8)
+        batch = np.concatenate(
+            [wscc.delta0 + rng.normal(0.0, 0.7, (6, n)), rng.normal(0.0, 2.0, (6, n)),
+             np.zeros((6, n))],
+            axis=1,
+        )
+        for y in (batch[0], batch):
+            _, _, f_act, f_pf = kernel.stage(y, True)
+            assert np.array_equal(f_act, coi_forces(wscc.net_faulton, wscc.machines, y[..., :n]))
+            assert np.array_equal(f_pf, coi_forces(wscc.net_postfault, wscc.machines, y[..., :n]))
+            _, _, f_act, f_pf = kernel.stage(y, False)
+            assert np.array_equal(f_act, f_pf)
+            assert np.array_equal(f_pf, coi_forces(wscc.net_postfault, wscc.machines, y[..., :n]))
+
 
 class TestSimulate:
     def test_constant_acceleration_during_bolted_fault(self):
@@ -138,8 +172,8 @@ class TestSimulate:
     def test_force_channel_matches_network_of_each_stage(self, wscc, wscc_stable_run):
         traj = wscc_stable_run
         k = traj.clear_index
-        during = coi_forces(wscc.net_faulton, wscc.machines, traj.delta[:, k - 5])
-        after = coi_forces(wscc.net_postfault, wscc.machines, traj.delta[:, k + 5])
+        during = double_sum_forces(wscc, wscc.net_faulton, traj.delta[:, k - 5])
+        after = double_sum_forces(wscc, wscc.net_postfault, traj.delta[:, k + 5])
         np.testing.assert_allclose(traj.f_coi[:, k - 5], during, atol=1e-12)
         np.testing.assert_allclose(traj.f_coi[:, k + 5], after, atol=1e-12)
         # the post-fault channel agrees with the active one after clearing

@@ -30,7 +30,6 @@ from imeac import (
     StabilityCase,
     compute_energy,
     detect_events,
-    electrical_power,
     find_cct,
     identify_mdm,
     probe_clearing_time,
@@ -53,6 +52,17 @@ PROPERTY_SETTINGS = settings(
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def reference_power(net, machines, delta):
+    """Classical-model P_e as an einsum, independent of the library's force code.
+
+    It sets each generated case's P_m, so the cases stay the same draws.
+    """
+    e = np.array([mach.e for mach in machines])
+    diff = delta[..., :, None] - delta[..., None, :]
+    kernel = net.g * np.cos(diff) + net.b * np.sin(diff)
+    return e * np.einsum("...ij,j->...i", kernel, e)
 
 
 @st.composite
@@ -90,7 +100,7 @@ def staged_cases(draw) -> StabilityCase:
         inertia[light] = draw(st.sampled_from([3e-4, 1e-4, 5e-5]))
         delta0[light] += 0.5
     at_rest = [MachineParams(id=i, m=inertia[i], pm=0.0, e=emf[i]) for i in range(n)]
-    pm = electrical_power(net_pre, at_rest, delta0)
+    pm = reference_power(net_pre, at_rest, delta0)
     return StabilityCase(
         machines=tuple(
             MachineParams(id=i, m=inertia[i], pm=float(pm[i]), e=emf[i]) for i in range(n)
