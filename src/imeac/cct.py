@@ -17,14 +17,13 @@ event.  So a sweep holds one block per probe, never a trajectory.  A
 scan joins all its rows at step 0; a single probe is the one-row case;
 every row is bit-identical to that probe run alone.
 
-``find_cct`` keeps bisection's probe set but overlaps its rounds: under
-the unity principle one separating machine decides, so a probe's
-verdict is final as unstable as soon as one of its machines emits an
-accepted DLP (on swing 1 only under ``first_swing_only``), and final as
-stable, or failed, only when its row leaves the pool.  The search is
-one pass per midpoint: join it, then advance the pool until its verdict
-is final or an end rules the bracket out; the earlier rows run out
-their horizons alongside.
+``find_cct`` reports bisection's probes but runs the bisection tree
+``DEPTH`` levels ahead of its verdicts and drops the rows of each
+pruned half from the pool.  Under the unity principle a probe's verdict
+is final as unstable once one of its machines emits an accepted DLP (on
+swing 1 only under ``first_swing_only``), as stable or failed only when
+its row leaves the pool.  Results are assembled only when reported, so
+a probe bisection never visits never raises or warns.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from .events import EventScanner
 from .exportutil import fmt
 
 DEFAULT_HORIZON = 3.0  # s of post-clearing observation per probe
+DEPTH = 4  # bisection levels find_cct starts ahead of its verdicts
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,12 @@ class CctResult:
     evaluations: int
 
 
+def _positive(**values: float) -> None:
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+
+
 def _grid_value(value: float, unit: float, name: str) -> int:
     k = round(value / unit)
     if abs(value - k * unit) > 1e-9:
@@ -102,7 +108,7 @@ class _Sweep:
     a probe's post-fault row to the pool and keeps its clearing energies,
     ``advance`` steps the pool one block and scans it, and a probe's
     outcome (a ProbeResult, or the exception the probe raises when run
-    alone) is assembled when its row leaves the pool.
+    alone) is assembled on the first ``result`` call after its row left.
     """
 
     def __init__(
@@ -113,6 +119,7 @@ class _Sweep:
         horizon: float,
         first_swing_only: bool,
     ):
+        _positive(dt=dt, horizon=horizon)
         self.case = case
         self.dt = dt
         self.horizon = horizon
@@ -122,8 +129,10 @@ class _Sweep:
         self.baseline = pe_baseline(case, sep)
         self.pool = RowPool(self.kernel, dt)
         self.scanner = EventScanner(self.kernel.m, 0)
-        # per probe = pool row = scanner row: None while running, then a ProbeResult or an exception
+        # per probe = pool row = scanner row: None until assembled, then a ProbeResult or an exception
         self.outcomes: list = []
+        # probe -> whether its row failed the divergence guard, once the row has left the pool
+        self._ended: dict[int, bool] = {}
         # probe -> (clearing time, per-machine KE and PE at clearing), once joined
         self._joined: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
 
@@ -160,27 +169,33 @@ class _Sweep:
                 break  # the probes after it would never have run
         return started
 
-    @property
-    def running(self) -> bool:
-        return self.pool.size > 0
-
     def verdict(self, j: int):
         """Probe j's final verdict: True (stable), False (unstable), its exception, or None.
 
         A probe is final as unstable as soon as one of its machines emits
         an accepted DLP (unity principle; on swing 1 under
         first_swing_only), and final as stable or failed only when its
-        row has left the pool.  None means not final yet.
+        row has left the pool; None means not final yet.  Never warns.
         """
-        outcome = self.outcomes[j]
-        if outcome is None:
-            return False if self.scanner.separated(j, self.first_swing_only) else None
-        if isinstance(outcome, Exception):
-            return outcome
-        return outcome.stable
+        if self.scanner.separated(j, self.first_swing_only):
+            return False
+        if j not in self._ended:
+            return self.outcomes[j]  # None while running, or the start's error
+        try:  # a row with events is stable; one without has no margin to warn about
+            return any(self._events(j)) or self.result(j).stable
+        except ImeacError as exc:
+            return exc
+
+    def result(self, j: int) -> ProbeResult:
+        """Probe j's ProbeResult once its row has left the pool; raises the probe's error."""
+        if self.outcomes[j] is None:
+            self.outcomes[j] = self._result(j, self._ended[j])
+        if isinstance(self.outcomes[j], Exception):
+            raise self.outcomes[j]
+        return self.outcomes[j]
 
     def advance(self) -> None:
-        """Step the pool one block, scan it, and settle the probes whose rows left."""
+        """Step the pool one block, scan it, and note the probes whose rows left."""
         n = self.kernel.n
         block = self.pool.advance()
         samples = block.samples
@@ -192,8 +207,8 @@ class _Sweep:
             coi_frame(samples[..., :n], self.kernel.m_share),
             self._pe(samples[..., 2 * n : 3 * n]),
         )
-        for j in block.done.tolist():
-            self.outcomes[j] = self._result(j, j in block.lost)
+        lost = set(block.lost.tolist())
+        self._ended.update((j, j in lost) for j in block.done.tolist())
 
     def probe(self, times: Sequence[float]) -> list[ProbeResult]:
         """Probe every clearing time, all rows from step 0, results in input order.
@@ -202,24 +217,16 @@ class _Sweep:
         in input order wins, as if the probes had run one by one.
         """
         self.start_all(times)
-        while self.running:
+        while self.pool.size:
             self.advance()
-        for outcome in self.outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        return self.outcomes
+        return [self.result(j) for j in range(len(self.outcomes))]
 
     def _result(self, j: int, diverged: bool):
         """The ProbeResult of probe j, whose row left the pool, or the HorizonError it raises."""
         t, ke, pe = self._joined[j]
         total = ke + pe
         machines = []
-        for i in range(self.kernel.n):
-            events = self.scanner.events[j][i]
-            if self.first_swing_only:
-                # swing indices never decrease, so this keeps a prefix
-                # of the list and event_pe still lines up
-                events = [ev for ev in events if ev.swing_index == 1]
+        for i, events in enumerate(self._events(j)):
             if not events:
                 machines.append(MachineAssessment(i, (), UNDETERMINED, None, None, None))
                 continue
@@ -238,6 +245,13 @@ class _Sweep:
             total_at_clear=tuple(float(v) for v in total),
             diverged=diverged,
         )
+
+    def _events(self, j: int) -> list[list]:
+        """Probe j's events per machine; under first_swing_only the swing-1 prefix of each."""
+        events = self.scanner.events[j]
+        if self.first_swing_only:
+            events = [[ev for ev in e if ev.swing_index == 1] for e in events]
+        return events
 
     def _pe(self, w: np.ndarray) -> np.ndarray:
         """Potential energy from the integrated channel W (baseline added)."""
@@ -323,16 +337,17 @@ def find_cct(
     is exactly what an exhaustive scan of the same grid would select.
     Evaluations are at most 2 + ceil(log2(bracket / resolution)).
 
-    The probes are bisection's, but their runs overlap in time on one
-    row pool.  The first midpoint starts with the bracket ends; on an
-    invalid bracket its result is discarded.  Each later midpoint starts
-    as soon as the previous one's verdict is final: unstable once one of
-    its machines emits an accepted DLP (the unity principle: one
-    separating machine decides), stable or failed only when its run
-    ends.  Every probe still runs its whole horizon for its full result,
-    and each equals the same probe run alone, so the result, errors
-    included, is that of probing one midpoint after another.
+    The probes are bisection's, but the search runs ahead of its
+    verdicts on one row pool: before waiting on a midpoint it starts
+    every midpoint of its subtree, DEPTH levels deep, so the ends and
+    the first midpoint's subtree join at step 0.  A verdict is final as
+    unstable once a machine emits an accepted DLP (the unity principle),
+    as stable or failed when the run ends; then the rows of the pruned
+    half leave the pool, and at the end every unvisited row leaves.
+    Visited probes run their whole horizon, each equal to the probe run
+    alone, so the result, errors included, is one-by-one bisection's.
     """
+    _positive(dt=dt, resolution=resolution, horizon=horizon, t_lo=t_lo)
     _grid_value(resolution, dt, "resolution")
     lo = _grid_value(t_lo, resolution, "t_lo")
     hi = _grid_value(t_hi, resolution, "t_hi")
@@ -340,29 +355,38 @@ def find_cct(
         raise ValueError(f"need t_lo < t_hi, got {t_lo} >= {t_hi}")
     sweep = _Sweep(case, dt, solve_postfault_sep(case), horizon, first_swing_only)
     ends = sweep.start_all([lo * resolution, hi * resolution])
-    probes = dict(zip((lo, hi), ends))  # grid index -> probe index, in probing order
+    probes = dict(zip((lo, hi), ends))  # grid index -> probe index, visited, in probing order
+    ahead: dict[int, int] = {}  # the same for midpoints started but not visited yet
 
     def ruled_out() -> bool:
         v_lo, v_hi = (sweep.verdict(j) for j in ends)
         return v_lo not in (None, True) or v_hi not in (None, False)
 
+    def subtree(a: int, b: int, depth: int) -> list[int]:
+        if depth == 0 or b - a < 2:
+            return []
+        mid = (a + b) // 2
+        return [mid] + subtree(a, mid, depth - 1) + subtree(mid, b, depth - 1)
+
     a, b = lo, hi  # the bracket as bisection narrows it once the ends hold
     while len(ends) == 2 and b - a > 1 and not ruled_out():
+        for k in subtree(a, b, DEPTH):
+            if k not in ahead:
+                ahead[k] = sweep.start(k * resolution)
         mid = (a + b) // 2
-        j = probes[mid] = sweep.start(mid * resolution)
+        j = probes[mid] = ahead.pop(mid)
         while (verdict := sweep.verdict(j)) is None and not ruled_out():
             sweep.advance()
         if not isinstance(verdict, bool):
             break  # the midpoint failed, or an end ruled the bracket out
         a, b = (mid, b) if verdict else (a, mid)
-    while sweep.running:
+        sweep.pool.leave([ahead.pop(k) for k in list(ahead) if not a < k < b])
+    sweep.pool.leave(list(ahead.values()))
+    while sweep.pool.size:
         sweep.advance()
-    # report as probing one midpoint after another would: the ends as
-    # one batch, then the bracket check, then the midpoints in order
-    for j in ends:
-        if isinstance(sweep.outcomes[j], Exception):
-            raise sweep.outcomes[j]
-    lo_probe, hi_probe = (sweep.outcomes[j] for j in ends)
+    # report as probing one midpoint after another would: the ends,
+    # then the bracket check, then the midpoints in order
+    lo_probe, hi_probe = (sweep.result(j) for j in ends)
     if not lo_probe.stable:
         raise BracketError(
             f"t_lo={t_lo} must be stable: got unstable at t_lo, "
@@ -370,10 +394,7 @@ def find_cct(
         )
     if hi_probe.stable:
         raise BracketError(f"t_hi={t_hi} must be unstable: got stable at both ends")
-    for j in probes.values():
-        if isinstance(sweep.outcomes[j], Exception):
-            raise sweep.outcomes[j]
-    results = {k: sweep.outcomes[j] for k, j in probes.items()}
+    results = {k: sweep.result(j) for k, j in probes.items()}
     lo, hi = a, b
     ordered = sorted(results.items())
     for (ka, pa), (kb, pb) in zip(ordered, ordered[1:]):

@@ -32,7 +32,7 @@ share work:
   their last good sample); the others go on.  A block is cut early
   when a row reaches its last sample, so no row steps past its horizon.
   A scan is the case where every row joins at step 0; a bisection
-  joins each midpoint as soon as the previous verdict is known;
+  joins midpoints ahead of its verdicts and drops the rows it prunes;
 * each block's samples are a fresh array, consecutive blocks of a row
   overlapping by one sample, for a streaming consumer (the event
   scanner).  No row ever holds its whole trajectory, so a sweep's
@@ -61,6 +61,7 @@ BLOCK = 128  # samples per streamed block (plus the one-sample overlap)
 # ufunc reductions called directly: the ndarray methods add a Python-level
 # wrapper per call, a measurable share of a step on small cases
 _all = np.logical_and.reduce
+_any = np.logical_or.reduce
 _max = np.maximum.reduce
 
 
@@ -246,7 +247,8 @@ class RowPool:
     row's next state fails the divergence guard.  Either way that row's
     record ends with the block and it leaves the pool; the others go on
     and the next block starts with the last sample of this one.  The
-    caller names each row with its own id when it joins.
+    caller names each row with its own id when it joins, and may drop
+    rows between blocks (``leave``).
     """
 
     def __init__(self, kernel: SwingKernel, dt: float, block: int = BLOCK):
@@ -288,6 +290,12 @@ class RowPool:
         self._left = np.concatenate((self._left, np.full(k, steps)))
         self._last = np.concatenate((self._last, last))
         self._k1 = np.concatenate((self._k1, k1))
+
+    def leave(self, ids: Sequence[int]) -> None:
+        """Drop rows ``ids`` from the pool between blocks; ids not in flight are ignored."""
+        keep = ~_any(self.rows[:, None] == np.asarray(ids, dtype=int), axis=1)
+        self.rows, self._start, self._left = self.rows[keep], self._start[keep], self._left[keep]
+        self._last, self._k1 = self._last[keep], self._k1[keep]
 
     def advance(self) -> Block:
         """Step every row in flight through one block; rows that end leave the pool."""

@@ -135,33 +135,47 @@ def two_machine_case(
     )
 
 
-def run_pool(kernel, heads, steps, dt, block, join_after=0, first=0):
+def run_pool(kernel, heads, steps, dt, block, join_after=0, first=0, leave=None):
     """Run heads through one RowPool and return each row's record.
 
     heads[0] joins before the first block, every later head after
     ``join_after`` more blocks (or as soon as the pool runs empty); each
-    joins as sample number ``first``.
+    joins as sample number ``first``.  ``leave`` maps a head's index to
+    the number of blocks after which it leaves the pool (``RowPool.leave``),
+    counted from the first block; a row that has left must not be in a
+    later block.
     Returns per head (samples (L, 5n), diverged) with the one-sample
-    overlap of consecutive blocks checked and removed.
+    overlap of consecutive blocks checked and removed; the record of a
+    row that left early is the part it got.
     """
     from imeac.dynamics import RowPool
 
     pool = RowPool(kernel, dt, block)
     waiting = list(heads)
+    leave = leave or {}
     ids: list[int] = []
     record: dict[int, list[np.ndarray]] = {}
     lost: set[int] = set()
-    blocks = 0
+    gone: set[int] = set()
+    blocks = total = 0
     while waiting or pool.size:
         if waiting and (not ids or blocks >= join_after or not pool.size):
             ids.append(len(ids))
+            record[ids[-1]] = []
             pool.join(ids[-1:], waiting.pop(0), first, steps)
             blocks = 0
+        leaving = [i for i in ids if leave.get(i) == total and i not in gone]
+        pool.leave(leaving)
+        gone.update(leaving)
+        if not pool.size:
+            continue
         block_out = pool.advance()
         blocks += 1
+        total += 1
+        assert not gone & set(block_out.rows.tolist())
         for r, row in enumerate(block_out.rows.tolist()):
             chunk = block_out.samples[:, r]
-            parts = record.setdefault(row, [])
+            parts = record[row]
             if parts:
                 assert block_out.start[r] == first + sum(len(p) for p in parts) - 1
                 assert np.array_equal(chunk[0], parts[-1][-1])
@@ -172,4 +186,8 @@ def run_pool(kernel, heads, steps, dt, block, join_after=0, first=0):
                 parts.append(chunk.copy())
         lost.update(block_out.lost.tolist())
         assert set(block_out.lost.tolist()) <= set(block_out.done.tolist())
-    return [(np.concatenate(record[i]), i in lost) for i in ids]
+    width = 5 * kernel.n
+    return [
+        (np.concatenate(record[i]) if record[i] else np.empty((0, width)), i in lost)
+        for i in ids
+    ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from imeac import (
     scan_clearing_times,
     simulate,
 )
-from imeac.cct import write_cct, write_margin_curve
+from imeac.cct import DEPTH, write_cct, write_margin_curve
+from imeac.dynamics import RowPool
 from conftest import two_machine_case
 
 
@@ -41,6 +43,15 @@ class TestProbe:
             probe_clearing_time(smib, 0.1505, dt=1e-3)
         with pytest.raises(ValueError, match="horizon"):
             probe_clearing_time(smib, 0.150, horizon=1.0005)
+
+    @pytest.mark.parametrize("kwargs", [{"dt": 0.0}, {"dt": -1e-3}, {"horizon": 0.0}])
+    def test_nonpositive_grid_values_name_their_field(self, smib, kwargs):
+        (field, value), = kwargs.items()
+        message = rf"^{field} must be > 0, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            probe_clearing_time(smib, 0.2, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            scan_clearing_times(smib, [0.2, 0.15], **kwargs)
 
     def test_total_energy_tuple(self, smib):
         probe = probe_clearing_time(smib, 0.150)
@@ -169,6 +180,38 @@ class TestFindCct:
             find_cct(smib, 0.1502, 0.250)
         with pytest.raises(ValueError, match="t_lo < t_hi"):
             find_cct(smib, 0.250, 0.150)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"dt": 0.0}, {"dt": -1e-3}, {"resolution": 0.0}, {"horizon": 0.0},
+         {"horizon": -1.0}, {"t_lo": 0.0}],
+    )
+    def test_nonpositive_values_name_their_field(self, smib, kwargs):
+        # checked before any grid division and before any probe starts
+        (field, value), = kwargs.items()
+        bracket = {"t_lo": 0.150, "t_hi": 0.250, **kwargs}
+        with pytest.raises(ValueError, match=rf"^{field} must be > 0, got {value}$"):
+            find_cct(smib, **bracket)
+
+    def test_search_runs_ahead_of_its_verdicts(self, wscc):
+        # on the seeded wscc9 brackets the pool takes about one horizon of
+        # steps (one midpoint after another took 6768-11176), with at most
+        # the ends, the visited midpoints and a DEPTH-deep subtree in flight
+        blocks = []
+        real_advance = RowPool.advance
+
+        def advance(pool):
+            block = real_advance(pool)
+            blocks.append((block.samples.shape[0] - 1, block.rows.size))
+            return block
+
+        with mock.patch.object(RowPool, "advance", advance):
+            for lo in range(139, 152):
+                blocks.clear()
+                result = find_cct(wscc, lo / 1000, (lo + 32) / 1000)
+                assert (result.cct, result.cct_unstable, result.evaluations) == (0.152, 0.153, 7)
+                assert sum(steps for steps, _ in blocks) <= 4200, lo
+                assert max(rows for _, rows in blocks) <= 2 + 2 ** (DEPTH + 1), lo
 
     def test_coarse_resolution_still_brackets(self, smib):
         result = find_cct(smib, 0.150, 0.250, resolution=5e-3)

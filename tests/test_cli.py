@@ -211,6 +211,20 @@ class TestCct:
         assert code == 1
         assert "t_lo" in stderr
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("dt", "0"), ("dt", "-0.001"), ("resolution", "0"), ("horizon", "0"),
+         ("horizon", "-1"), ("t_lo", "0")],
+    )
+    def test_nonpositive_value_names_its_flag(self, tmp_path, flag, value):
+        # checked before anything divides by it or builds a probe from it
+        code, lines = run_quiet([
+            "cct", WSCC, "--t-lo", "0.14", "--t-hi", "0.172",
+            f"--{flag.replace('_', '-')}={value}", "--out", str(tmp_path / "cct.json"),
+        ])
+        assert_one_error_line(code, lines)
+        assert lines[0] == f"error: {flag} must be > 0, got {float(value)}"
+
 
 class TestSurface:
     def test_grid_mode(self, tmp_path, capsys):
