@@ -95,6 +95,8 @@ def _positive(**values: float) -> None:
 
 
 def _grid_value(value: float, unit: float, name: str) -> int:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     k = round(value / unit)
     if abs(value - k * unit) > 1e-9:
         raise ValueError(f"{name}={value} is not an integer multiple of {unit}")

@@ -29,7 +29,7 @@ from .dynamics import SimulationConfig, simulate
 from .energy import PATH_SEGMENTS, compute_energy, simpson_weights
 from .errors import ImeacError
 
-GRID_CHUNK = 64  # nodes per quadrature batch: the force temporaries stay near cache size
+CHUNK_BYTES = 64 * 1024  # per (nodes, segments + 1, n, n) force temporary: cache-sized, reused
 
 
 @dataclass(frozen=True)
@@ -160,22 +160,21 @@ def pe_line_to_nodes(
     """Focus-machine PE at many endpoints by straight-line quadrature.
 
     Integrates -f_focus^(PF) d delta_focus-SYS from start_coi to each
-    node (shape (K, n)); evaluation is chunked so the intermediate
-    force arrays stay small.
+    node (shape (K, n)) with pe_line_integral's expression over stacks of
+    endpoints, so every node is pe_line_integral(...)[focus] bit for bit;
+    a stack holds as many nodes as keep a force temporary in CHUNK_BYTES.
     """
     start = np.asarray(start_coi, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
+    chunk = max(1, CHUNK_BYTES // ((segments + 1) * nodes.shape[-1] ** 2 * 8))
     s = np.linspace(0.0, 1.0, segments + 1)
     weights = simpson_weights(segments)
     out = np.empty(nodes.shape[0])
-    for base in range(0, nodes.shape[0], GRID_CHUNK):
-        chunk = nodes[base : base + GRID_CHUNK]
-        # path points: (chunk, segments + 1, n)
-        path = start + s[None, :, None] * (chunk[:, None, :] - start)
-        forces = coi_forces(case.net_postfault, case.machines, path)[..., focus]
-        out[base : base + chunk.shape[0]] = -(forces @ weights) * (
-            chunk[:, focus] - start[focus]
-        )
+    for base in range(0, nodes.shape[0], chunk):
+        ends = nodes[base : base + chunk]
+        path = start + s[:, None] * (ends[:, None, :] - start)
+        forces = coi_forces(case.net_postfault, case.machines, path)
+        out[base : base + len(ends)] = (-(weights @ forces) * (ends - start))[:, focus]
     return out
 
 
@@ -212,15 +211,13 @@ def surface_grid(case: StabilityCase, spec: SurfaceSpec, sep=None) -> SurfaceGri
 
 def write_surface_grid(stream: IO[str], grid: SurfaceGrid) -> None:
     """Contour-tool scanline format: x y pe rows, blank line per scanline."""
-    stream.write(
-        f"# grid surface: focus machine {grid.focus_machine}, "
-        f"axes ({grid.axis_machines[0]}, {grid.axis_machines[1]})\n"
-    )
+    a, b = grid.axis_machines
+    stream.write(f"# grid surface: focus machine {grid.focus_machine}, axes ({a}, {b})\n")
     stream.write("# x_rad\ty_rad\tpe_pu\n")
-    for i, x in enumerate(grid.x_axis):
-        for j, y in enumerate(grid.y_axis):
-            stream.write(f"{x:.10e}\t{y:.10e}\t{grid.pe[i, j]:.10e}\n")
-        stream.write("\n")
+    ys = grid.y_axis.tolist()
+    for x, row in zip(grid.x_axis.tolist(), grid.pe.tolist()):
+        lines = ["%.10e\t%.10e\t%.10e\n" % (x, y, pe) for y, pe in zip(ys, row)]
+        stream.write("".join(lines) + "\n")
 
 
 def write_surface_trajectories(stream: IO[str], table: np.ndarray) -> None:

@@ -53,6 +53,26 @@ class TestProbe:
         with pytest.raises(ValueError, match=message):
             scan_clearing_times(smib, [0.2, 0.15], **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"t_clear": np.inf}, "t_clear"), ({"t_clear": np.nan}, "t_clear"),
+         ({"horizon": np.inf}, "horizon")],
+    )
+    def test_probe_nonfinite_values_name_their_field(self, smib, kwargs, field):
+        value = kwargs[field]
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
+            probe_clearing_time(smib, **{"t_clear": 0.2, **kwargs})
+
+    @pytest.mark.parametrize(
+        "times, kwargs, field",
+        [([np.nan], {}, "t_clear"), ([0.15, -np.inf], {}, "t_clear"),
+         ([0.2], {"horizon": np.inf}, "horizon")],
+    )
+    def test_scan_nonfinite_values_name_their_field(self, smib, times, kwargs, field):
+        value = kwargs.get(field, times[-1])
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
+            scan_clearing_times(smib, times, **kwargs)
+
     def test_total_energy_tuple(self, smib):
         probe = probe_clearing_time(smib, 0.150)
         assert len(probe.total_at_clear) == smib.n
@@ -191,6 +211,16 @@ class TestFindCct:
         (field, value), = kwargs.items()
         bracket = {"t_lo": 0.150, "t_hi": 0.250, **kwargs}
         with pytest.raises(ValueError, match=rf"^{field} must be > 0, got {value}$"):
+            find_cct(smib, **bracket)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"t_hi": np.nan}, "t_hi"), ({"t_lo": np.inf}, "t_lo"),
+         ({"horizon": np.inf}, "horizon")],
+    )
+    def test_nonfinite_values_name_their_field(self, smib, kwargs, field):
+        bracket = {"t_lo": 0.150, "t_hi": 0.250, **kwargs}
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {kwargs[field]}$"):
             find_cct(smib, **bracket)
 
     def test_search_runs_ahead_of_its_verdicts(self, wscc):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from imeac import (
     ImeacError,
     SimulationConfig,
+    SurfaceGrid,
     SurfaceSpec,
     compute_energy,
     detect_events,
@@ -22,6 +24,8 @@ from imeac import (
     surface_from_trajectories,
     surface_grid,
 )
+from imeac import surface
+from imeac.energy import PATH_SEGMENTS
 from imeac.surface import write_surface_grid, write_surface_trajectories
 
 WINDOW = ((-0.6, 1.6), (-0.4, 1.0))
@@ -65,7 +69,32 @@ class TestGridNodes:
             single = pe_line_integral(
                 star.net_postfault, star.machines, sep.delta_s, nodes[k]
             )[1]
-            assert batched[k] == pytest.approx(single, abs=1e-12)
+            assert batched[k] == single
+
+    @pytest.mark.parametrize("per_chunk", [1, 7])
+    def test_quadrature_does_not_depend_on_the_chunk(self, star, monkeypatch, per_chunk):
+        # one node per chunk and all seven in one chunk give the default's bits
+        sep = solve_postfault_sep(star)
+        rng = np.random.default_rng(21)
+        nodes = grid_node_angles(star, small_spec(), rng.uniform(-1, 1.5, 7), rng.uniform(-1, 1, 7))
+        default = pe_line_to_nodes(star, sep.delta_s, nodes, focus=1)
+        budget = per_chunk * (PATH_SEGMENTS + 1) * star.n**2 * 8
+        monkeypatch.setattr(surface, "CHUNK_BYTES", budget)
+        assert np.array_equal(pe_line_to_nodes(star, sep.delta_s, nodes, focus=1), default)
+
+    def test_quadrature_memory_stays_cache_sized(self, star):
+        # 6561 nodes of an 81x81 grid: the chunks' force temporaries must
+        # not grow back to whole-grid or megabyte size
+        sep = solve_postfault_sep(star)
+        x, y = np.meshgrid(np.linspace(-1.5, 2.5, 81), np.linspace(-2.0, 2.0, 81))
+        nodes = grid_node_angles(star, small_spec(), x.ravel(), y.ravel())
+        tracemalloc.start()
+        try:
+            pe_line_to_nodes(star, sep.delta_s, nodes, focus=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestSurfaceGrid:
@@ -81,6 +110,20 @@ class TestSurfaceGrid:
         at_sep = grid.interpolate(float(sep.delta_s[1]), float(sep.delta_s[2]))
         assert abs(at_sep) < 5e-4  # bilinear residue only
         assert grid.pe.min() > -1e-6
+
+    @pytest.mark.parametrize("case_name, focus, axes", [("star", 1, (1, 2)), ("wscc", 2, (1, 2))])
+    def test_every_node_is_the_single_line_integral(self, request, case_name, focus, axes):
+        case = request.getfixturevalue(case_name)
+        sep = solve_postfault_sep(case)
+        a, b = sep.delta_s[list(axes)]
+        spec = SurfaceSpec(focus_machine=focus, axis_machines=axes,
+                           window=((a - 2.0, a + 2.0), (b - 2.0, b + 2.0)), grid_n=21)
+        grid = surface_grid(case, spec, sep)
+        for i, x in enumerate(grid.x_axis):
+            for j, y in enumerate(grid.y_axis):
+                node = grid_node_angles(case, spec, x, y)
+                single = pe_line_integral(case.net_postfault, case.machines, sep.delta_s, node)
+                assert grid.pe[i, j] == single[focus], (i, j)
 
     def test_repeat_build_identical(self, star):
         a = surface_grid(star, small_spec())
@@ -182,6 +225,21 @@ class TestExports:
         assert header_and_first[1] == "# x_rad\ty_rad\tpe_pu"
         assert len(header_and_first) == 2 + 5
         assert len([b for b in blocks if b.strip()]) == 5
+
+    def test_grid_bytes_equal_per_value_formatting(self, star):
+        # the one-format-per-row writer against formatting every value alone
+        grid = surface_grid(star, small_spec(grid_n=5))
+        pe = grid.pe.copy()
+        pe[0] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+        grid = SurfaceGrid(grid.x_axis, grid.y_axis, pe, grid.focus_machine, grid.axis_machines)
+        stream = io.StringIO()
+        write_surface_grid(stream, grid)
+        expected = "# grid surface: focus machine 1, axes (1, 2)\n# x_rad\ty_rad\tpe_pu\n"
+        for i, x in enumerate(grid.x_axis):
+            for j, y in enumerate(grid.y_axis):
+                expected += f"{x:.10e}\t{y:.10e}\t{grid.pe[i, j]:.10e}\n"
+            expected += "\n"
+        assert stream.getvalue().encode() == expected.encode()
 
     def test_trajectory_rows(self, star):
         family = (SimulationConfig(t_clear=0.05, t_end=0.2),)
