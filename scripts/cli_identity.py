@@ -1,0 +1,79 @@
+"""Compare the imeac CLI's outputs between two source trees.
+
+Runs a fixed list of commands in each tree (PYTHONPATH=<root>/src, each
+command in its own temporary output directory) and prints, per command,
+same/DIFF for the exit code, stdout (output paths normalised), stderr and
+every data file; run manifests carry wall times and are skipped.  Exits 1
+if anything differs.  Standard library only.
+
+Usage:  python scripts/cli_identity.py OLD_ROOT NEW_ROOT
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+THREE = "bundled:threebus_lossless"
+COMMANDS = [
+    ["assess", "bundled:wscc9", "--t-clear", "0.2", "--t-end", "1.2", "--out-dir", "{out}/v"],
+    ["assess", "bundled:smib", "--t-clear", "0.15", "--t-end", "1.0", "--out-dir", "{out}/v"],
+    ["simulate", "bundled:wscc9", "--t-clear", "0.08", "--t-end", "3.0", "--out", "{out}/t.tsv"],
+    ["simulate", "bundled:smib", "--t-clear", "0.2", "--t-end", "1.0", "--out", "{out}/t.tsv"],
+    ["cct", "bundled:wscc9", "--t-lo", "0.1", "--t-hi", "0.2", "--out", "{out}/c.json"],
+    ["cct", "bundled:smib", "--t-lo", "0.15", "--t-hi", "0.25", "--out", "{out}/c.json"],
+    ["surface", "bundled:wscc9", "--focus", "2", "--axes", "1,2", "--mode", "trajectories",
+     "--sweep", "0.05:0.20:0.05", "--t-end", "1.5", "--out", "{out}/s.tsv"],
+    ["surface", THREE, "--focus", "1", "--axes", "1,2", "--mode", "grid", "--grid-n", "81",
+     "--out", "{out}/s.tsv"],
+    ["surface", "bundled:wscc9", "--focus", "2", "--axes", "1,2", "--out", "{out}/s.tsv"],
+    ["surface", THREE, "--focus", "2", "--axes", "0,1", "--window=-1:1.5:-2:0.5",
+     "--grid-n", "101", "--out", "{out}/s.tsv"],
+    ["surface", THREE, "--focus", "1", "--axes", "0,2", "--half-width", "1.5",
+     "--out", "{out}/s.tsv"],
+]
+
+
+def run(root: Path, argv: list[str]) -> tuple[dict[str, bytes], dict[str, bytes]]:
+    """One command in one tree: (streams, data files by relative path)."""
+    with tempfile.TemporaryDirectory() as out:
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        args = [a.format(out=out) for a in argv]
+        done = subprocess.run([sys.executable, "-m", "imeac.cli", *args], env=env,
+                              capture_output=True)
+        streams = {
+            "exit": str(done.returncode).encode(),
+            "stdout": done.stdout.replace(out.encode(), b"<out>"),
+            "stderr": done.stderr.replace(out.encode(), b"<out>"),
+        }
+        files = {
+            str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(Path(out).rglob("*"))
+            if p.is_file() and not p.name.endswith("manifest.json")
+        }
+    return streams, files
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 2
+    old_root, new_root = (Path(a).resolve() for a in argv)
+    differs = False
+    for command in COMMANDS:
+        (old_streams, old_files), (new_streams, new_files) = (
+            run(old_root, command), run(new_root, command))
+        print(" ".join(command).replace("{out}/", ""))
+        for name in [*old_streams, *sorted(set(old_files) | set(new_files))]:
+            old = old_streams.get(name, old_files.get(name))
+            new = new_streams.get(name, new_files.get(name))
+            differs |= old != new
+            print(f"  {'same' if old == new else 'DIFF'}  {name}")
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

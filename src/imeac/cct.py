@@ -97,6 +97,8 @@ def _positive(**values: float) -> None:
 def _grid_value(value: float, unit: float, name: str) -> int:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    if not math.isfinite(value / unit):
+        raise ValueError(f"{name}={value} is too large for a step of {unit}")
     k = round(value / unit)
     if abs(value - k * unit) > 1e-9:
         raise ValueError(f"{name}={value} is not an integer multiple of {unit}")

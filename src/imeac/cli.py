@@ -240,8 +240,10 @@ def _parse_sweep(text: str) -> list[float]:
             raise _UsageError(f"--sweep expects 'start:stop:step', got '{text}'") from exc
         if step <= 0:
             raise _UsageError("--sweep step must be > 0")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + k * step for k in range(max(count, 0))]
+        count = (stop - start) / step + 1e-9
+        if not all(map(math.isfinite, (start, stop, step, count))):
+            raise _UsageError(f"--sweep needs a finite start, stop, step and count, got '{text}'")
+        return [start + k * step for k in range(max(math.floor(count) + 1, 0))]
     try:
         return [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:

@@ -74,15 +74,17 @@ class SimulationConfig:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0 < self.t_clear < self.t_end:
             raise ValueError(
                 f"need 0 < t_clear < t_end, got t_clear={self.t_clear}, t_end={self.t_end}"
             )
         for name, value in (("t_clear", self.t_clear), ("t_end", self.t_end)):
-            steps = round(value / self.dt)
-            if abs(value - steps * self.dt) > GRID_TOL:
+            steps = value / self.dt
+            if not np.isfinite(steps):
+                raise ValueError(f"{name}={value} is too large for dt={self.dt}")
+            if abs(value - round(steps) * self.dt) > GRID_TOL:
                 raise ValueError(
                     f"{name}={value} is not an integer multiple of dt={self.dt}"
                 )

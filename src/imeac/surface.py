@@ -29,7 +29,7 @@ from .dynamics import SimulationConfig, simulate
 from .energy import PATH_SEGMENTS, compute_energy, simpson_weights
 from .errors import ImeacError
 
-CHUNK_BYTES = 64 * 1024  # per (nodes, segments + 1, n, n) force temporary: cache-sized, reused
+CHUNK_BYTES = 64 * 1024  # per force temporary, (n, n, nodes, segments + 1) in memory: cache-sized
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,14 @@ def pe_line_to_nodes(
 
     Integrates -f_focus^(PF) d delta_focus-SYS from start_coi to each
     node (shape (K, n)) with pe_line_integral's expression over stacks of
-    endpoints, so every node is pe_line_integral(...)[focus] bit for bit;
-    a stack holds as many nodes as keep a force temporary in CHUNK_BYTES.
+    endpoints; a stack holds as many nodes as keep a force temporary in
+    CHUNK_BYTES.  Each stack's paths are laid out machine-major in memory,
+    (n, nodes, segments + 1), and reach coi_forces as a (nodes,
+    segments + 1, n) view, so numpy lays every (nodes, segments + 1, n, n)
+    force temporary out as (n, n, nodes, segments + 1): the trig and both
+    machine sums run over contiguous path points.  Below 8 machines numpy
+    adds the j terms in the same order in either layout, so every
+    node is pe_line_integral(...)[focus] bit for bit.
     """
     start = np.asarray(start_coi, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
@@ -172,8 +178,8 @@ def pe_line_to_nodes(
     out = np.empty(nodes.shape[0])
     for base in range(0, nodes.shape[0], chunk):
         ends = nodes[base : base + chunk]
-        path = start + s[:, None] * (ends[:, None, :] - start)
-        forces = coi_forces(case.net_postfault, case.machines, path)
+        path = (start[:, None, None] + s * (ends - start).T.copy()[:, :, None]).transpose(1, 2, 0)
+        forces = np.ascontiguousarray(coi_forces(case.net_postfault, case.machines, path))
         out[base : base + len(ends)] = (-(weights @ forces) * (ends - start))[:, focus]
     return out
 

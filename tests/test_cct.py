@@ -73,6 +73,11 @@ class TestProbe:
         with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
             scan_clearing_times(smib, times, **kwargs)
 
+    def test_probe_overflowing_step_count_names_its_field(self, smib):
+        # a finite clearing time whose step count overflows a float
+        with pytest.raises(ValueError, match=r"^t_clear=1e\+308 is too large for a step of 0\.001$"):
+            probe_clearing_time(smib, 1e308)
+
     def test_total_energy_tuple(self, smib):
         probe = probe_clearing_time(smib, 0.150)
         assert len(probe.total_at_clear) == smib.n
@@ -222,6 +227,17 @@ class TestFindCct:
         bracket = {"t_lo": 0.150, "t_hi": 0.250, **kwargs}
         with pytest.raises(ValueError, match=rf"^{field} must be finite, got {kwargs[field]}$"):
             find_cct(smib, **bracket)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"dt": 1e-320}, r"^resolution=0\.001 is too large for a step of 1e-320$"),
+         ({"t_hi": 1e300, "resolution": 1e-10, "dt": 1e-10},
+          r"^t_hi=1e\+300 is too large for a step of 1e-10$")],
+        ids=["resolution", "t_hi"],
+    )
+    def test_overflowing_step_counts_name_their_field(self, smib, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            find_cct(smib, **{"t_lo": 0.150, "t_hi": 0.250, **kwargs})
 
     def test_search_runs_ahead_of_its_verdicts(self, wscc):
         # on the seeded wscc9 brackets the pool takes about one horizon of

@@ -328,6 +328,35 @@ class TestErrorPaths:
         assert code == 1
         assert "t_clear" in stderr and "t_end" in stderr
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("simulate", SMIB, "--t-clear", "1e307", "--t-end", "1e308"),
+             "error: t_clear=1e+307 is too large for dt=0.001"),
+            (("simulate", SMIB, "--t-clear", "0.1", "--t-end", "1", "--dt", "1e-320"),
+             "error: t_clear=0.1 is too large for dt=1e-320"),
+            (("cct", SMIB, "--t-lo", "0.15", "--t-hi", "0.25", "--dt", "1e-320"),
+             "error: resolution=0.001 is too large for a step of 1e-320"),
+        ],
+        ids=["simulate-t-end", "simulate-dt", "cct-dt"],
+    )
+    def test_overflowing_step_count_is_one_error_line(self, tmp_path, argv, message):
+        code, lines = run_quiet([*argv, "--out", str(tmp_path / "out")])
+        assert (code, lines) == (1, [message])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "sweep", ["0:inf:0.1", "-inf:1:0.1", "nan:1:0.1", "0:1:nan", "0:1:inf", "0:1e300:1e-300"]
+    )
+    def test_sweep_range_needs_finite_parts_and_count(self, tmp_path, sweep):
+        code, lines = run_quiet([
+            "surface", STAR, "--focus", "1", "--axes", "1,2", "--mode", "trajectories",
+            f"--sweep={sweep}", "--out", str(tmp_path / "s.tsv"),
+        ])
+        assert (code, lines) == (
+            1, [f"error: --sweep needs a finite start, stop, step and count, got '{sweep}'"]
+        )
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

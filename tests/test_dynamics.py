@@ -49,6 +49,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="t_end"):
             SimulationConfig(t_clear=0.1, t_end=1.0007, dt=1e-3)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"t_clear": 0.1, "t_end": 1.0, "dt": 1e-320}, r"^t_clear=0\.1 is too large for dt=1e-320$"),
+         ({"t_clear": 1e307, "t_end": 1e308}, r"^t_clear=1e\+307 is too large for dt=0\.001$"),
+         ({"t_clear": 0.1, "t_end": math.inf}, r"^t_end=inf is too large for dt=0\.001$")],
+        ids=["dt", "t_clear", "t_end"],
+    )
+    def test_overflowing_step_counts_name_their_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig(**kwargs)
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_nonfinite_dt_is_refused(self, dt):
+        with pytest.raises(ValueError, match=rf"^dt must be finite and > 0, got {dt}$"):
+            SimulationConfig(t_clear=0.1, t_end=1.0, dt=dt)
+
     def test_indices(self):
         cfg = SimulationConfig(t_clear=0.25, t_end=2.0, dt=1e-3)
         assert cfg.clear_index == 250

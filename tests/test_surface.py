@@ -25,7 +25,8 @@ from imeac import (
     surface_grid,
 )
 from imeac import surface
-from imeac.energy import PATH_SEGMENTS
+from imeac.case import coi_forces
+from imeac.energy import PATH_SEGMENTS, simpson_weights
 from imeac.surface import write_surface_grid, write_surface_trajectories
 
 WINDOW = ((-0.6, 1.6), (-0.4, 1.0))
@@ -95,6 +96,49 @@ class TestGridNodes:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_force_paths_are_machine_major(self, star, monkeypatch):
+        # the grid's gain rests on every force temporary keeping the path
+        # points innermost: each chunk's angles reach coi_forces as a
+        # (k, segments + 1, n) view whose machine axis has the largest stride
+        sep = solve_postfault_sep(star)
+        x, y = np.meshgrid(np.linspace(-1.0, 1.5, 9), np.linspace(-0.8, 1.0, 9))
+        nodes = grid_node_angles(star, small_spec(), x.ravel(), y.ravel())
+        plain = pe_line_to_nodes(star, sep.delta_s, nodes, focus=1)
+        seen = []
+
+        def spy(net, machines, delta):
+            seen.append((delta.shape, delta.strides))
+            return coi_forces(net, machines, delta)
+
+        monkeypatch.setattr(surface, "coi_forces", spy)
+        assert np.array_equal(pe_line_to_nodes(star, sep.delta_s, nodes, focus=1), plain)
+        assert sum(shape[0] for shape, _ in seen) == len(nodes)
+        for shape, strides in seen:  # a length-1 node axis has no stride to compare
+            assert shape[1:] == (PATH_SEGMENTS + 1, star.n)
+            assert strides[1] == 8
+            assert strides[2] == max(st for st, size in zip(strides, shape) if size > 1)
+
+    @pytest.mark.parametrize("case_name, focus", [("star", 1), ("wscc", 2)])
+    def test_machine_major_paths_equal_row_major_paths(self, request, case_name, focus):
+        # the chunks built row-major, (k, segments + 1, n) in memory as well,
+        # give the same bits: below 8 machines the j-sum order is the same
+        case = request.getfixturevalue(case_name)
+        sep = solve_postfault_sep(case)
+        a, b = sep.delta_s[1], sep.delta_s[2]
+        x, y = np.meshgrid(np.linspace(a - 2.0, a + 2.0, 21), np.linspace(b - 2.0, b + 2.0, 21))
+        nodes = grid_node_angles(case, small_spec(), x.ravel(), y.ravel())
+        start, s = sep.delta_s, np.linspace(0.0, 1.0, PATH_SEGMENTS + 1)
+        weights = simpson_weights(PATH_SEGMENTS)
+        chunk = max(1, surface.CHUNK_BYTES // ((PATH_SEGMENTS + 1) * case.n**2 * 8))
+        reference = []
+        for base in range(0, len(nodes), chunk):
+            ends = nodes[base : base + chunk]
+            path = start + s[:, None] * (ends[:, None, :] - start)
+            forces = coi_forces(case.net_postfault, case.machines, path)
+            reference.append((-(weights @ forces) * (ends - start))[:, focus])
+        got = pe_line_to_nodes(case, sep.delta_s, nodes, focus)
+        assert np.array_equal(got, np.concatenate(reference))
 
 
 class TestSurfaceGrid:
