@@ -3,21 +3,27 @@
 Runs a fixed list of commands in each tree (PYTHONPATH=<root>/src, each
 command in its own temporary output directory) and prints, per command,
 same/DIFF for the exit code, stdout (output paths normalised), stderr and
-every data file; run manifests carry wall times and are skipped.  Exits 1
-if anything differs.  Standard library only.
+every data file; run manifests carry wall times and are skipped.  A data
+file that differs also gets its count of differing lines and the largest
+numeric |new - old| / max(1, |old|) over the fields of those lines, so a
+stated tolerance can be checked.  Exits 1 if anything differs.  Standard
+library only.
 
 Usage:  python scripts/cli_identity.py OLD_ROOT NEW_ROOT
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 THREE = "bundled:threebus_lossless"
+FIELD = re.compile(r'[\s,:\[\]{}"]+')  # separators of TSV and JSON fields
 COMMANDS = [
     ["assess", "bundled:wscc9", "--t-clear", "0.2", "--t-end", "1.2", "--out-dir", "{out}/v"],
     ["assess", "bundled:smib", "--t-clear", "0.15", "--t-end", "1.0", "--out-dir", "{out}/v"],
@@ -57,6 +63,23 @@ def run(root: Path, argv: list[str]) -> tuple[dict[str, bytes], dict[str, bytes]
     return streams, files
 
 
+def line_diff(old: bytes, new: bytes) -> str:
+    """Differing lines of two text files and the largest relative numeric change in them."""
+    old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
+    changed = [(a, b) for a, b in zip(old_lines, new_lines) if a != b]
+    worst = 0.0
+    for a, b in changed:
+        for x, y in zip(FIELD.split(a), FIELD.split(b)):
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                continue
+            if math.isfinite(x) and math.isfinite(y):
+                worst = max(worst, abs(y - x) / max(1.0, abs(x)))
+    count = len(changed) + abs(len(old_lines) - len(new_lines))
+    return f"{count} of {len(old_lines)} lines differ, max |d|/max(1, |x|) = {worst:.3g}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
@@ -71,7 +94,10 @@ def main(argv: list[str]) -> int:
             old = old_streams.get(name, old_files.get(name))
             new = new_streams.get(name, new_files.get(name))
             differs |= old != new
-            print(f"  {'same' if old == new else 'DIFF'}  {name}")
+            detail = ""
+            if old != new and name in old_files and name in new_files:
+                detail = "  (" + line_diff(old, new) + ")"
+            print(f"  {'same' if old == new else 'DIFF'}  {name}{detail}")
     return 1 if differs else 0
 
 

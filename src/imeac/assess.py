@@ -118,11 +118,11 @@ def margin_at_anchor(
 ) -> MachineAssessment:
     """Classification and margin from the areas up to the terminal event.
 
-    With zero damping the equal-area identity
-    |(A_acc - A_dec) - residual_ke| < 1e-5 is checked at the terminal
-    event; a violation signals integration trouble (for example a
-    divergence-truncated run) and is reported as a warning rather than
-    discarding the assessment.
+    With zero damping the equal-area identity |(A_acc - A_dec) - residual_ke|
+    < 1e-5 is checked at the terminal event; a violation signals integration
+    trouble (a divergence-truncated run, say) and warns without discarding
+    the assessment.  A DLP anchor with A_dec >= A_acc contradicts the sign
+    rule: it warns and gets no margin.
     """
     anchor = events[anchor_index(events)]
     if not any(mach.d for mach in case.machines):
@@ -138,7 +138,11 @@ def margin_at_anchor(
         classification = f"unstable-at-swing-{anchor.swing_index}"
     else:
         classification = STABLE
-    if a_acc <= 0.0:
+    contradicts = anchor.kind == DLP and a_dec >= a_acc
+    if contradicts:
+        message = f"machine {machine}: DLP at t={anchor.time:.4f}s with A_dec >= A_acc; no margin"
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
+    if a_acc <= 0.0 or contradicts:
         margin = None
     else:
         margin = margin_from_areas(a_acc, a_dec)

@@ -2,8 +2,8 @@
 
 Each probe is one staged simulation plus the full machine-by-machine
 assessment; bisection narrows a stable/unstable clearing-time bracket
-down to the requested resolution on an integer grid, so the result is
-identical to an exhaustive scan of the same grid.  The most severely
+down to the requested resolution on an integer grid: the result is an
+edge inside the bracket, exact on a monotone bracket.  The most severely
 disturbed machine (MDM) is the machine emitting the first DLP on the
 unstable side of the final bracket, and the system's critical transient
 energy is the MDM's total energy at clearing on the stable side.
@@ -337,8 +337,8 @@ def find_cct(
 
     t_lo must be stable and t_hi unstable (both are simulated and
     validated).  Every probe lands on an integer multiple of resolution,
-    which itself must be an integer multiple of dt, so the returned CCT
-    is exactly what an exhaustive scan of the same grid would select.
+    which itself must be an integer multiple of dt: the returned CCT is an
+    edge inside the bracket, exact on a monotone bracket (README).
     Evaluations are at most 2 + ceil(log2(bracket / resolution)).
 
     The probes are bisection's, but the search runs ahead of its

@@ -46,6 +46,8 @@ from .surface import (
     write_surface_trajectories,
 )
 
+MAX_SWEEP = 10_000  # trajectory-family members one --sweep range may ask for
+
 
 class _UsageError(Exception):
     pass
@@ -243,6 +245,8 @@ def _parse_sweep(text: str) -> list[float]:
         count = (stop - start) / step + 1e-9
         if not all(map(math.isfinite, (start, stop, step, count))):
             raise _UsageError(f"--sweep needs a finite start, stop, step and count, got '{text}'")
+        if count >= MAX_SWEEP:  # floor(count) + 1 members
+            raise _UsageError(f"--sweep asks for more than {MAX_SWEEP} members, got '{text}'")
         return [start + k * step for k in range(max(math.floor(count) + 1, 0))]
     try:
         return [float(p) for p in text.split(",") if p.strip()]

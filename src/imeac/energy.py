@@ -5,7 +5,7 @@ Potential energy is the path integral of -f_i-SYS^(PF) d delta_i-SYS
 along the actual trajectory; the integrator already accumulated it as
 the pe_integral state, so here it only gets its baseline: the PE of the
 initial point relative to the post-fault SEP, evaluated by straight-line
-path quadrature (composite Simpson, 200 segments) in the COI angle
+path quadrature (16-point Gauss-Legendre) in the COI angle
 space.  With transfer conductances the integral is path-dependent; the
 straight-line baseline is the conventional choice and shifts every
 machine's PE by a constant, which cancels in all energy differences and
@@ -14,6 +14,7 @@ margins.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +30,25 @@ from .case import (
 )
 from .dynamics import Trajectory
 
-PATH_SEGMENTS = 200
+
+@functools.cache
+def path_rule(segments: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre points and weights on [0, 1], exact to degree 2 * segments + 1."""
+    points = segments + 1
+    x = -np.cos(np.pi * (np.arange(points) + 0.75) / (points + 0.5))
+    for _ in range(8):  # Newton steps on the three-term Legendre recurrence
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, points + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = points * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    s, weights = (x + 1.0) / 2.0, 1.0 / ((1.0 - x * x) * dp * dp)
+    s.flags.writeable = weights.flags.writeable = False
+    return s, weights
+
+
+PATH_SEGMENTS = 15  # path points - 1
+PATH_S, PATH_WEIGHTS = path_rule(PATH_SEGMENTS)
 
 
 @dataclass(frozen=True)
@@ -52,16 +71,6 @@ class EnergyChannels:
             object.__setattr__(self, name, arr)
 
 
-def simpson_weights(segments: int) -> np.ndarray:
-    """Composite Simpson weights on [0, 1] with an even segment count."""
-    if segments < 2 or segments % 2:
-        raise ValueError(f"segments must be even and >= 2, got {segments}")
-    w = np.ones(segments + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / (3.0 * segments)
-
-
 def pe_line_integral(
     net: ReducedNetwork,
     machines: Sequence[MachineParams],
@@ -72,11 +81,9 @@ def pe_line_integral(
     """Per-machine integral of -f_i d delta_i-SYS on a straight COI path."""
     start = np.asarray(start_coi, dtype=float)
     end = np.asarray(end_coi, dtype=float)
-    s = np.linspace(0.0, 1.0, segments + 1)
+    s, weights = path_rule(segments)
     path = start + s[:, None] * (end - start)
-    forces = coi_forces(net, machines, path)
-    weights = simpson_weights(segments)
-    return -(weights @ forces) * (end - start)
+    return -(weights @ coi_forces(net, machines, path)) * (end - start)
 
 
 def pe_baseline(case: StabilityCase, sep: EquilibriumPoint | None) -> np.ndarray | None:

@@ -26,10 +26,11 @@ import numpy as np
 
 from .case import StabilityCase, coi_forces, solve_postfault_sep
 from .dynamics import SimulationConfig, simulate
-from .energy import PATH_SEGMENTS, compute_energy, simpson_weights
+from .energy import PATH_SEGMENTS, compute_energy, path_rule
 from .errors import ImeacError
 
-CHUNK_BYTES = 64 * 1024  # per force temporary, (n, n, nodes, segments + 1) in memory: cache-sized
+MAX_PATH_SWING = 20.0  # rad of angle-difference swing a path may have: rule error 5e-14
+CHUNK_BYTES = 64 * 1024  # per (n, n, nodes, points) force temporary: 56 nodes at n = 3
 
 
 @dataclass(frozen=True)
@@ -159,22 +160,18 @@ def pe_line_to_nodes(
 ) -> np.ndarray:
     """Focus-machine PE at many endpoints by straight-line quadrature.
 
-    Integrates -f_focus^(PF) d delta_focus-SYS from start_coi to each
-    node (shape (K, n)) with pe_line_integral's expression over stacks of
-    endpoints; a stack holds as many nodes as keep a force temporary in
-    CHUNK_BYTES.  Each stack's paths are laid out machine-major in memory,
-    (n, nodes, segments + 1), and reach coi_forces as a (nodes,
-    segments + 1, n) view, so numpy lays every (nodes, segments + 1, n, n)
-    force temporary out as (n, n, nodes, segments + 1): the trig and both
-    machine sums run over contiguous path points.  Below 8 machines numpy
-    adds the j terms in the same order in either layout, so every
-    node is pe_line_integral(...)[focus] bit for bit.
+    Integrates -f_focus^(PF) d delta_focus-SYS from start_coi to each node
+    (shape (K, n)) with pe_line_integral's expression over stacks of as many
+    endpoints as keep a force temporary in CHUNK_BYTES.  A stack's paths are
+    built machine-major, (n, nodes, points), and reach coi_forces as a (nodes,
+    points, n) view, so every force temporary is (n, n, nodes, points): trig
+    and sums run over contiguous path points.  Below 8 machines the j-sum order
+    is the same in either layout: every node is pe_line_integral(...)[focus].
     """
     start = np.asarray(start_coi, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
     chunk = max(1, CHUNK_BYTES // ((segments + 1) * nodes.shape[-1] ** 2 * 8))
-    s = np.linspace(0.0, 1.0, segments + 1)
-    weights = simpson_weights(segments)
+    s, weights = path_rule(segments)
     out = np.empty(nodes.shape[0])
     for base in range(0, nodes.shape[0], chunk):
         ends = nodes[base : base + chunk]
@@ -187,9 +184,9 @@ def pe_line_to_nodes(
 def surface_grid(case: StabilityCase, spec: SurfaceSpec, sep=None) -> SurfaceGrid:
     """Evaluate the focus machine's PE on a regular (x, y) grid.
 
-    Only defined for 3-machine cases; larger systems have no exact
-    two-angle representation, use surface_from_trajectories instead.
-    The SEP node (solved unless the caller passes it) evaluates to exactly zero.
+    Only defined for 3-machine cases (larger systems have no exact two-angle
+    representation: use surface_from_trajectories).  The SEP node (solved unless
+    the caller passes it) is exactly zero; paths past MAX_PATH_SWING warn once.
     """
     if case.n != 3:
         raise ImeacError(
@@ -205,6 +202,9 @@ def surface_grid(case: StabilityCase, spec: SurfaceSpec, sep=None) -> SurfaceGri
     y_axis = np.linspace(y_lo, y_hi, spec.grid_n)
     gx, gy = np.meshgrid(x_axis, y_axis, indexing="ij")
     nodes = grid_node_angles(case, spec, gx.ravel(), gy.ravel())
+    if np.ptp(nodes - sep.delta_s, axis=1).max() > MAX_PATH_SWING:
+        warnings.warn(f"grid paths swing an angle difference past {MAX_PATH_SWING:g} rad; "
+                      "the path quadrature does not resolve their PE", RuntimeWarning, 2)
     pe = pe_line_to_nodes(case, sep.delta_s, nodes, spec.focus_machine)
     return SurfaceGrid(
         x_axis=x_axis,

@@ -25,6 +25,7 @@ from imeac import (
 from imeac.assess import (
     UNDETERMINED,
     format_verdict_table,
+    margin_at_anchor,
     verdict_document,
     write_events,
     write_margins,
@@ -81,6 +82,15 @@ class TestMachineMargin:
         events = detect_events(wscc, wscc_stable_run)
         with pytest.warns(RuntimeWarning, match="equal-area"):
             machine_margin(wscc, wscc_stable_run, corrupted, events[0], 0)
+
+    @pytest.mark.parametrize("a_dec", [6.5e-5, 6.09e-5])
+    def test_dlp_with_a_dec_at_least_a_acc_warns_and_has_no_margin(self, star, a_dec):
+        # the equal-area gap is under EAC_IDENTITY_TOL, so only this check speaks
+        events = (fake_event(1, DLP, 0.05, residual=0.0),)
+        with pytest.warns(RuntimeWarning, match="machine 1: DLP .* A_dec >= A_acc"):
+            a = margin_at_anchor(star, 1, events, 6.09e-5, a_dec)
+        assert a.classification == "unstable-at-swing-1"
+        assert a.margin is None and a.a_acc == 6.09e-5 and a.a_dec == a_dec
 
 
 def fake_event(machine, kind, time, swing=1, residual=0.0):

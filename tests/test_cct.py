@@ -271,6 +271,15 @@ class TestFindCct:
         energies = [p.total_at_clear[2] for p in probes]
         assert all(b > a for a, b in zip(energies, energies[1:]))
 
+    def test_island_below_a_stable_stretch_is_not_seen(self, wscc, wscc_scan):
+        # the documented limit: an edge inside the bracket, exact only on a
+        # monotone one; the scan shows the 0.119-0.138 s island it skips
+        result = find_cct(wscc, 0.06, 0.24)
+        assert (result.cct, result.cct_unstable) == (0.152, 0.153)
+        verdicts = {p.t_clear: p.stable for p in wscc_scan}
+        assert verdicts[0.118] and not verdicts[0.119] and not verdicts[0.138]
+        assert verdicts[0.139]
+
 
 def fake_assessment(machine, margin=None, dlp_time=None):
     events = []

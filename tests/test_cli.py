@@ -16,8 +16,9 @@ import pytest
 from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
+import imeac.cli
 import imeac.surface
-from imeac.cli import main
+from imeac.cli import MAX_SWEEP, _parse_sweep, main
 from conftest import two_machine_case
 
 SMIB = "bundled:smib"
@@ -356,6 +357,25 @@ class TestErrorPaths:
         assert (code, lines) == (
             1, [f"error: --sweep needs a finite start, stop, step and count, got '{sweep}'"]
         )
+
+    @pytest.mark.parametrize("sweep", ["0:1:1e-300", "0:1:1e-4"])
+    def test_sweep_member_count_is_bounded_before_the_list(self, tmp_path, monkeypatch, sweep):
+        # 1e300 and MAX_SWEEP + 1 members: refused before any member is made
+        def guarded_range(*args):
+            assert max(args) <= MAX_SWEEP, f"range{args} built for --sweep"
+            return range(*args)
+
+        monkeypatch.setattr(imeac.cli, "range", guarded_range, raising=False)
+        code, lines = run_quiet([
+            "surface", STAR, "--focus", "1", "--axes", "1,2", "--mode", "trajectories",
+            f"--sweep={sweep}", "--out", str(tmp_path / "s.tsv"),
+        ])
+        assert (code, lines) == (
+            1, [f"error: --sweep asks for more than {MAX_SWEEP} members, got '{sweep}'"]
+        )
+
+    def test_sweep_of_max_members_is_accepted(self):
+        assert len(_parse_sweep("0:0.9999:1e-4")) == MAX_SWEEP
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,4 @@
-"""Energy channels: quadrature oracles, baselines, conservation."""
+"""Energy channels: the path rule and its oracles, baselines, conservation."""
 
 from __future__ import annotations
 
@@ -11,40 +11,63 @@ from imeac import (
     EnergyChannels,
     EquilibriumPoint,
     SimulationConfig,
+    SurfaceSpec,
     assess_machines,
     compute_energy,
     critical_machines,
     detect_events,
+    grid_node_angles,
     pe_line_integral,
     simulate,
     solve_postfault_sep,
 )
-from imeac.energy import simpson_weights
+from imeac.case import coi_forces
+from imeac.energy import PATH_S, PATH_SEGMENTS, PATH_WEIGHTS, path_rule
 from conftest import two_machine_case
 
 
-class TestSimpsonWeights:
-    def test_normalized(self):
-        for segments in (2, 10, 200):
-            assert simpson_weights(segments).sum() == pytest.approx(1.0, abs=1e-14)
+def simpson_reference(net, machines, start, end, segments=20000):
+    """pe_line_integral's integral by composite Simpson on a fine straight path."""
+    s = np.linspace(0.0, 1.0, segments + 1)
+    weights = np.ones(segments + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights /= 3.0 * segments
+    path = start + s[:, None] * (end - start)
+    return -(weights @ coi_forces(net, machines, path)) * (end - start)
 
-    def test_cubic_exact(self):
-        s = 8
-        nodes = np.linspace(0.0, 1.0, s + 1)
-        f = 4 * nodes**3 - 3 * nodes**2 + 2 * nodes - 1
-        assert simpson_weights(s) @ f == pytest.approx(1.0 - 1.0 + 1.0 - 1.0, abs=1e-14)
 
-    def test_quartic_converges_fourth_order(self):
-        exact = 1.0 / 5.0
-        errs = []
-        for s in (8, 16):
-            nodes = np.linspace(0.0, 1.0, s + 1)
-            errs.append(abs(simpson_weights(s) @ nodes**4 - exact))
-        assert errs[1] < errs[0] / 12.0
+class TestPathRule:
+    def test_weights_positive_and_normalized(self):
+        assert PATH_S.shape == PATH_WEIGHTS.shape == (PATH_SEGMENTS + 1,)
+        assert np.all(PATH_WEIGHTS > 0.0)
+        assert PATH_WEIGHTS.sum() == pytest.approx(1.0, abs=1e-15)
 
-    def test_odd_segment_count_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            simpson_weights(5)
+    def test_exact_to_degree_31(self):
+        for k in range(2 * PATH_SEGMENTS + 2):
+            assert PATH_WEIGHTS @ PATH_S**k == pytest.approx(1.0 / (k + 1), abs=1e-15), k
+
+    def test_equals_numpy_gauss_legendre(self):
+        x, w = np.polynomial.legendre.leggauss(PATH_SEGMENTS + 1)
+        np.testing.assert_allclose(PATH_S, (x + 1.0) / 2.0, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(PATH_WEIGHTS, w / 2.0, rtol=0.0, atol=1e-15)
+
+    def test_rule_is_built_once_and_read_only(self):
+        assert path_rule(PATH_SEGMENTS) == (PATH_S, PATH_WEIGHTS)
+        assert not PATH_S.flags.writeable and not PATH_WEIGHTS.flags.writeable
+
+    @pytest.mark.parametrize("case_name", ["star", "wscc"])
+    def test_line_integral_matches_fine_simpson_at_window_edges(self, request, case_name):
+        # corners and edge midpoints of the SEP +- 2 rad window on axes 1, 2
+        case = request.getfixturevalue(case_name)
+        sep = solve_postfault_sep(case)
+        a, b = sep.delta_s[1], sep.delta_s[2]
+        spec = SurfaceSpec(1, (1, 2), ((a - 2, a + 2), (b - 2, b + 2)))
+        x, y = np.meshgrid([a - 2, a, a + 2], [b - 2, b, b + 2])
+        for node in grid_node_angles(case, spec, x.ravel(), y.ravel()):
+            got = pe_line_integral(case.net_postfault, case.machines, sep.delta_s, node)
+            want = simpson_reference(case.net_postfault, case.machines, sep.delta_s, node)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 class TestLineIntegral:

@@ -17,7 +17,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, seed, settings
+from hypothesis import HealthCheck, event, example, given, seed, settings
 from hypothesis import strategies as st
 
 from unittest import mock
@@ -68,8 +68,8 @@ def reference_power(net, machines, delta):
     return e * np.einsum("...ij,j->...i", kernel, e)
 
 
-@st.composite
-def staged_cases(draw) -> StabilityCase:
+def build_staged_case(draw) -> StabilityCase:
+    """One generated case; draw(strategy) supplies every random choice in order."""
     n = draw(st.integers(2, 4))
     n_bus = n + draw(st.integers(1, 2))
     unit = st.floats(0.0, 1.0)
@@ -115,6 +115,15 @@ def staged_cases(draw) -> StabilityCase:
         omega0=np.zeros(n),
         label="generated",
     )
+
+
+staged_cases = st.composite(build_staged_case)
+
+
+def replayed_case(choices: list) -> StabilityCase:
+    """The generated case whose draws returned choices, in order (for @example)."""
+    it = iter(choices)
+    return build_staged_case(lambda _strategy: next(it))
 
 
 # clearing times on the 10 ms grid, unsorted, repeats allowed
@@ -438,6 +447,30 @@ def test_find_cct_equals_exhaustive_scan(case, data, first_swing_only):
 @seed(20211021)
 @PROPERTY_SETTINGS
 @given(case=staged_cases(), horizon=horizons, first_swing_only=st.booleans())
+# two light-machine cases where a diverged probe's machine reached a DLP
+# having absorbed more PE than its clearing KE (eta +0.205 at t_clear
+# 0.04 s, machine 1, m0 = 5e-5; and one with m0 = 3e-4): they must warn
+# and get no margin rather than a positive one
+@example(
+    case=replayed_case([
+        3, 2, 0.7007665444636563, 0.09353129324657596, 0.9918804115688513,
+        0.5722931635544953, 0.7652060437297739, 0.9244553533377409, 0.8658284406943519,
+        1e-05, 0.10511580372839927, 8.762927036388111e-187, 0.9967868117752137,
+        0.2522242756031486, 1e-05, 0.4120181895303293, 1, 3, 0.9802720987367131,
+        0.06532174599983943, 0.05195931364431196, 0.27704774571669116, 0.04737429509023096,
+        1.0, 0.1255332951833086, 0.1378800849307751, 8.039951963078419e-47, 5e-324,
+        0.15617430437441995, 1.1754943508222875e-38, True, 0, 5e-05,
+    ]),
+    horizon=0.02,
+    first_swing_only=False,
+)
+@example(
+    case=replayed_case(
+        [3, 1, *[0.0] * 10, 0, 0, *[0.0] * 5, 1.0, *[0.0] * 4, 0.25, 0.0, True, 0, 3e-4]
+    ),
+    horizon=HORIZON,
+    first_swing_only=False,
+)
 def test_margin_sign_rule(case, horizon, first_swing_only):
     # criterion 4's rule on generated scans: wherever a machine has events
     # and its eta is defined, eta < 0 exactly when a DLP is among them

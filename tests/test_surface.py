@@ -26,7 +26,7 @@ from imeac import (
 )
 from imeac import surface
 from imeac.case import coi_forces
-from imeac.energy import PATH_SEGMENTS, simpson_weights
+from imeac.energy import PATH_S, PATH_SEGMENTS, PATH_WEIGHTS
 from imeac.surface import write_surface_grid, write_surface_trajectories
 
 WINDOW = ((-0.6, 1.6), (-0.4, 1.0))
@@ -128,8 +128,7 @@ class TestGridNodes:
         a, b = sep.delta_s[1], sep.delta_s[2]
         x, y = np.meshgrid(np.linspace(a - 2.0, a + 2.0, 21), np.linspace(b - 2.0, b + 2.0, 21))
         nodes = grid_node_angles(case, small_spec(), x.ravel(), y.ravel())
-        start, s = sep.delta_s, np.linspace(0.0, 1.0, PATH_SEGMENTS + 1)
-        weights = simpson_weights(PATH_SEGMENTS)
+        start, s, weights = sep.delta_s, PATH_S, PATH_WEIGHTS
         chunk = max(1, surface.CHUNK_BYTES // ((PATH_SEGMENTS + 1) * case.n**2 * 8))
         reference = []
         for base in range(0, len(nodes), chunk):
@@ -173,6 +172,25 @@ class TestSurfaceGrid:
         a = surface_grid(star, small_spec())
         b = surface_grid(star, small_spec())
         assert np.array_equal(a.pe, b.pe)
+
+    def test_infinite_bus_axis_warns_unresolved_paths(self, star):
+        # machine 0 has M = 1e6: moving it on an axis puts the implied angle
+        # ~1e8 rad out; every node is still computed, finite, and warned about
+        spec = small_spec(focus_machine=2, axis_machines=(0, 1), window=((-1, 1.5), (-2, 0.5)))
+        with pytest.warns(RuntimeWarning, match="past 20 rad") as caught:
+            grid = surface_grid(star, spec)
+        assert len(caught) == 1
+        assert np.isfinite(grid.pe).all()
+
+    @pytest.mark.parametrize("case_name", ["star", "wscc"])
+    def test_readme_grid_does_not_warn(self, request, case_name, recwarn):
+        # axes 1, 2 at the CLI's default half-width of 2 rad: a 4 rad swing
+        case = request.getfixturevalue(case_name)
+        sep = solve_postfault_sep(case)
+        a, b = sep.delta_s[1], sep.delta_s[2]
+        window = ((a - 2.0, a + 2.0), (b - 2.0, b + 2.0))
+        surface_grid(case, small_spec(window=window), sep)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_needs_three_machines(self, smib):
         with pytest.raises(ImeacError, match="3 machines"):
