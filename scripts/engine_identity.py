@@ -1,0 +1,158 @@
+"""Compare the imeac engine's results between two source trees, bit for bit.
+
+Runs a fixed list of engine calls in each tree (a subprocess with
+PYTHONPATH=<root>/src) and prints, per item, same/DIFF.  The items:
+
+* 181-point clearing-time scans, 0.060-0.240 s on the 1 ms grid, of the
+  three bundled cases;
+* ``find_cct`` on the 13 wscc9 brackets [lo, lo + 32 ms], lo = 139..151 ms,
+  and on the acceptance brackets (smib 0.150-0.250 s, wscc9 0.140-0.172 s);
+* the ``simulate`` arrays of three configurations per bundled case, and
+  of wscc9 with damping 0.02 on every machine;
+* a generated 10-machine case (numpy sums its machine axis pairwise):
+  a scan, a ``find_cct`` and a ``simulate``.
+
+Each result is reduced to plain values (arrays as dtype, shape and raw
+bytes; floats as hex), with the warnings it raised and, when the call
+raised, the error's type and message, so "same" means equal bits,
+warnings and errors.  Exits 1 if anything differs.  Standard library and
+numpy only.
+
+Usage:  python scripts/engine_identity.py OLD_ROOT NEW_ROOT
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+BUNDLED = ("smib", "threebus_lossless", "wscc9")
+SCAN_TIMES = [round(0.060 + 0.001 * k, 3) for k in range(181)]
+CONFIGS = ((0.08, 3.0), (0.15, 1.5), (0.25, 2.0))  # (t_clear, t_end), s
+
+
+def canon(x):
+    """x as nested tuples of plain values, equal exactly when x's bits are."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return (type(x).__name__,) + tuple(
+            (f.name, canon(getattr(x, f.name))) for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return ("array", x.dtype.str, x.shape, np.ascontiguousarray(x).tobytes())
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    if isinstance(x, (list, tuple)):
+        return (type(x).__name__,) + tuple(canon(v) for v in x)
+    if isinstance(x, dict):
+        return ("dict",) + tuple((canon(k), canon(v)) for k, v in sorted(x.items()))
+    return repr(x)
+
+
+def ten_machine_case():
+    """A generated ring case with 10 machines, built like tests/test_properties.py's cases."""
+    from imeac import MachineParams, StabilityCase
+    from imeac.network import staged_reduction
+
+    n, n_bus = 10, 11
+    unit = iter(np.random.default_rng(5).random(64)).__next__
+    branches = [(b, (b + 1) % n_bus, 0.02 * unit(), 0.05 + 0.25 * unit(), 0.0)
+                for b in range(n_bus)]
+    loads = np.array([complex(0.2 + 0.8 * unit(), -0.3 * unit()) if b >= n else 0.0
+                      for b in range(n_bus)])
+    pre, fault, post = staged_reduction(
+        n_bus=n_bus, branches=branches, load_admittances=loads, gen_buses=list(range(n)),
+        xd_primes=[0.05 + 0.25 * unit() for _ in range(n)], fault_bus=3,
+        cleared_branch=branches[5][:2],
+    )
+    m = [0.02 + 0.2 * unit() for _ in range(n)]
+    e = np.array([1.0 + 0.2 * unit() for _ in range(n)])
+    delta0 = np.array([0.6 * unit() - 0.3 for _ in range(n)])
+    diff = delta0[:, None] - delta0[None, :]
+    pm = e * np.einsum("...ij,j->...i", pre.g * np.cos(diff) + pre.b * np.sin(diff), e)
+    machines = tuple(MachineParams(id=i, m=m[i], pm=float(pm[i]), e=e[i]) for i in range(n))
+    return StabilityCase(machines, pre, fault, post, delta0, np.zeros(n), label="ring10")
+
+
+def items():
+    """(name, zero-argument call) for every engine result compared."""
+    from imeac import SimulationConfig, find_cct, load_bundled, scan_clearing_times, simulate
+
+    cases = {name: load_bundled(name) for name in BUNDLED}
+    wscc = cases["wscc9"]
+    damped = dataclasses.replace(
+        wscc, machines=tuple(dataclasses.replace(m, d=0.02) for m in wscc.machines))
+    ring = ten_machine_case()
+    out = []
+    for name, case in cases.items():
+        out.append((f"scan {name} 0.060-0.240 s", lambda c=case: scan_clearing_times(c, SCAN_TIMES)))
+    for lo in range(139, 152):
+        out.append((f"find_cct wscc9 [{lo}, {lo + 32}] ms",
+                    lambda lo=lo: find_cct(wscc, lo / 1000, (lo + 32) / 1000, resolution=1e-3)))
+    out.append(("find_cct smib [0.150, 0.250]",
+                lambda: find_cct(cases["smib"], 0.150, 0.250, resolution=1e-3)))
+    out.append(("find_cct wscc9 [0.140, 0.172]",
+                lambda: find_cct(wscc, 0.140, 0.172, resolution=1e-3)))
+    for name, case in [*cases.items(), ("wscc9 damped", damped)]:
+        for t_clear, t_end in CONFIGS:
+            cfg = SimulationConfig(t_clear=t_clear, t_end=t_end)
+            out.append((f"simulate {name} {t_clear}/{t_end}",
+                        lambda c=case, cfg=cfg: simulate(c, cfg)))
+    ring_times = [round(0.02 * k, 2) for k in range(1, 16)]
+    out.append(("scan ring10 0.02-0.30 s",
+                lambda: scan_clearing_times(ring, ring_times, dt=2e-3, horizon=1.0)))
+    out.append(("find_cct ring10 [0.16, 0.20]",
+                lambda: find_cct(ring, 0.16, 0.20, resolution=2e-3, dt=2e-3, horizon=1.0)))
+    out.append(("simulate ring10 0.16/1.2",
+                lambda: simulate(ring, SimulationConfig(t_clear=0.16, t_end=1.2, dt=2e-3))))
+    return out
+
+
+def child(path: str) -> None:
+    """Run every item in this interpreter's imeac and pickle {name: canonical result} to path."""
+    results = {}
+    for name, call in items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                value = canon(call())
+            except Exception as exc:  # the error is part of the result
+                value = ("raised", type(exc).__name__, str(exc))
+        results[name] = (value, tuple((w.category.__name__, str(w.message)) for w in caught))
+    with open(path, "wb") as f:
+        pickle.dump(results, f)
+
+
+def run(root: Path) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "results.pickle")
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        subprocess.run([sys.executable, __file__, "--child", out], env=env, check=True)
+        with open(out, "rb") as f:
+            return pickle.load(f)  # written just now by the child above
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--child":
+        child(argv[1])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 2
+    old, new = (run(Path(a).resolve()) for a in argv)
+    differs = False
+    for name in [*old, *(k for k in new if k not in old)]:
+        same = old.get(name) == new.get(name)
+        differs |= not same
+        print(f"  {'same' if same else 'DIFF'}  {name}")
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

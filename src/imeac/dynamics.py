@@ -17,8 +17,10 @@ network is driving the motion.
 One RK4 kernel (``SwingKernel``) serves every path.  Its stage function
 is written once for any leading shape, one state (3n,) or a batch of
 rows (B, 3n), and reduces only over the machine axis, so a batch row is
-bit-identical to the same state advanced alone.  Clearing-time sweeps
-share work:
+bit-identical to the same state advanced alone, also with constants in
+the batch's shape (``for_rows``), which numpy runs faster.  A fault-on
+stage makes one force call; an undamped case has no damping term.
+Clearing-time sweeps share work:
 
 * the fault-on stage is the same for every clearing time, so
   ``FaultOnPrefix`` integrates it once, up to the largest clearing
@@ -47,6 +49,7 @@ full record.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import IO, NamedTuple, Sequence
 
@@ -147,7 +150,9 @@ class SwingKernel:
     States are (..., 3n): delta | omega | W.  Every method accepts one
     state or a batch of rows and reduces over the machine axis only.
     Forces come from ``case.machine_forces`` on ``case.network_products``,
-    the one formula the SEP solve, the PE baseline and the grid use too.
+    the one formula the SEP solve, the PE baseline and the grid use too,
+    once per stage: a fault-on stage stacks both networks' products.  When
+    no machine is damped, ``d`` is None and the stage has no damping term.
     """
 
     def __init__(self, case: StabilityCase):
@@ -155,24 +160,35 @@ class SwingKernel:
         self.n = case.n
         self.m = m
         self.pm = case.pm_vector()
-        self.d = case.d_vector()
+        self.d = case.d_vector() if any(mach.d for mach in case.machines) else None
         self.m_share = m / m.sum()
         self.post = network_products(case.net_postfault, case.e_vector())
-        self.fault = network_products(case.net_faulton, case.e_vector())
+        fault = network_products(case.net_faulton, case.e_vector())
+        self.both = tuple(np.stack(pair) for pair in zip(self.post, fault))
+
+    def for_rows(self, rows: int) -> SwingKernel:
+        """This kernel for ``rows`` post-fault states: from 2 on, (rows, ...) constants."""
+        if rows < 2:
+            return self
+        shaped = copy.copy(self)
+        for name in ("m", "pm", "m_share") + (() if self.d is None else ("d",)):
+            setattr(shaped, name, np.repeat(getattr(self, name)[None], rows, axis=0))
+        shaped.post = tuple(np.repeat(p[None], rows, axis=0) for p in self.post)
+        return shaped
 
     def stage(self, y: np.ndarray, fault_stage: bool):
         """Return (dy/dt, omega_coi, f_active, f_pf) at state y."""
         delta = y[..., : self.n]
         omega = y[..., self.n : 2 * self.n]
-        acc_post, f_pf = machine_forces(self.post, self.pm, self.m_share, delta)
         if fault_stage:
-            acc_act, f_act = machine_forces(self.fault, self.pm, self.m_share, delta)
+            acc, f = machine_forces(self.both, self.pm, self.m_share, delta[..., None, :])
+            acc, f_act, f_pf = acc[..., 1, :], f[..., 1, :], f[..., 0, :]
         else:
-            acc_act, f_act = acc_post, f_pf
+            acc, f_pf = machine_forces(self.post, self.pm, self.m_share, delta)
+            f_act = f_pf
+        acc = acc if self.d is None else acc - self.d * omega  # acc - 0 * omega is acc
         omega_coi = coi_frame(omega, self.m_share)
-        dy = np.concatenate(
-            (omega, (acc_act - self.d * omega) / self.m, -f_pf * omega_coi), axis=-1
-        )
+        dy = np.concatenate((omega, acc / self.m, -f_pf * omega_coi), axis=-1)
         return dy, omega_coi, f_act, f_pf
 
     def step(self, y: np.ndarray, k1: np.ndarray, fault_stage: bool, dt: float) -> np.ndarray:
@@ -269,9 +285,9 @@ class RowPool:
         """Rows in flight."""
         return self.rows.size
 
-    def _record(self, slot: np.ndarray, state: np.ndarray) -> np.ndarray:
-        n = self.kernel.n
-        k1, omega_coi, _, f_pf = self.kernel.stage(state, False)
+    def _record(self, kernel: SwingKernel, slot: np.ndarray, state: np.ndarray) -> np.ndarray:
+        n = kernel.n
+        k1, omega_coi, _, f_pf = kernel.stage(state, False)
         slot[:, : 3 * n] = state
         slot[:, 3 * n : 4 * n] = omega_coi
         slot[:, 4 * n :] = f_pf
@@ -286,7 +302,7 @@ class RowPool:
         heads = np.atleast_2d(heads)
         k = heads.shape[0]
         last = np.empty((k, self._last.shape[1]))
-        k1 = self._record(last, heads)
+        k1 = self._record(self.kernel.for_rows(k), last, heads)
         self.rows = np.concatenate((self.rows, ids))
         self._start = np.concatenate((self._start, np.full(k, first)))
         self._left = np.concatenate((self._left, np.full(k, steps)))
@@ -301,11 +317,10 @@ class RowPool:
 
     def advance(self) -> Block:
         """Step every row in flight through one block; rows that end leave the pool."""
-        kernel, dt = self.kernel, self.dt
+        kernel, dt = self.kernel.for_rows(self.rows.size), self.dt
         y, k1 = self._last[:, : 3 * kernel.n], self._k1
         if self.rows.size == 1:
-            # a lone row steps as a plain state: the same numbers, less
-            # numpy overhead per call than a batch of one
+            # a lone row steps as a plain state: less numpy overhead per call
             y, k1 = y[0], k1[0]
         length = min(self.block, int(self._left.min()))
         buf = np.empty((length + 1,) + self._last.shape)
@@ -320,7 +335,7 @@ class RowPool:
                 break
             y = y_next
             pos += 1
-            k1 = self._record(buf[pos], y)
+            k1 = self._record(kernel, buf[pos], y)
         left = self._left - pos
         keep = left > 0 if healthy is None else healthy
         block = Block(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 
@@ -11,10 +12,15 @@ import pytest
 from imeac import (
     SimulationConfig,
     Trajectory,
+    assess_machines,
     coi_forces,
     compute_energy,
+    detect_events,
+    scan_clearing_times,
     simulate,
+    solve_postfault_sep,
 )
+from imeac.case import machine_forces, network_products
 from imeac.dynamics import FaultOnPrefix, SwingKernel, trajectory_header, write_trajectory
 from conftest import coi_identity_errors, run_pool, two_machine_case
 
@@ -139,6 +145,69 @@ class TestRk4Step:
             _, _, f_act, f_pf = kernel.stage(y, False)
             assert np.array_equal(f_act, f_pf)
             assert np.array_equal(f_pf, coi_forces(wscc.net_postfault, wscc.machines, y[..., :n]))
+
+
+def damped_swing_derivative(case, delta, omega, fault_stage):
+    """d omega / dt = (P_m - P_e - D omega) / M, the damping term always written out."""
+    net = case.net_faulton if fault_stage else case.net_postfault
+    m = case.m_vector()
+    products = network_products(net, case.e_vector())
+    acc = machine_forces(products, case.pm_vector(), m / m.sum(), delta)[0]
+    return (acc - case.d_vector() * omega) / m
+
+
+class TestDamping:
+    @pytest.fixture(scope="class")
+    def damped(self, wscc):
+        machines = tuple(dataclasses.replace(mach, d=0.02) for mach in wscc.machines)
+        return dataclasses.replace(wscc, machines=machines)
+
+    def states(self, case, omega_sign=None):
+        rng = np.random.default_rng(11)
+        n = case.n
+        omega = rng.normal(0.0, 2.0, (5, n))
+        if omega_sign is not None:
+            omega = omega_sign * (np.abs(omega) + 0.1)
+        return np.concatenate(
+            [case.delta0 + rng.normal(0.0, 0.5, (5, n)), omega, rng.normal(0.0, 0.1, (5, n))],
+            axis=1,
+        )
+
+    def check_derivative(self, case, batch):
+        kernel = SwingKernel(case)
+        n = case.n
+        for fault_stage in (True, False):
+            for y in (batch[0], batch):
+                dy = kernel.stage(y, fault_stage)[0]
+                want = damped_swing_derivative(case, y[..., :n], y[..., n : 2 * n], fault_stage)
+                assert np.array_equal(dy[..., n : 2 * n], want)
+        # the batch-shaped constants of for_rows, as the row pool steps them
+        dy = kernel.for_rows(len(batch)).stage(batch, False)[0]
+        want = damped_swing_derivative(case, batch[:, :n], batch[:, n : 2 * n], False)
+        assert np.array_equal(dy[:, n : 2 * n], want)
+
+    def test_damped_derivative_keeps_the_damping_term(self, damped):
+        assert SwingKernel(damped).d is not None
+        self.check_derivative(damped, self.states(damped))
+
+    @pytest.mark.parametrize("omega_sign", [-1.0, 1.0])
+    def test_undamped_derivative_equals_the_damped_form(self, wscc, omega_sign):
+        # no damping term at all when every D is 0: acc - 0 * omega is acc
+        # for finite omega of either sign
+        assert SwingKernel(wscc).d is None
+        self.check_derivative(wscc, self.states(wscc, omega_sign))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_damped_simulate_equals_scan_row(self, damped):
+        times = [0.1, 0.15, 0.2]
+        probes = scan_clearing_times(damped, times, horizon=1.0)
+        sep = solve_postfault_sep(damped)
+        for t_clear, probe in zip(times, probes):
+            traj = simulate(damped, SimulationConfig(t_clear=t_clear, t_end=t_clear + 1.0))
+            channels = compute_energy(damped, traj, sep)
+            machines = assess_machines(damped, traj, channels, detect_events(damped, traj))
+            assert probe.machine_assessments == tuple(machines)
+            assert probe.total_at_clear == tuple(channels.total[:, traj.clear_index])
 
 
 class TestSimulate:

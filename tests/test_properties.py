@@ -40,6 +40,7 @@ from imeac import (
     simulate,
     solve_postfault_sep,
 )
+from imeac.case import machine_forces
 from imeac.dynamics import BLOCK, FaultOnPrefix, SwingKernel
 from imeac.events import EventScanner
 from imeac.network import staged_reduction
@@ -273,6 +274,45 @@ def test_rows_leaving_mid_run_leave_the_others_alone(case, k_clear, block, join_
             continue
         assert got_lost == want_lost
         assert np.array_equal(got, want)
+
+
+def ten_machine_case() -> StabilityCase:
+    """A fixed generated case with 10 machines, past the 2-4 that the strategy draws.
+
+    From 8 terms on, numpy sums a contiguous axis pairwise, not one term
+    after another, so this case checks the batch contract where the
+    order of the machine-axis sums matters.  It is the ring10 case of
+    scripts/engine_identity.py.
+    """
+    u = list(np.random.default_rng(5).random(64))
+    return replayed_case([10, 1, *u[:24], 3, 5, *u[24:], False])
+
+
+def test_ten_machine_batch_rows_equal_rows_alone():
+    case = ten_machine_case()
+    kernel = SwingKernel(case)
+    prefix = FaultOnPrefix(kernel, case, DT)
+    heads = [prefix.state(k) for k in (40, 60, 80, 100)]
+    alone = [run_pool(kernel, [h], 300, DT, BLOCK)[0] for h in heads]
+    for (got, got_lost), (want, want_lost) in zip(run_pool(kernel, heads, 300, DT, BLOCK), alone):
+        assert got_lost == want_lost
+        assert np.array_equal(got, want)
+    # the force with the batch-shaped constants of for_rows against the lone call
+    shaped = kernel.for_rows(len(heads))
+    delta = np.array(heads)[:, : case.n]
+    batch = machine_forces(shaped.post, shaped.pm, shaped.m_share, delta)
+    for r, row in enumerate(delta):
+        lone = machine_forces(kernel.post, kernel.pm, kernel.m_share, row)
+        assert all(np.array_equal(b[r], x) for b, x in zip(batch, lone))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ten_machine_scan_equals_probes_one_by_one():
+    case = ten_machine_case()
+    times = [0.14, 0.16, 0.26]
+    scan = scan_clearing_times(case, times, dt=DT, horizon=HORIZON)
+    assert [p.stable for p in scan] == [False, True, False]
+    assert scan == one_by_one(case, times, HORIZON, False)
 
 
 RESOLUTION = 5 * DT
