@@ -10,7 +10,13 @@ PYTHONPATH=<root>/src) and prints, per item, same/DIFF.  The items:
 * the ``simulate`` arrays of three configurations per bundled case, and
   of wscc9 with damping 0.02 on every machine;
 * a generated 10-machine case (numpy sums its machine axis pairwise):
-  a scan, a ``find_cct`` and a ``simulate``.
+  a scan, a ``find_cct`` and a ``simulate``;
+* the divergence guard: smib with its machine 100x lighter (a scan whose
+  rows diverge mid-horizon at their own steps, and a ``simulate``), and
+  wscc9 with a post-fault network so strong that only the PE integral W
+  overflows, during the fault-on stage (a ``simulate`` and a scan) and,
+  with heavy machines, after clearing at a step that varies by row (a
+  scan).
 
 Each result is reduced to plain values (arrays as dtype, shape and raw
 bytes; floats as hex), with the warnings it raised and, when the call
@@ -80,6 +86,35 @@ def ten_machine_case():
     return StabilityCase(machines, pre, fault, post, delta0, np.zeros(n), label="ring10")
 
 
+def light_smib(smib):
+    """smib with every machine but the infinite bus 100x lighter."""
+    return dataclasses.replace(smib, machines=tuple(
+        dataclasses.replace(m, m=m.m * 0.01) if m.m < 1e5 else m for m in smib.machines))
+
+
+def w_overflow_case(wscc):
+    """wscc9 with its post-fault network scaled to max |E_i E_j B_ij| = 0.2 x the largest float."""
+    from imeac import ReducedNetwork
+
+    net, e = wscc.net_postfault, wscc.e_vector()
+    scale = 0.2 * np.finfo(float).max / np.max(np.abs(np.outer(e, e) * net.b))
+    g, b = net.g * scale, net.b * scale
+    post = ReducedNetwork((g + g.T) / 2, (b + b.T) / 2, name=net.name)
+    return dataclasses.replace(wscc, net_postfault=post)
+
+
+def w_overflow_after_clearing(wscc):
+    """wscc9 with inertias x 1e306, the post-fault network x 1e307 and speeds of +-2 rad/s."""
+    from imeac import ReducedNetwork
+
+    net = wscc.net_postfault
+    g, b = net.g * 1e307, net.b * 1e307
+    return dataclasses.replace(
+        wscc, machines=tuple(dataclasses.replace(m, m=m.m * 1e306) for m in wscc.machines),
+        net_postfault=ReducedNetwork((g + g.T) / 2, (b + b.T) / 2, name=net.name),
+        omega0=np.array([2.0, -2.0, 0.0]))
+
+
 def items():
     """(name, zero-argument call) for every engine result compared."""
     from imeac import SimulationConfig, find_cct, load_bundled, scan_clearing_times, simulate
@@ -111,6 +146,22 @@ def items():
                 lambda: find_cct(ring, 0.16, 0.20, resolution=2e-3, dt=2e-3, horizon=1.0)))
     out.append(("simulate ring10 0.16/1.2",
                 lambda: simulate(ring, SimulationConfig(t_clear=0.16, t_end=1.2, dt=2e-3))))
+    light = light_smib(cases["smib"])
+    light_times = [round(0.002 * k, 3) for k in range(1, 60)]
+    out.append(("scan light smib 0.002-0.118 s",
+                lambda: scan_clearing_times(light, light_times, dt=2e-3, horizon=3.0)))
+    out.append(("simulate light smib 0.1/3.0",
+                lambda: simulate(light, SimulationConfig(t_clear=0.1, t_end=3.0))))
+    strong = w_overflow_case(wscc)
+    out.append(("simulate wscc9 W overflow 0.1/0.5",
+                lambda: simulate(strong, SimulationConfig(t_clear=0.1, t_end=0.5))))
+    # every row clears after W overflows: no post-fault motion overflows first
+    out.append(("scan wscc9 W overflow 0.100-0.240 s",
+                lambda: scan_clearing_times(strong, SCAN_TIMES[40:])))
+    heavy = w_overflow_after_clearing(wscc)
+    heavy_times = [round(0.01 * k, 2) for k in range(1, 25)]
+    out.append(("scan wscc9 W overflow after clearing 0.01-0.24 s",
+                lambda: scan_clearing_times(heavy, heavy_times, horizon=1.0)))
     return out
 
 

@@ -3,10 +3,10 @@
 The case model is the immutable input to everything else: machine
 parameters, the three reduced admittance networks (pre-fault, fault-on,
 post-fault), and the initial operating point.  It also holds the one
-formula for the classical-model force (``machine_forces``), which the
-RK4 stage, the equilibrium check, the post-fault stable equilibrium
-point (SEP) solve, the potential-energy baseline and the surface grid
-all evaluate, and the one COI projection (``coi_frame``).
+classical-model force (``mismatch`` then ``coi_share``: ``machine_forces``)
+that the RK4 stage, the equilibrium check, the post-fault stable
+equilibrium point (SEP) solve, the PE baseline and the surface grid all
+evaluate, and the one COI projection (``coi_frame``).
 
 Conventions: angles in radians, time in seconds, power and energy in
 per unit on the system base.  Machine inertia M is in p.u. s^2/rad
@@ -133,16 +133,14 @@ class StabilityCase:
         ids = [mach.id for mach in self.machines]
         if ids != list(range(n)):
             raise CaseValidationError("machines", "ids must be 0..n-1 in order")
-        m = self.m_vector()
         products = network_products(self.net_prefault, self.e_vector())
-        acc, _ = machine_forces(products, self.pm_vector(), m / m.sum(), self.delta0)
-        mismatch = np.abs(acc)
-        worst = int(np.argmax(mismatch))
-        if mismatch[worst] > EQUILIBRIUM_TOL:
+        gap = np.abs(mismatch(products, self.pm_vector(), self.delta0))
+        worst = int(np.argmax(gap))
+        if gap[worst] > EQUILIBRIUM_TOL:
             raise CaseValidationError(
                 f"machines[{worst}].pm",
                 f"initial point is not a pre-fault equilibrium "
-                f"(|Pm - Pe| = {mismatch[worst]:.3e} > {EQUILIBRIUM_TOL:g})",
+                f"(|Pm - Pe| = {gap[worst]:.3e} > {EQUILIBRIUM_TOL:g})",
             )
 
     @property
@@ -189,20 +187,26 @@ def coi_frame(x: np.ndarray, m_share: np.ndarray) -> np.ndarray:
     return x - _sum(x * m_share, -1, keepdims=True)
 
 
-def machine_forces(products, pm, m_share, delta) -> tuple[np.ndarray, np.ndarray]:
-    """The classical-model force on one network's products: (P_m - P_e, f_i-SYS).
+def mismatch(products, pm, delta) -> np.ndarray:
+    """P_m - P_e, P_ei = sum_j E_i E_j (G_ij cos d_ij + B_ij sin d_ij), at angles (..., n).
 
-    P_ei = sum_j E_i E_j (G_ij cos d_ij + B_ij sin d_ij) at angles (n,) or
-    (..., n), and f_i-SYS = P_mi - P_ei - (M_i / M_SYS) P_SYS sums to zero.
-    Only the machine axis is reduced, so a batch row is bit-identical to
-    the same angles alone.  cos and sin are temporaries here, so numpy
-    writes the products over them in place: the surface grid's large
-    batches allocate no further (..., n, n) arrays.
+    Reduced over the machine axis only: a batch row is bit-identical to the
+    angles alone.  The products overwrite the cos and sin temporaries.
     """
     eg, eb = products
     diff = delta[..., :, None] - delta[..., None, :]
-    acc = pm - _sum(eg * np.cos(diff) + eb * np.sin(diff), -1)
-    return acc, acc - _sum(acc, -1, keepdims=True) * m_share
+    return pm - _sum(eg * np.cos(diff) + eb * np.sin(diff), -1)
+
+
+def coi_share(acc: np.ndarray, m_share: np.ndarray) -> np.ndarray:
+    """f_i-SYS = acc_i - (M_i / M_SYS) sum_j acc_j from acc = P_m - P_e; sums to zero."""
+    return acc - _sum(acc, -1, keepdims=True) * m_share
+
+
+def machine_forces(products, pm, m_share, delta) -> tuple[np.ndarray, np.ndarray]:
+    """The classical-model force on one network's products: (P_m - P_e, f_i-SYS)."""
+    acc = mismatch(products, pm, delta)
+    return acc, coi_share(acc, m_share)
 
 
 def coi_forces(

@@ -2,24 +2,23 @@
 
 State per machine: rotor angle delta (synchronous frame, rad), speed
 deviation omega (rad/s), and the running potential-energy integral
-W_i = integral of -f_i-SYS^(PF) d delta_i-SYS.  W is integrated as an
-augmented state inside the same fixed-step fourth-order Runge-Kutta
-scheme as the motion, so the energy channels downstream inherit the
-integrator's accuracy instead of a coarser trajectory quadrature
-(sampled trapezoid sums drift by their Euler-Maclaurin boundary term
-once a machine separates and spins fast; the augmented state does not).
-
-The f^(PF) channel (forces evaluated on the post-fault network at the
-current angles) is recorded during the fault-on stage as well: the
-potential-energy integrand is post-fault by definition, whatever
-network is driving the motion.
+W_i = integral of -f_i-SYS^(PF) d delta_i-SYS.  The RK4 step integrates
+delta | omega; W is formed per block from the stage values the steps
+produced, with the RK4 weights at the same stage points, so it is the
+augmented-state integral bit for bit and inherits the integrator's
+accuracy (sampled trapezoid sums drift by their Euler-Maclaurin
+boundary term once a machine separates and spins fast).  The f^(PF)
+channel (forces on the post-fault network at the current angles) is
+recorded during the fault-on stage as well: the potential-energy
+integrand is post-fault by definition, whatever network drives the
+motion.
 
 One RK4 kernel (``SwingKernel``) serves every path.  Its stage function
-is written once for any leading shape, one state (3n,) or a batch of
-rows (B, 3n), and reduces only over the machine axis, so a batch row is
+is written once for any leading shape, one state (2n,) or a batch of
+rows (B, 2n), and reduces only over the machine axis, so a batch row is
 bit-identical to the same state advanced alone, also with constants in
-the batch's shape (``for_rows``), which numpy runs faster.  A fault-on
-stage makes one force call; an undamped case has no damping term.
+the batch's shape (``for_rows``), which numpy runs faster; so does the
+W pass.  The guard checks each step's motion and each block's W.
 Clearing-time sweeps share work:
 
 * the fault-on stage is the same for every clearing time, so
@@ -28,11 +27,11 @@ Clearing-time sweeps share work:
   its own clearing index;
 * the post-fault system is autonomous, so rows at different local
   times can share a step: ``RowPool`` advances every probe in flight
-  as one (B, 3n) state.  Rows join between blocks, each from its own
+  as one (B, 2n) state.  Rows join between blocks, each from its own
   prefix head, and leave when their horizon ends or their next state
-  leaves the finite, |omega| <= OMEGA_DIVERGENCE region (truncated at
-  their last good sample); the others go on.  A block is cut early
-  when a row reaches its last sample, so no row steps past its horizon.
+  fails the guard (truncated at their last good sample); the others go
+  on.  A block is cut early when a row reaches its last sample, so no
+  row steps past its horizon.
   A scan is the case where every row joins at step 0; a bisection
   joins midpoints ahead of its verdicts and drops the rows it prunes;
 * each block's samples are a fresh array, consecutive blocks of a row
@@ -55,11 +54,11 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .case import StabilityCase, coi_frame, machine_forces, network_products
+from .case import StabilityCase, coi_frame, coi_share, mismatch, network_products
 
 OMEGA_DIVERGENCE = 1e4  # rad/s; far beyond any physical swing
 GRID_TOL = 1e-12  # s; switching instants must land on the sample grid
-BLOCK = 128  # samples per streamed block (plus the one-sample overlap)
+BLOCK = 32  # samples per streamed block (plus the one-sample overlap)
 
 # ufunc reductions called directly: the ndarray methods add a Python-level
 # wrapper per call, a measurable share of a step on small cases
@@ -147,12 +146,12 @@ class Trajectory:
 class SwingKernel:
     """The staged swing equations of one case, with precomputed network products.
 
-    States are (..., 3n): delta | omega | W.  Every method accepts one
-    state or a batch of rows and reduces over the machine axis only.
-    Forces come from ``case.machine_forces`` on ``case.network_products``,
-    the one formula the SEP solve, the PE baseline and the grid use too,
-    once per stage: a fault-on stage stacks both networks' products.  When
-    no machine is damped, ``d`` is None and the stage has no damping term.
+    The step integrates the motion delta | omega (..., 2n), one state or a
+    batch of rows, reducing over the machine axis only.  A stage computes
+    P_m - P_e once (``case.mismatch``): a fault-on stage stacks both
+    networks' products; with no machine damped, ``d`` is None and there is
+    no damping term.  ``channels`` makes W per block from the stages (same
+    RK4 weights and bits) and the COI channels; a non-finite W fails the guard.
     """
 
     def __init__(self, case: StabilityCase):
@@ -167,39 +166,60 @@ class SwingKernel:
         self.both = tuple(np.stack(pair) for pair in zip(self.post, fault))
 
     def for_rows(self, rows: int) -> SwingKernel:
-        """This kernel for ``rows`` post-fault states: from 2 on, (rows, ...) constants."""
+        """This kernel for ``rows`` post-fault states: from 2 on, (rows, ...) stage constants."""
         if rows < 2:
             return self
         shaped = copy.copy(self)
-        for name in ("m", "pm", "m_share") + (() if self.d is None else ("d",)):
+        for name in ("m", "pm") + (() if self.d is None else ("d",)):
             setattr(shaped, name, np.repeat(getattr(self, name)[None], rows, axis=0))
         shaped.post = tuple(np.repeat(p[None], rows, axis=0) for p in self.post)
         return shaped
 
     def stage(self, y: np.ndarray, fault_stage: bool):
-        """Return (dy/dt, omega_coi, f_active, f_pf) at state y."""
-        delta = y[..., : self.n]
-        omega = y[..., self.n : 2 * self.n]
+        """(dy/dt, acc) at y: acc = P_m - P_e, undamped; fault-on (..., 2, n): post | fault."""
+        delta, omega = y[..., : self.n], y[..., self.n :]
         if fault_stage:
-            acc, f = machine_forces(self.both, self.pm, self.m_share, delta[..., None, :])
-            acc, f_act, f_pf = acc[..., 1, :], f[..., 1, :], f[..., 0, :]
+            acc = mismatch(self.both, self.pm, delta[..., None, :])
+            act = acc[..., 1, :]
         else:
-            acc, f_pf = machine_forces(self.post, self.pm, self.m_share, delta)
-            f_act = f_pf
-        acc = acc if self.d is None else acc - self.d * omega  # acc - 0 * omega is acc
-        omega_coi = coi_frame(omega, self.m_share)
-        dy = np.concatenate((omega, acc / self.m, -f_pf * omega_coi), axis=-1)
-        return dy, omega_coi, f_act, f_pf
+            acc = act = mismatch(self.post, self.pm, delta)
+        act = act if self.d is None else act - self.d * omega  # act - 0 * omega is act
+        return np.concatenate((omega, act / self.m), axis=-1), acc
 
-    def step(self, y: np.ndarray, k1: np.ndarray, fault_stage: bool, dt: float) -> np.ndarray:
-        """One classical RK4 step from y, whose first stage k1 is already known."""
-        k2 = self.stage(y + 0.5 * dt * k1, fault_stage)[0]
-        k3 = self.stage(y + 0.5 * dt * k2, fault_stage)[0]
-        k4 = self.stage(y + dt * k3, fault_stage)[0]
-        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def step(self, y: np.ndarray, k1: np.ndarray, fault_stage: bool, dt: float):
+        """One classical RK4 step from y, whose first stage's k1 is known; also its later stages."""
+        s2 = self.stage(y + 0.5 * dt * k1, fault_stage)
+        s3 = self.stage(y + 0.5 * dt * s2[0], fault_stage)
+        s4 = self.stage(y + dt * s3[0], fault_stage)
+        return y + (dt / 6.0) * (k1 + 2.0 * s2[0] + 2.0 * s3[0] + s4[0]), [s2, s3, s4]
+
+    def channels(self, stages: list, w0: np.ndarray, dt: float, cut: int | None = None):
+        """W, omega_coi and coi_share(acc) of a run of steps, from its stages' (dy/dt, acc).
+
+        ``stages``: four per step in evaluation order, maybe then the first
+        stage at the sample reached.  W_k+1 = W_k + inc_k from w0, with the
+        RK4 weights: the augmented-state integral bit for bit.  Also returns
+        the first step whose W is not finite, or None: the run is then redone
+        up to it (``cut``), raising only that step's floating-point warnings.
+        """
+        ks, accs = zip(*stages)
+        with np.errstate(all="ignore" if cut is None else None):
+            k = np.concatenate(ks).reshape((len(ks),) + ks[0].shape)
+            f = coi_share(np.concatenate(accs).reshape((len(accs),) + accs[0].shape), self.m_share)
+            omega_coi = coi_frame(k[..., : self.n], self.m_share)
+            g = -(f if f.ndim == k.ndim else f[..., 0, :]) * omega_coi
+            end = len(ks) // 4 * 4
+            inc = (dt / 6.0) * (g[0:end:4] + 2.0 * g[1:end:4] + 2.0 * g[2:end:4] + g[3:end:4])
+            inc[0] += w0
+            w = np.add.accumulate(inc)
+        finite = np.isfinite(w)
+        if cut is None and not _all(finite, None):
+            cut = int(np.flatnonzero(~_all(finite.reshape(len(w), -1), 1))[0])
+            return self.channels(stages[: 4 * cut + 4], w0, dt, cut)
+        return w, omega_coi[::4], f[::4], cut
 
     def healthy(self, y: np.ndarray, axis: int | None = -1):
-        """Divergence guard: all finite and every |omega| within bounds.
+        """Divergence guard on the motion: all finite and every |omega| within bounds.
 
         Per row by default; axis=None answers for the whole batch at once,
         the cheap test a step takes before it looks for the failing rows.
@@ -212,8 +232,8 @@ class FaultOnPrefix:
     """The fault-on stage from the initial point, integrated once, extended on demand.
 
     ``samples[k]`` holds sample k evaluated on the fault-on network:
-    state | omega_coi | f_coi | f_coi_pf.  The state one sample past the
-    last row is known but not yet evaluated on either network.  When a
+    delta | omega | W | omega_coi | f_coi | f_coi_pf, made in blocks like
+    the pool's.  The state one sample past the last row is known.  When a
     step leaves the guard region, ``divergence_index`` is the sample it
     produced and the prefix ends at the row before it.
     """
@@ -227,17 +247,24 @@ class FaultOnPrefix:
 
     def state(self, index: int) -> np.ndarray | None:
         """State at sample ``index``; None when the fault-on stage diverged first."""
-        kern = self.kernel
+        kern, n = self.kernel, self.kernel.n
         samples = self.samples
         while len(samples) < index and self.divergence_index is None:
-            y = self._head
-            k1, omega_coi, f_act, f_pf = kern.stage(y, True)
-            samples.append(np.concatenate((y, omega_coi, f_act, f_pf)))
-            self._head = kern.step(y, k1, True, self.dt)
-            if not kern.healthy(self._head):
-                self.divergence_index = len(samples)
+            y, ys, stages, healthy = self._head[: 2 * n], [], [], True
+            while healthy and len(ys) < min(BLOCK, index - len(samples)):
+                ys.append(y)
+                stages.append(kern.stage(y, True))
+                y, later = kern.step(y, stages[-1][0], True, self.dt)
+                stages += later
+                healthy = kern.healthy(y)
+            w, omega_coi, f, cut = kern.channels(stages, self._head[2 * n :], self.dt)
+            if cut is not None or not healthy:
+                self.divergence_index = len(samples) + len(w)
+            w = np.concatenate((self._head[None, 2 * n :], w))
+            samples.extend(np.concatenate((ys[: len(f)], w[:-1], omega_coi, f[:, 1], f[:, 0]), -1))
+            self._head = np.concatenate((y, w[-1]))
         if index < len(samples):
-            return samples[index][: 3 * kern.n]
+            return samples[index][: 3 * n]
         if index == len(samples) and self.divergence_index is None:
             return self._head
         return None
@@ -246,7 +273,7 @@ class FaultOnPrefix:
 class Block(NamedTuple):
     """One block of pooled post-fault samples (see ``RowPool.advance``)."""
 
-    samples: np.ndarray  # (L, R, 5n): state | omega_coi | f_coi_pf
+    samples: np.ndarray  # (L, R, 5n): delta | omega | W | omega_coi | f_coi_pf
     rows: np.ndarray  # (R,) ids of the rows in the block
     start: np.ndarray  # (R,) each row's sample number at samples[0]
     done: np.ndarray  # ids of the rows whose record ends with this block
@@ -270,28 +297,18 @@ class RowPool:
     """
 
     def __init__(self, kernel: SwingKernel, dt: float, block: int = BLOCK):
-        n = kernel.n
         self.kernel = kernel
         self.dt = dt
         self.block = block
         self.rows = np.empty(0, dtype=int)  # ids of the rows in flight
-        self._start = np.empty(0, dtype=int)  # sample number of each row's last sample
+        self._start = np.empty(0, dtype=int)  # sample number of each row's last state
         self._left = np.empty(0, dtype=int)  # steps still to take, per row
-        self._last = np.empty((0, 5 * n))  # each row's last sample; the next block steps from it
-        self._k1 = np.empty((0, 3 * n))
+        self._last = np.empty((0, 3 * kernel.n))  # the state each row's next block starts from
 
     @property
     def size(self) -> int:
         """Rows in flight."""
         return self.rows.size
-
-    def _record(self, kernel: SwingKernel, slot: np.ndarray, state: np.ndarray) -> np.ndarray:
-        n = kernel.n
-        k1, omega_coi, _, f_pf = kernel.stage(state, False)
-        slot[:, : 3 * n] = state
-        slot[:, 3 * n : 4 * n] = omega_coi
-        slot[:, 4 * n :] = f_pf
-        return k1
 
     def join(self, ids: Sequence[int], heads: np.ndarray, first: int, steps: int) -> None:
         """Add rows ``ids`` at their clearing states (3n,) or (k, 3n), sample number ``first``.
@@ -301,41 +318,45 @@ class RowPool:
         """
         heads = np.atleast_2d(heads)
         k = heads.shape[0]
-        last = np.empty((k, self._last.shape[1]))
-        k1 = self._record(self.kernel.for_rows(k), last, heads)
         self.rows = np.concatenate((self.rows, ids))
         self._start = np.concatenate((self._start, np.full(k, first)))
         self._left = np.concatenate((self._left, np.full(k, steps)))
-        self._last = np.concatenate((self._last, last))
-        self._k1 = np.concatenate((self._k1, k1))
+        self._last = np.concatenate((self._last, heads))
 
     def leave(self, ids: Sequence[int]) -> None:
         """Drop rows ``ids`` from the pool between blocks; ids not in flight are ignored."""
         keep = ~_any(self.rows[:, None] == np.asarray(ids, dtype=int), axis=1)
         self.rows, self._start, self._left = self.rows[keep], self._start[keep], self._left[keep]
-        self._last, self._k1 = self._last[keep], self._k1[keep]
+        self._last = self._last[keep]
 
     def advance(self) -> Block:
         """Step every row in flight through one block; rows that end leave the pool."""
-        kernel, dt = self.kernel.for_rows(self.rows.size), self.dt
-        y, k1 = self._last[:, : 3 * kernel.n], self._k1
-        if self.rows.size == 1:
-            # a lone row steps as a plain state: less numpy overhead per call
-            y, k1 = y[0], k1[0]
+        kernel, dt, n = self.kernel.for_rows(self.rows.size), self.dt, self.kernel.n
         length = min(self.block, int(self._left.min()))
-        buf = np.empty((length + 1,) + self._last.shape)
-        buf[0] = self._last
-        healthy = None
-        pos = 0
+        buf = np.empty((length + 1, self.rows.size, 5 * n))
+        buf[0, :, : 3 * n] = self._last
+        # a lone row steps as a plain state: less numpy overhead per call
+        rec = buf[:, 0] if self.rows.size == 1 else buf
+        y = rec[0, ..., : 2 * n]
+        stages = [kernel.stage(y, False)]
+        healthy, pos = None, 0
         while pos < length:
-            y_next = kernel.step(y, k1, False, dt)
-            if not kernel.healthy(y_next, None):
+            y, later = kernel.step(y, stages[-1][0], False, dt)
+            stages += later
+            if not kernel.healthy(y, None):
                 # cut the block here; the survivors redo this step next block
-                healthy = np.atleast_1d(kernel.healthy(y_next))
+                healthy = np.atleast_1d(kernel.healthy(y))
                 break
-            y = y_next
             pos += 1
-            k1 = self._record(kernel, buf[pos], y)
+            rec[pos, ..., : 2 * n] = y
+            stages.append(kernel.stage(y, False))
+        w, omega_coi, f, cut = kernel.channels(stages, rec[0, ..., 2 * n : 3 * n], dt)
+        if cut is not None:
+            finite = _all(np.isfinite(w[cut].reshape(-1, n)), -1)
+            healthy = finite if cut < pos else finite & healthy
+            pos = cut
+        rec[1 : pos + 1, ..., 2 * n : 3 * n] = w[:pos]
+        rec[: pos + 1, ..., 3 * n :] = np.concatenate((omega_coi[: pos + 1], f[: pos + 1]), -1)
         left = self._left - pos
         keep = left > 0 if healthy is None else healthy
         block = Block(
@@ -348,7 +369,7 @@ class RowPool:
         self.rows = self.rows[keep]
         self._start = (self._start + pos)[keep]
         self._left = left[keep]
-        self._last, self._k1 = buf[pos][keep], np.atleast_2d(k1)[keep]
+        self._last = buf[pos, :, : 3 * n][keep]
         return block
 
 

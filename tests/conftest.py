@@ -7,6 +7,7 @@ shows the per-criterion outcome without ``-s``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -93,6 +94,46 @@ def coi_identity_errors(case, traj):
     momentum = np.max(np.abs(m @ traj.omega_coi))
     force = np.max(np.abs(traj.f_coi.sum(axis=0)))
     return momentum, force
+
+
+def light_smib(smib: StabilityCase) -> StabilityCase:
+    """smib with every machine but the infinite bus 100x lighter: most probes diverge."""
+    machines = tuple(
+        dataclasses.replace(mach, m=mach.m * 0.01) if mach.m < 1e5 else mach
+        for mach in smib.machines
+    )
+    return dataclasses.replace(smib, machines=machines)
+
+
+def w_overflow_case(wscc: StabilityCase) -> StabilityCase:
+    """wscc9 with its post-fault network scaled to max |E_i E_j B_ij| = 0.2 x the largest float.
+
+    The fault-on motion is wscc9's; only the W integrand (post-fault
+    forces) overflows, in the fault-on stage at 0.082 s.
+    """
+    net, e = wscc.net_postfault, wscc.e_vector()
+    scale = 0.2 * np.finfo(float).max / np.max(np.abs(np.outer(e, e) * net.b))
+    g, b = net.g * scale, net.b * scale
+    post = ReducedNetwork((g + g.T) / 2, (b + b.T) / 2, name=net.name)
+    return dataclasses.replace(wscc, net_postfault=post)
+
+
+def w_overflow_after_clearing(wscc: StabilityCase) -> StabilityCase:
+    """wscc9 with inertias x 1e306, the post-fault network x 1e307 and initial speeds of +-2 rad/s.
+
+    The motion stays slow (|omega| far below the 1e4 rad/s guard), while
+    the post-fault forces reach about 1e307: only W overflows, after
+    clearing, at a step that depends on the clearing time, and some
+    clearing times keep a finite W throughout.
+    """
+    net = wscc.net_postfault
+    g, b = net.g * 1e307, net.b * 1e307
+    return dataclasses.replace(
+        wscc,
+        machines=tuple(dataclasses.replace(mach, m=mach.m * 1e306) for mach in wscc.machines),
+        net_postfault=ReducedNetwork((g + g.T) / 2, (b + b.T) / 2, name=net.name),
+        omega0=np.array([2.0, -2.0, 0.0]),
+    )
 
 
 def two_machine_case(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,13 +17,30 @@ from imeac import (
     coi_forces,
     compute_energy,
     detect_events,
+    probe_clearing_time,
     scan_clearing_times,
     simulate,
     solve_postfault_sep,
 )
-from imeac.case import machine_forces, network_products
-from imeac.dynamics import FaultOnPrefix, SwingKernel, trajectory_header, write_trajectory
-from conftest import coi_identity_errors, run_pool, two_machine_case
+from imeac.case import coi_frame, coi_share, machine_forces, network_products
+from imeac.dynamics import (
+    BLOCK,
+    OMEGA_DIVERGENCE,
+    FaultOnPrefix,
+    SwingKernel,
+    trajectory_header,
+    write_trajectory,
+)
+from imeac.errors import ImeacError
+from conftest import (
+    coi_identity_errors,
+    light_smib,
+    run_pool,
+    two_machine_case,
+    w_overflow_after_clearing,
+    w_overflow_case,
+)
+from test_properties import ten_machine_case
 
 
 def double_sum_forces(case, net, delta):
@@ -102,49 +120,58 @@ class TestRk4Step:
         )
 
     def test_forward_backward_step_returns_state(self, wscc):
-        # undamped swing dynamics one step forward then one step back
+        # undamped swing dynamics one step forward then one step back,
+        # W with them
         kernel = SwingKernel(wscc)
         n = wscc.n
-        y0 = np.concatenate([wscc.delta0 + 0.3, np.linspace(-1.0, 1.0, n), np.zeros(n)])
-        y1 = kernel.step(y0, kernel.stage(y0, False)[0], False, 1e-3)
-        y_back = kernel.step(y1, kernel.stage(y1, False)[0], False, -1e-3)
+        y0 = np.concatenate([wscc.delta0 + 0.3, np.linspace(-1.0, 1.0, n)])
+        y1, w1 = rk4(kernel, y0, np.zeros(n), False, 1e-3)
+        y_back, w_back = rk4(kernel, y1, w1, False, -1e-3)
         np.testing.assert_allclose(y_back, y0, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(w_back, 0.0, rtol=0.0, atol=1e-10)
+        assert np.max(np.abs(w1)) > 1e-4
 
     def test_batch_row_equals_single_state(self, wscc):
-        # the stage reduces over machines only: a row of a batch is
-        # advanced bit for bit like the same state alone
+        # the stage and the W pass reduce over machines only: a row of a
+        # batch is advanced bit for bit like the same state alone
         kernel = SwingKernel(wscc)
         n = wscc.n
         rng = np.random.default_rng(3)
         batch = np.concatenate(
-            [wscc.delta0 + rng.normal(0.0, 0.5, (5, n)), rng.normal(0.0, 2.0, (5, n)),
-             rng.normal(0.0, 0.1, (5, n))],
-            axis=1,
+            [wscc.delta0 + rng.normal(0.0, 0.5, (5, n)), rng.normal(0.0, 2.0, (5, n))], axis=1
         )
+        w = rng.normal(0.0, 0.1, (5, n))
         for fault_stage in (True, False):
-            stepped = kernel.step(batch, kernel.stage(batch, fault_stage)[0], fault_stage, 1e-3)
-            for row, y in zip(stepped, batch):
-                alone = kernel.step(y, kernel.stage(y, fault_stage)[0], fault_stage, 1e-3)
-                assert np.array_equal(row, alone)
+            stepped, w_next = rk4(kernel, batch, w, fault_stage, 1e-3)
+            for r in range(len(batch)):
+                alone, w_alone = rk4(kernel, batch[r], w[r], fault_stage, 1e-3)
+                assert np.array_equal(stepped[r], alone)
+                assert np.array_equal(w_next[r], w_alone)
 
     def test_stage_forces_are_coi_forces(self, wscc):
-        # one force formula: the stage's f_active and f_pf are coi_forces
-        # on the fault-on and post-fault networks, bit for bit
+        # one force formula: coi_share of the stage's acc is coi_forces on
+        # the post-fault network (and, on fault-on stages, on the fault-on
+        # one), bit for bit
         kernel = SwingKernel(wscc)
         n = wscc.n
         rng = np.random.default_rng(8)
         batch = np.concatenate(
-            [wscc.delta0 + rng.normal(0.0, 0.7, (6, n)), rng.normal(0.0, 2.0, (6, n)),
-             np.zeros((6, n))],
-            axis=1,
+            [wscc.delta0 + rng.normal(0.0, 0.7, (6, n)), rng.normal(0.0, 2.0, (6, n))], axis=1
         )
         for y in (batch[0], batch):
-            _, _, f_act, f_pf = kernel.stage(y, True)
-            assert np.array_equal(f_act, coi_forces(wscc.net_faulton, wscc.machines, y[..., :n]))
-            assert np.array_equal(f_pf, coi_forces(wscc.net_postfault, wscc.machines, y[..., :n]))
-            _, _, f_act, f_pf = kernel.stage(y, False)
-            assert np.array_equal(f_act, f_pf)
-            assert np.array_equal(f_pf, coi_forces(wscc.net_postfault, wscc.machines, y[..., :n]))
+            post = coi_forces(wscc.net_postfault, wscc.machines, y[..., :n])
+            f = coi_share(kernel.stage(y, True)[1], kernel.m_share)
+            fault = coi_forces(wscc.net_faulton, wscc.machines, y[..., :n])
+            assert np.array_equal(f[..., 1, :], fault)
+            assert np.array_equal(f[..., 0, :], post)
+            assert np.array_equal(coi_share(kernel.stage(y, False)[1], kernel.m_share), post)
+
+
+def rk4(kernel, y, w, fault_stage, dt):
+    """One RK4 step of the motion y and of W, from the kernel's stages as the engine takes it."""
+    first = kernel.stage(y, fault_stage)
+    y_next, later = kernel.step(y, first[0], fault_stage, dt)
+    return y_next, kernel.channels([first, *later], w, dt)[0][-1]
 
 
 def damped_swing_derivative(case, delta, omega, fault_stage):
@@ -156,11 +183,16 @@ def damped_swing_derivative(case, delta, omega, fault_stage):
     return (acc - case.d_vector() * omega) / m
 
 
+def with_damping(case):
+    """case with damping D = 0.02 on every machine."""
+    machines = tuple(dataclasses.replace(mach, d=0.02) for mach in case.machines)
+    return dataclasses.replace(case, machines=machines)
+
+
 class TestDamping:
     @pytest.fixture(scope="class")
     def damped(self, wscc):
-        machines = tuple(dataclasses.replace(mach, d=0.02) for mach in wscc.machines)
-        return dataclasses.replace(wscc, machines=machines)
+        return with_damping(wscc)
 
     def states(self, case, omega_sign=None):
         rng = np.random.default_rng(11)
@@ -168,10 +200,7 @@ class TestDamping:
         omega = rng.normal(0.0, 2.0, (5, n))
         if omega_sign is not None:
             omega = omega_sign * (np.abs(omega) + 0.1)
-        return np.concatenate(
-            [case.delta0 + rng.normal(0.0, 0.5, (5, n)), omega, rng.normal(0.0, 0.1, (5, n))],
-            axis=1,
-        )
+        return np.concatenate([case.delta0 + rng.normal(0.0, 0.5, (5, n)), omega], axis=1)
 
     def check_derivative(self, case, batch):
         kernel = SwingKernel(case)
@@ -179,12 +208,12 @@ class TestDamping:
         for fault_stage in (True, False):
             for y in (batch[0], batch):
                 dy = kernel.stage(y, fault_stage)[0]
-                want = damped_swing_derivative(case, y[..., :n], y[..., n : 2 * n], fault_stage)
-                assert np.array_equal(dy[..., n : 2 * n], want)
+                want = damped_swing_derivative(case, y[..., :n], y[..., n:], fault_stage)
+                assert np.array_equal(dy[..., n:], want)
         # the batch-shaped constants of for_rows, as the row pool steps them
         dy = kernel.for_rows(len(batch)).stage(batch, False)[0]
-        want = damped_swing_derivative(case, batch[:, :n], batch[:, n : 2 * n], False)
-        assert np.array_equal(dy[:, n : 2 * n], want)
+        want = damped_swing_derivative(case, batch[:, :n], batch[:, n:], False)
+        assert np.array_equal(dy[:, n:], want)
 
     def test_damped_derivative_keeps_the_damping_term(self, damped):
         assert SwingKernel(damped).d is not None
@@ -208,6 +237,160 @@ class TestDamping:
             machines = assess_machines(damped, traj, channels, detect_events(damped, traj))
             assert probe.machine_assessments == tuple(machines)
             assert probe.total_at_clear == tuple(channels.total[:, traj.clear_index])
+
+
+def augmented_reference(case, cfg):
+    """simulate's record from one RK4 of the augmented state delta | omega | W.
+
+    The integrator as written before W left the step: dW/dt = -f_pf *
+    omega_coi is a third block of every stage, each stage evaluates both
+    networks' forces, and the guard checks all three blocks after each
+    step.  Returns one row per sample (state | omega_coi | f_coi |
+    f_coi_pf) and the divergence time, None when there is none.
+    """
+    n, dt = case.n, cfg.dt
+    m, pm, d = case.m_vector(), case.pm_vector(), case.d_vector()
+    m_share = m / m.sum()
+    post = network_products(case.net_postfault, case.e_vector())
+    fault = network_products(case.net_faulton, case.e_vector())
+
+    def stage(y, fault_stage):
+        delta, omega = y[:n], y[n : 2 * n]
+        acc, f_pf = machine_forces(post, pm, m_share, delta)
+        acc, f_act = machine_forces(fault, pm, m_share, delta) if fault_stage else (acc, f_pf)
+        acc = acc - d * omega if d.any() else acc
+        omega_coi = coi_frame(omega, m_share)
+        dy = np.concatenate((omega, acc / m, -f_pf * omega_coi))
+        return dy, np.concatenate((omega_coi, f_act, f_pf))
+
+    y = np.concatenate((case.delta0, case.omega0, np.zeros(n)))
+    rows = []
+    for k in range(cfg.n_steps + 1):
+        fault_stage = k < cfg.clear_index
+        k1, channels = stage(y, fault_stage)
+        rows.append(np.concatenate((y, channels)))
+        if k == cfg.n_steps:
+            break
+        k2 = stage(y + 0.5 * dt * k1, fault_stage)[0]
+        k3 = stage(y + 0.5 * dt * k2, fault_stage)[0]
+        k4 = stage(y + dt * k3, fault_stage)[0]
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (np.isfinite(y).all() and np.abs(y[n : 2 * n]).max() <= OMEGA_DIVERGENCE):
+            return np.array(rows), (k + 1) * dt
+    return np.array(rows), None
+
+
+def recording_warnings(run, *args):
+    """run(*args) and the messages of the warnings it raised, every one recorded."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(*args)
+    return result, [str(w.message) for w in caught]
+
+
+def assert_equals_reference(traj, table):
+    n = traj.n_machines
+    assert traj.n_samples == len(table)
+    for block, name in enumerate(
+        ("delta", "omega", "pe_integral", "omega_coi", "f_coi", "f_coi_pf")
+    ):
+        assert np.array_equal(getattr(traj, name), table[:, block * n : (block + 1) * n].T), name
+
+
+def assert_pool_equals_reference(case, dt, clears, steps):
+    """Pool rows joined at the clearing samples ``clears``; each must be the reference's tail."""
+    kernel = SwingKernel(case)
+    prefix = FaultOnPrefix(kernel, case, dt)
+    records = run_pool(kernel, [prefix.state(k) for k in clears], steps, dt, BLOCK)
+    n = case.n
+    for k, (samples, lost) in zip(clears, records):
+        cfg = SimulationConfig(t_clear=k * dt, t_end=(k + steps) * dt, dt=dt)
+        table, divergence_time = augmented_reference(case, cfg)
+        assert lost == (divergence_time is not None)
+        assert np.array_equal(samples[:, : 4 * n], table[k:, : 4 * n])
+        assert np.array_equal(samples[:, 4 * n :], table[k:, 5 * n :])
+    return records
+
+
+class TestAugmentedReference:
+    """W, integrated per block from the motion's stages, is the augmented-state integral."""
+
+    @pytest.mark.parametrize("name", ["wscc9", "wscc9 unstable", "wscc9 damped", "ring10"])
+    def test_simulate_equals_the_augmented_state(self, wscc, name):
+        case, cfg = {
+            "wscc9": (wscc, SimulationConfig(t_clear=0.1, t_end=1.5)),
+            "wscc9 unstable": (wscc, SimulationConfig(t_clear=0.2, t_end=2.0)),
+            "wscc9 damped": (with_damping(wscc), SimulationConfig(t_clear=0.15, t_end=1.5)),
+            "ring10": (ten_machine_case(), SimulationConfig(t_clear=0.16, t_end=1.2, dt=2e-3)),
+        }[name]
+        traj = simulate(case, cfg)
+        table, divergence_time = augmented_reference(case, cfg)
+        assert not traj.diverged and divergence_time is None
+        assert_equals_reference(traj, table)
+
+    def test_pooled_rows_equal_the_augmented_state(self):
+        # ten machines: the machine-axis sums are pairwise, and every pass
+        # reduces over the contiguous machine axis of a whole block
+        assert_pool_equals_reference(ten_machine_case(), 2e-3, (40, 60, 80, 100), 300)
+
+    def test_w_alone_overflowing_in_the_fault_on_stage_ends_the_record(self, wscc):
+        case = w_overflow_case(wscc)
+        cfg = SimulationConfig(t_clear=0.1, t_end=0.5)
+        # the steps past the overflow raise no floating-point warnings
+        # that a per-step guard would not have raised
+        (traj, raised), ((table, divergence_time), want) = (
+            recording_warnings(run, case, cfg) for run in (simulate, augmented_reference)
+        )
+        assert raised == want != []
+        assert traj.diverged and traj.divergence_time == 82 * cfg.dt
+        assert traj.n_samples == 82
+        for name in ("delta", "omega", "pe_integral", "omega_coi", "f_coi", "f_coi_pf"):
+            assert np.isfinite(getattr(traj, name)).all(), name
+        # the motion is wscc9's: only W left the guard region
+        assert np.array_equal(traj.delta, simulate(wscc, cfg).delta[:, :82])
+        assert divergence_time == traj.divergence_time
+        assert_equals_reference(traj, table)
+        message = r"^simulation diverged during the fault-on stage at t=0\.082 s$"
+        with pytest.raises(ImeacError, match=message):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                scan_clearing_times(case, [0.1, 0.2])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_w_alone_overflowing_after_clearing_ends_each_row_at_its_step(self, wscc):
+        # the block's W pass cuts the pool back to the first overflowing
+        # row's last sample; the others restart there
+        case = w_overflow_after_clearing(wscc)
+        records = assert_pool_equals_reference(case, 1e-3, [20 * k for k in range(1, 13)], 500)
+        assert max(np.abs(samples[:, case.n : 2 * case.n]).max() for samples, _ in records) < 100.0
+        ends = {len(samples) if lost else None for samples, lost in records}
+        assert None in ends and len(ends) > 4
+        cfg = SimulationConfig(t_clear=0.02, t_end=0.52)
+        (traj, raised), ((table, _), want) = (
+            recording_warnings(run, case, cfg) for run in (simulate, augmented_reference)
+        )
+        assert raised == want != [] and traj.diverged
+        assert_equals_reference(traj, table)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_light_machine_scan_equals_probes_one_by_one(self, smib):
+        # most rows leave the pool mid-horizon, at their own steps
+        case, dt, horizon = light_smib(smib), 2e-3, 3.0
+        times = [round(0.002 + 0.004 * k, 3) for k in range(30)]
+        scan = scan_clearing_times(case, times, dt=dt, horizon=horizon)
+        sep = solve_postfault_sep(case)
+        assert scan == [probe_clearing_time(case, t, dt, horizon, sep=sep) for t in times]
+        assert 0 < sum(p.diverged for p in scan) < len(times)
+        kernel = SwingKernel(case)
+        prefix = FaultOnPrefix(kernel, case, dt)
+        clears, steps = [round(t / dt) for t in times], round(horizon / dt)
+        records = run_pool(kernel, [prefix.state(k) for k in clears], steps, dt, BLOCK)
+        for k, (samples, lost), probe in list(zip(clears, records, scan))[::3]:
+            traj = simulate(case, SimulationConfig(t_clear=k * dt, t_end=(k + steps) * dt, dt=dt))
+            assert lost == traj.diverged == probe.diverged
+            assert np.array_equal(samples[:, : case.n].T, traj.delta[:, k:])
+            if lost:
+                assert traj.divergence_time == (k + len(samples)) * dt < (k + steps) * dt
 
 
 class TestSimulate:
