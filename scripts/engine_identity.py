@@ -7,6 +7,11 @@ PYTHONPATH=<root>/src) and prints, per item, same/DIFF.  The items:
   three bundled cases;
 * ``find_cct`` on the 13 wscc9 brackets [lo, lo + 32 ms], lo = 139..151 ms,
   and on the acceptance brackets (smib 0.150-0.250 s, wscc9 0.140-0.172 s);
+* a wscc9 scan at unsorted, repeated clearing times, so the fault-on
+  prefix is extended out of order;
+* the fault-on prefix extended in pieces (to samples 37, 100 and 250):
+  its samples, states and divergence index, on wscc9 and on the W
+  overflow case below, whose fault-on stage diverges at sample 82;
 * the ``simulate`` arrays of three configurations per bundled case, and
   of wscc9 with damping 0.02 on every machine;
 * a generated 10-machine case (numpy sums its machine axis pairwise):
@@ -115,6 +120,15 @@ def w_overflow_after_clearing(wscc):
         omega0=np.array([2.0, -2.0, 0.0]))
 
 
+def prefix_pieces(case):
+    """A fault-on prefix extended to samples 37, 100 and 250: its samples, states and divergence."""
+    from imeac.dynamics import FaultOnPrefix, SwingKernel
+
+    prefix = FaultOnPrefix(SwingKernel(case), case, 1e-3)
+    states = [prefix.state(k) for k in (37, 100, 250)]
+    return np.array(prefix.samples), states, prefix.divergence_index
+
+
 def items():
     """(name, zero-argument call) for every engine result compared."""
     from imeac import SimulationConfig, find_cct, load_bundled, scan_clearing_times, simulate
@@ -127,6 +141,8 @@ def items():
     out = []
     for name, case in cases.items():
         out.append((f"scan {name} 0.060-0.240 s", lambda c=case: scan_clearing_times(c, SCAN_TIMES)))
+    out.append(("scan wscc9 unsorted 0.200, 0.061, 0.150, 0.240, 0.100, 0.061 s",
+                lambda: scan_clearing_times(wscc, [0.200, 0.061, 0.150, 0.240, 0.100, 0.061])))
     for lo in range(139, 152):
         out.append((f"find_cct wscc9 [{lo}, {lo + 32}] ms",
                     lambda lo=lo: find_cct(wscc, lo / 1000, (lo + 32) / 1000, resolution=1e-3)))
@@ -158,6 +174,8 @@ def items():
     # every row clears after W overflows: no post-fault motion overflows first
     out.append(("scan wscc9 W overflow 0.100-0.240 s",
                 lambda: scan_clearing_times(strong, SCAN_TIMES[40:])))
+    for name, case in (("wscc9", wscc), ("wscc9 W overflow", strong)):
+        out.append((f"prefix {name} extended to 37, 100, 250", lambda c=case: prefix_pieces(c)))
     heavy = w_overflow_after_clearing(wscc)
     heavy_times = [round(0.01 * k, 2) for k in range(1, 25)]
     out.append(("scan wscc9 W overflow after clearing 0.01-0.24 s",

@@ -207,7 +207,7 @@ class _Sweep:
             block.rows,
             (block.start + np.arange(samples.shape[0])[:, None]) * self.dt,
             samples[..., 3 * n : 4 * n],
-            samples[..., 4 * n :],
+            samples[..., 5 * n :],
             coi_frame(samples[..., :n], self.kernel.m_share),
             self._pe(samples[..., 2 * n : 3 * n]),
         )

@@ -209,7 +209,10 @@ def cmd_cct(args) -> int:
     _write_manifest(
         out.with_name(out.name + ".manifest.json"), "cct", args, [out, curve_path], started
     )
-    print(f"CCT: {result.cct:.3f} s (unstable at {result.cct_unstable:.3f} s)")
+    places = 3  # or as many as the resolution has
+    while round(result.resolution, places) != result.resolution:
+        places += 1
+    print(f"CCT: {result.cct:.{places}f} s (unstable at {result.cct_unstable:.{places}f} s)")
     print(f"MDM: machine {result.mdm}")
     print(f"critical energy: {result.critical_energy:.6f} p.u.")
     print(f"evaluations: {result.evaluations}")

@@ -13,27 +13,25 @@ recorded during the fault-on stage as well: the potential-energy
 integrand is post-fault by definition, whatever network drives the
 motion.
 
-One RK4 kernel (``SwingKernel``) serves every path.  Its stage function
-is written once for any leading shape, one state (2n,) or a batch of
-rows (B, 2n), and reduces only over the machine axis, so a batch row is
-bit-identical to the same state advanced alone, also with constants in
-the batch's shape (``for_rows``), which numpy runs faster; so does the
-W pass.  The guard checks each step's motion and each block's W.
-Clearing-time sweeps share work:
+One RK4 kernel (``SwingKernel``) and one block loop (``RowPool.advance``)
+serve both stages and every path.  The stage function is written once
+for any leading shape, one state (2n,) or a batch of rows (B, 2n), and
+reduces only over the machine axis, so a batch row is bit-identical to
+the same state advanced alone, also with constants in the batch's shape
+(``for_rows``), which numpy runs faster; so does the W pass.  The guard
+checks each step's motion and each block's W.  Blocks hold the 6n
+columns of a ``Trajectory`` record.  Clearing-time sweeps share work:
 
 * the fault-on stage is the same for every clearing time, so
-  ``FaultOnPrefix`` integrates it once, up to the largest clearing
-  sample, and every probe starts post-fault from the prefix sample at
-  its own clearing index;
+  ``FaultOnPrefix``, a one-row fault-on pool, integrates it once, up to
+  the largest clearing sample, and every probe starts post-fault from
+  the prefix sample at its own clearing index;
 * the post-fault system is autonomous, so rows at different local
-  times can share a step: ``RowPool`` advances every probe in flight
-  as one (B, 2n) state.  Rows join between blocks, each from its own
-  prefix head, and leave when their horizon ends or their next state
-  fails the guard (truncated at their last good sample); the others go
-  on.  A block is cut early when a row reaches its last sample, so no
-  row steps past its horizon.
-  A scan is the case where every row joins at step 0; a bisection
-  joins midpoints ahead of its verdicts and drops the rows it prunes;
+  times can share a step: a post-fault pool advances every probe in
+  flight as one (B, 2n) state, rows joining from their prefix heads and
+  leaving between blocks (``RowPool``).  A scan is the case where every
+  row joins at step 0; a bisection joins midpoints ahead of its
+  verdicts and drops the rows it prunes;
 * each block's samples are a fresh array, consecutive blocks of a row
   overlapping by one sample, for a streaming consumer (the event
   scanner).  No row ever holds its whole trajectory, so a sweep's
@@ -42,8 +40,8 @@ Clearing-time sweeps share work:
   is the same for one row or many.
 
 ``simulate`` is the one-row case of the same path: the prefix up to its
-clearing sample, then a pool of one row, every block copied into the
-full record.
+clearing sample, then a pool of one row, every block copied whole into
+the full record.
 """
 
 from __future__ import annotations
@@ -166,7 +164,10 @@ class SwingKernel:
         self.both = tuple(np.stack(pair) for pair in zip(self.post, fault))
 
     def for_rows(self, rows: int) -> SwingKernel:
-        """This kernel for ``rows`` post-fault states: from 2 on, (rows, ...) stage constants."""
+        """This kernel for ``rows`` post-fault states: from 2 on, (rows, ...) stage constants.
+
+        The stacked fault-on products keep their shape: a fault-on pool is one row.
+        """
         if rows < 2:
             return self
         shaped = copy.copy(self)
@@ -231,49 +232,44 @@ class SwingKernel:
 class FaultOnPrefix:
     """The fault-on stage from the initial point, integrated once, extended on demand.
 
-    ``samples[k]`` holds sample k evaluated on the fault-on network:
-    delta | omega | W | omega_coi | f_coi | f_coi_pf, made in blocks like
-    the pool's.  The state one sample past the last row is known.  When a
-    step leaves the guard region, ``divergence_index`` is the sample it
-    produced and the prefix ends at the row before it.
+    Each extension is one join of a one-row fault-on ``RowPool``, whose
+    block rows are kept as they come: ``samples[k]`` is sample k (6n).
+    The state one sample past the last row is known.  When a step leaves
+    the guard region, ``divergence_index`` is the sample it produced and
+    the prefix ends at the row before it.
     """
 
     def __init__(self, kernel: SwingKernel, case: StabilityCase, dt: float):
-        self.kernel = kernel
-        self.dt = dt
+        self.pool = RowPool(kernel, dt, fault=True)
         self.samples: list[np.ndarray] = []
         self.divergence_index: int | None = None
         self._head = np.concatenate([case.delta0, case.omega0, np.zeros(case.n)])
 
     def state(self, index: int) -> np.ndarray | None:
         """State at sample ``index``; None when the fault-on stage diverged first."""
-        kern, n = self.kernel, self.kernel.n
-        samples = self.samples
-        while len(samples) < index and self.divergence_index is None:
-            y, ys, stages, healthy = self._head[: 2 * n], [], [], True
-            while healthy and len(ys) < min(BLOCK, index - len(samples)):
-                ys.append(y)
-                stages.append(kern.stage(y, True))
-                y, later = kern.step(y, stages[-1][0], True, self.dt)
-                stages += later
-                healthy = kern.healthy(y)
-            w, omega_coi, f, cut = kern.channels(stages, self._head[2 * n :], self.dt)
-            if cut is not None or not healthy:
-                self.divergence_index = len(samples) + len(w)
-            w = np.concatenate((self._head[None, 2 * n :], w))
-            samples.extend(np.concatenate((ys[: len(f)], w[:-1], omega_coi, f[:, 1], f[:, 0]), -1))
-            self._head = np.concatenate((y, w[-1]))
+        samples, pool = self.samples, self.pool
+        if len(samples) < index and self.divergence_index is None:
+            pool.join([0], self._head, len(samples), index - len(samples))
+            while pool.size:
+                block = pool.advance()
+                rows = block.samples[:, 0]
+                if block.lost.size:  # every sample of a lost row is good
+                    samples.extend(rows)
+                    self.divergence_index = len(samples)
+                else:  # the last sample starts the next block
+                    samples.extend(rows[:-1])
+                    self._head = rows[-1, : self._head.size]
         if index < len(samples):
-            return samples[index][: 3 * n]
+            return samples[index][: self._head.size]
         if index == len(samples) and self.divergence_index is None:
             return self._head
         return None
 
 
 class Block(NamedTuple):
-    """One block of pooled post-fault samples (see ``RowPool.advance``)."""
+    """One block of pooled samples (see ``RowPool.advance``)."""
 
-    samples: np.ndarray  # (L, R, 5n): delta | omega | W | omega_coi | f_coi_pf
+    samples: np.ndarray  # (L, R, 6n): delta | omega | W | omega_coi | f_coi | f_coi_pf
     rows: np.ndarray  # (R,) ids of the rows in the block
     start: np.ndarray  # (R,) each row's sample number at samples[0]
     done: np.ndarray  # ids of the rows whose record ends with this block
@@ -281,25 +277,28 @@ class Block(NamedTuple):
 
 
 class RowPool:
-    """Post-fault rows in flight, advanced together as one state array.
+    """Rows in flight, advanced together as one state array: the one block loop.
 
     The post-fault system is autonomous, so rows at different local times
     can share a step.  A row joins, between blocks, with its clearing
     state, that state's sample number and a step budget; ``advance``
     steps every row in flight at once and hands out the samples as one
-    ``Block``.  A block ends after ``block`` steps, earlier when a row
+    ``Block`` in ``Trajectory``'s column order (after clearing f_coi is
+    f_coi_pf).  A block ends after ``block`` steps, earlier when a row
     reaches its last sample (so no row steps past its horizon) or when a
     row's next state fails the divergence guard.  Either way that row's
     record ends with the block and it leaves the pool; the others go on
     and the next block starts with the last sample of this one.  The
     caller names each row with its own id when it joins, and may drop
-    rows between blocks (``leave``).
+    rows between blocks (``leave``).  ``fault`` drives the motion with
+    the fault-on network: ``FaultOnPrefix``'s pool, one row at a time.
     """
 
-    def __init__(self, kernel: SwingKernel, dt: float, block: int = BLOCK):
+    def __init__(self, kernel: SwingKernel, dt: float, block: int = BLOCK, fault: bool = False):
         self.kernel = kernel
         self.dt = dt
         self.block = block
+        self.fault = fault
         self.rows = np.empty(0, dtype=int)  # ids of the rows in flight
         self._start = np.empty(0, dtype=int)  # sample number of each row's last state
         self._left = np.empty(0, dtype=int)  # steps still to take, per row
@@ -333,15 +332,15 @@ class RowPool:
         """Step every row in flight through one block; rows that end leave the pool."""
         kernel, dt, n = self.kernel.for_rows(self.rows.size), self.dt, self.kernel.n
         length = min(self.block, int(self._left.min()))
-        buf = np.empty((length + 1, self.rows.size, 5 * n))
+        buf = np.empty((length + 1, self.rows.size, 6 * n))
         buf[0, :, : 3 * n] = self._last
         # a lone row steps as a plain state: less numpy overhead per call
         rec = buf[:, 0] if self.rows.size == 1 else buf
         y = rec[0, ..., : 2 * n]
-        stages = [kernel.stage(y, False)]
+        stages = [kernel.stage(y, self.fault)]
         healthy, pos = None, 0
         while pos < length:
-            y, later = kernel.step(y, stages[-1][0], False, dt)
+            y, later = kernel.step(y, stages[-1][0], self.fault, dt)
             stages += later
             if not kernel.healthy(y, None):
                 # cut the block here; the survivors redo this step next block
@@ -349,14 +348,15 @@ class RowPool:
                 break
             pos += 1
             rec[pos, ..., : 2 * n] = y
-            stages.append(kernel.stage(y, False))
+            stages.append(kernel.stage(y, self.fault))
         w, omega_coi, f, cut = kernel.channels(stages, rec[0, ..., 2 * n : 3 * n], dt)
         if cut is not None:
             finite = _all(np.isfinite(w[cut].reshape(-1, n)), -1)
             healthy = finite if cut < pos else finite & healthy
             pos = cut
         rec[1 : pos + 1, ..., 2 * n : 3 * n] = w[:pos]
-        rec[: pos + 1, ..., 3 * n :] = np.concatenate((omega_coi[: pos + 1], f[: pos + 1]), -1)
+        active, post = (f[..., 1, :], f[..., 0, :]) if self.fault else (f, f)
+        rec[: pos + 1, ..., 3 * n :] = np.concatenate((omega_coi, active, post), -1)[: pos + 1]
         left = self._left - pos
         keep = left > 0 if healthy is None else healthy
         block = Block(
@@ -397,13 +397,9 @@ def simulate(case: StabilityCase, cfg: SimulationConfig) -> Trajectory:
         pool.join([0], head, clear, cfg.n_steps - clear)
         while pool.size:
             block = pool.advance()
-            samples = block.samples[:, 0]
             first = int(block.start[0])
-            end = first + samples.shape[0]
-            rows = table[first:end]
-            rows[:, : 5 * n] = samples
-            # after clearing the active network is the post-fault one
-            rows[:, 5 * n :] = samples[:, 4 * n :]
+            end = first + block.samples.shape[0]
+            table[first:end] = block.samples[:, 0]
             if block.lost.size:
                 divergence_index = end
     table = table[:end]

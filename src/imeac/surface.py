@@ -31,6 +31,7 @@ from .errors import ImeacError
 
 MAX_PATH_SWING = 20.0  # rad of angle-difference swing a path may have: rule error 5e-14
 CHUNK_BYTES = 64 * 1024  # per (n, n, nodes, points) force temporary: 56 nodes at n = 3
+MAX_GRID_N = 1024  # nodes per grid axis: grid_n**2 nodes take about 88 bytes each
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,8 @@ class SurfaceSpec:
             raise ValueError("axis machines must be distinct")
         if self.grid_n < 2:
             raise ValueError(f"grid_n must be >= 2, got {self.grid_n}")
+        if self.grid_n > MAX_GRID_N:
+            raise ValueError(f"grid_n must be <= {MAX_GRID_N}, got {self.grid_n}")
 
 
 @dataclass(frozen=True)

@@ -227,7 +227,7 @@ def run_pool(kernel, heads, steps, dt, block, join_after=0, first=0, leave=None)
                 parts.append(chunk.copy())
         lost.update(block_out.lost.tolist())
         assert set(block_out.lost.tolist()) <= set(block_out.done.tolist())
-    width = 5 * kernel.n
+    width = 6 * kernel.n
     return [
         (np.concatenate(record[i]) if record[i] else np.empty((0, width)), i in lost)
         for i in ids

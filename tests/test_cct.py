@@ -248,7 +248,8 @@ class TestFindCct:
 
         def advance(pool):
             block = real_advance(pool)
-            blocks.append((block.samples.shape[0] - 1, block.rows.size))
+            if not pool.fault:
+                blocks.append((block.samples.shape[0] - 1, block.rows.size))
             return block
 
         with mock.patch.object(RowPool, "advance", advance):

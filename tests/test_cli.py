@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import imeac.cli
 import imeac.surface
 from imeac.cli import MAX_SWEEP, _parse_sweep, main
+from imeac.surface import MAX_GRID_N, SurfaceSpec
 from conftest import two_machine_case
 
 SMIB = "bundled:smib"
@@ -204,6 +205,23 @@ class TestCct:
         assert curve[0].startswith("#")
         assert len(curve) >= 3
 
+    @pytest.mark.parametrize(
+        "flags, line",
+        [((), "CCT: 0.195 s (unstable at 0.196 s)"),
+         (("--resolution", "0.0005", "--dt", "0.0005"), "CCT: 0.1950 s (unstable at 0.1955 s)")],
+        ids=["1ms", "0.5ms"],
+    )
+    def test_bracket_prints_the_resolution_s_decimals(self, tmp_path, capsys, flags, line):
+        # 3 decimals at the default 1 ms, more when the resolution needs them
+        out = tmp_path / "cct.json"
+        code, stdout, _ = run(
+            capsys, "cct", SMIB, "--t-lo", "0.15", "--t-hi", "0.25", *flags, "--out", str(out),
+        )
+        assert code == 0
+        assert stdout.splitlines()[0] == line
+        doc = json.loads(out.read_text())
+        assert f"CCT: {doc['cct_s']}" in line and f"at {doc['cct_unstable_s']}" in line
+
     def test_bad_bracket_exit_1(self, tmp_path, capsys):
         code, _, stderr = run(
             capsys, "cct", SMIB, "--t-lo", "0.24", "--t-hi", "0.26",
@@ -376,6 +394,28 @@ class TestErrorPaths:
 
     def test_sweep_of_max_members_is_accepted(self):
         assert len(_parse_sweep("0:0.9999:1e-4")) == MAX_SWEEP
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_grid_n_is_bounded_before_the_grid(self, tmp_path, monkeypatch, where):
+        # MAX_GRID_N + 1 nodes per axis: refused before any node is made
+        def no_grid(*args):
+            raise AssertionError("surface_grid called")
+
+        monkeypatch.setattr(imeac.cli, "surface_grid", no_grid)
+        big = MAX_GRID_N + 1
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid_n": big}))
+        extra = ["--grid-n", str(big)] if where == "flag" else ["--config", str(config)]
+        code, lines = run_quiet([
+            "surface", STAR, "--focus", "1", "--axes", "1,2", *extra,
+            "--out", str(tmp_path / "s.tsv"),
+        ])
+        assert (code, lines) == (1, [f"error: grid_n must be <= {MAX_GRID_N}, got {big}"])
+        assert not (tmp_path / "s.tsv").exists()
+
+    def test_grid_n_of_max_is_accepted(self):
+        spec = SurfaceSpec(1, (1, 2), ((0.0, 1.0), (0.0, 1.0)), grid_n=MAX_GRID_N)
+        assert spec.grid_n == MAX_GRID_N
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -302,13 +302,11 @@ def assert_pool_equals_reference(case, dt, clears, steps):
     kernel = SwingKernel(case)
     prefix = FaultOnPrefix(kernel, case, dt)
     records = run_pool(kernel, [prefix.state(k) for k in clears], steps, dt, BLOCK)
-    n = case.n
     for k, (samples, lost) in zip(clears, records):
         cfg = SimulationConfig(t_clear=k * dt, t_end=(k + steps) * dt, dt=dt)
         table, divergence_time = augmented_reference(case, cfg)
         assert lost == (divergence_time is not None)
-        assert np.array_equal(samples[:, : 4 * n], table[k:, : 4 * n])
-        assert np.array_equal(samples[:, 4 * n :], table[k:, 5 * n :])
+        assert np.array_equal(samples, table[k:])
     return records
 
 
@@ -500,6 +498,27 @@ class TestTrajectoryExport:
         assert stream.getvalue().encode() == expected.encode()
 
 
+class TestFaultOnPrefix:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", ["wscc9", "wscc9 W overflow"])
+    def test_extended_in_pieces_equals_extended_once(self, wscc, name):
+        # sweeps extend the prefix on demand (a sorted scan one step per
+        # probe); the W overflow case's fault-on stage diverges at sample 82
+        case = wscc if name == "wscc9" else w_overflow_case(wscc)
+        kernel = SwingKernel(case)
+        pieces, once = (FaultOnPrefix(kernel, case, 1e-3) for _ in range(2))
+        got = [pieces.state(k) for k in (37, 100, 250)]
+        last = once.state(250)  # one extension; the earlier states come from its samples
+        want = [once.state(37), once.state(100), last]
+        assert pieces.divergence_index == once.divergence_index == (
+            None if name == "wscc9" else 82)
+        assert len(pieces.samples) == len(once.samples) == (250 if name == "wscc9" else 82)
+        assert np.array_equal(np.array(pieces.samples), np.array(once.samples))
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert got[0] is not None and (got[2] is None) == (name != "wscc9")
+
+
 class TestRowPool:
     @pytest.mark.parametrize("block", [1, 2, 128])
     def test_late_joiner_equals_row_alone(self, wscc, block):
@@ -514,7 +533,7 @@ class TestRowPool:
             for (got, got_lost), (want, want_lost) in zip(joined, alone):
                 assert np.array_equal(got, want)
                 assert got_lost == want_lost
-        assert alone[0][0].shape == (301, 5 * wscc.n)
+        assert alone[0][0].shape == (301, 6 * wscc.n)
 
     def test_row_matches_simulate(self, wscc):
         cfg = SimulationConfig(t_clear=0.15, t_end=0.65)
@@ -524,7 +543,7 @@ class TestRowPool:
         (samples, lost), = run_pool(kernel, [head], 500, cfg.dt, 7, first=cfg.clear_index)
         assert not lost
         assert np.array_equal(samples[:, : wscc.n].T, traj.delta[:, cfg.clear_index :])
-        assert np.array_equal(samples[:, 4 * wscc.n :].T, traj.f_coi_pf[:, cfg.clear_index :])
+        assert np.array_equal(samples[:, 5 * wscc.n :].T, traj.f_coi_pf[:, cfg.clear_index :])
 
     def test_rows_leave_at_their_own_horizon(self, wscc):
         # rows that join at different times end at different samples; no
