@@ -9,11 +9,8 @@ individual-machine potential-energy surfaces.
 from .assess import (
     MachineAssessment,
     SystemAssessment,
-    assess_machines,
     assess_system,
-    machine_margin,
     margin_from_areas,
-    pe_at_time,
 )
 from .case import (
     EquilibriumPoint,
@@ -43,6 +40,7 @@ from .errors import (
     BracketError,
     CaseFormatError,
     CaseValidationError,
+    DivergenceError,
     HorizonError,
     ImeacError,
     NetworkReductionError,
@@ -67,6 +65,7 @@ __all__ = [
     "CctResult",
     "DLP",
     "DSP",
+    "DivergenceError",
     "EnergyChannels",
     "EquilibriumPoint",
     "HorizonError",
@@ -83,7 +82,6 @@ __all__ = [
     "SwingEvent",
     "SystemAssessment",
     "Trajectory",
-    "assess_machines",
     "assess_system",
     "build_bus_admittance",
     "case_from_dict",
@@ -97,9 +95,7 @@ __all__ = [
     "kron_reduce",
     "load_bundled",
     "load_case",
-    "machine_margin",
     "margin_from_areas",
-    "pe_at_time",
     "pe_line_integral",
     "pe_line_to_nodes",
     "probe_clearing_time",

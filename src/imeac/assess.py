@@ -28,13 +28,9 @@ import warnings
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-import numpy as np
-
 from .case import StabilityCase
-from .dynamics import Trajectory
-from .energy import EnergyChannels
 from .errors import HorizonError
-from .events import DLP, DSP, SwingEvent, _hermite
+from .events import DLP, DSP, SwingEvent
 from .exportutil import fmt
 
 EAC_IDENTITY_TOL = 1e-5
@@ -74,39 +70,9 @@ def margin_from_areas(a_acc: float, a_dec: float) -> float:
     return (a_dec - a_acc) / a_acc
 
 
-def pe_at_time(traj: Trajectory, channels: EnergyChannels, machine: int, t: float) -> float:
-    """Cubic Hermite PE value at an arbitrary instant (d pe/dt = -f omega)."""
-    k = int(np.searchsorted(traj.times, t, side="right") - 1)
-    k = min(max(k, 0), traj.n_samples - 2)
-    h = traj.times[k + 1] - traj.times[k]
-    s = (t - traj.times[k]) / h
-    pe = channels.pe[machine]
-    dp0 = -traj.f_coi_pf[machine, k] * traj.omega_coi[machine, k]
-    dp1 = -traj.f_coi_pf[machine, k + 1] * traj.omega_coi[machine, k + 1]
-    return float(_hermite(pe[k], pe[k + 1], dp0, dp1, h, s))
-
-
 def anchor_index(events: Sequence[SwingEvent]) -> int:
     """Position of the terminal event: the first DLP, else the first event."""
     return next((k for k, ev in enumerate(events) if ev.kind == DLP), 0)
-
-
-def machine_margin(
-    case: StabilityCase,
-    traj: Trajectory,
-    channels: EnergyChannels,
-    events: Sequence[SwingEvent],
-    machine: int,
-) -> MachineAssessment:
-    """Assess one machine from its detected events."""
-    events = tuple(events)
-    if not events:
-        return MachineAssessment(machine, events, UNDETERMINED, None, None, None)
-    anchor = events[anchor_index(events)]
-    a_acc = float(channels.ke[machine, traj.clear_index])
-    pe_clear = float(channels.pe[machine, traj.clear_index])
-    a_dec = pe_at_time(traj, channels, machine, anchor.time) - pe_clear
-    return margin_at_anchor(case, machine, events, a_acc, a_dec)
 
 
 def margin_at_anchor(
@@ -151,17 +117,6 @@ def margin_at_anchor(
             # clamp the residue so the sign rule stays exact
             margin = 0.0
     return MachineAssessment(machine, events, classification, margin, a_acc, a_dec)
-
-
-def assess_machines(
-    case: StabilityCase,
-    traj: Trajectory,
-    channels: EnergyChannels,
-    events: Sequence[Sequence[SwingEvent]],
-) -> list[MachineAssessment]:
-    return [
-        machine_margin(case, traj, channels, events[i], i) for i in range(case.n)
-    ]
 
 
 @dataclass(frozen=True)

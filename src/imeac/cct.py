@@ -47,7 +47,7 @@ from .assess import (
 from .case import EquilibriumPoint, StabilityCase, coi_frame, solve_postfault_sep
 from .dynamics import FaultOnPrefix, RowPool, SimulationConfig, SwingKernel
 from .energy import pe_baseline
-from .errors import BracketError, HorizonError, ImeacError
+from .errors import BracketError, DivergenceError, HorizonError, ImeacError
 from .events import EventScanner
 from .exportutil import fmt
 
@@ -59,16 +59,24 @@ DEPTH = 4  # bisection levels find_cct starts ahead of its verdicts
 class ProbeResult:
     """Outcome of one clearing-time probe.
 
-    assessment is None when the simulation diverged before any machine
-    reached a verdict (for example on its first post-fault step); such a
-    probe counts as unstable.
+    ke_at_clear and total_at_clear are each machine's kinetic and total
+    energy at clearing.  divergence_time is the time of the first sample
+    past the record of a probe whose post-fault run left the guard
+    region, else None.  assessment is None when the simulation diverged
+    before any machine reached a verdict (for example on its first
+    post-fault step); such a probe counts as unstable.
     """
 
     t_clear: float
     assessment: SystemAssessment | None
     machine_assessments: tuple[MachineAssessment, ...]
     total_at_clear: tuple[float, ...]
-    diverged: bool
+    ke_at_clear: tuple[float, ...]
+    divergence_time: float | None
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence_time is not None
 
     @property
     def stable(self) -> bool:
@@ -135,8 +143,8 @@ class _Sweep:
         self.scanner = EventScanner(self.kernel.m, 0)
         # per probe = pool row = scanner row: None until assembled, then a ProbeResult or an exception
         self.outcomes: list = []
-        # probe -> whether its row failed the divergence guard, once the row has left the pool
-        self._ended: dict[int, bool] = {}
+        # probe -> its divergence time, or None, once its row has left the pool
+        self._ended: dict[int, float | None] = {}
         # probe -> (clearing time, per-machine KE and PE at clearing), once joined
         self._joined: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
 
@@ -153,9 +161,9 @@ class _Sweep:
             return j
         head = self.prefix.state(cfg.clear_index)
         if head is None:
-            self.outcomes[j] = ImeacError(
-                "simulation diverged during the fault-on stage at "
-                f"t={self.prefix.divergence_index * self.dt} s"
+            time = self.prefix.divergence_index * self.dt
+            self.outcomes[j] = DivergenceError(
+                f"simulation diverged during the fault-on stage at t={time} s", time
             )
             return j
         self.pool.join([j], head, cfg.clear_index, cfg.n_steps - cfg.clear_index)
@@ -211,8 +219,10 @@ class _Sweep:
             coi_frame(samples[..., :n], self.kernel.m_share),
             self._pe(samples[..., 2 * n : 3 * n]),
         )
-        lost = set(block.lost.tolist())
-        self._ended.update((j, j in lost) for j in block.done.tolist())
+        self._ended.update(dict.fromkeys(block.done.tolist()))
+        for r in np.flatnonzero(np.isin(block.rows, block.lost)).tolist():
+            # the first sample past the lost row's record, as simulate reports it
+            self._ended[int(block.rows[r])] = int(block.start[r] + samples.shape[0]) * self.dt
 
     def probe(self, times: Sequence[float]) -> list[ProbeResult]:
         """Probe every clearing time, all rows from step 0, results in input order.
@@ -225,7 +235,7 @@ class _Sweep:
             self.advance()
         return [self.result(j) for j in range(len(self.outcomes))]
 
-    def _result(self, j: int, diverged: bool):
+    def _result(self, j: int, divergence_time: float | None):
         """The ProbeResult of probe j, whose row left the pool, or the HorizonError it raises."""
         t, ke, pe = self._joined[j]
         total = ke + pe
@@ -239,7 +249,7 @@ class _Sweep:
         try:
             assessment = assess_system(machines)
         except HorizonError as exc:
-            if not diverged:
+            if divergence_time is None:
                 return exc
             assessment = None
         return ProbeResult(
@@ -247,7 +257,8 @@ class _Sweep:
             assessment=assessment,
             machine_assessments=tuple(machines),
             total_at_clear=tuple(float(v) for v in total),
-            diverged=diverged,
+            ke_at_clear=tuple(float(v) for v in ke),
+            divergence_time=divergence_time,
         )
 
     def _events(self, j: int) -> list[list]:
@@ -270,7 +281,11 @@ def probe_clearing_time(
     first_swing_only: bool = False,
     sep=None,
 ) -> ProbeResult:
-    """Simulate one clearing time and assess the system."""
+    """Simulate one clearing time and assess the system, as ``imeac assess`` does.
+
+    A divergence during the fault-on stage raises DivergenceError; one
+    after clearing is the result's divergence_time.
+    """
     if sep is None:
         sep = solve_postfault_sep(case)
     return _Sweep(case, dt, sep, horizon, first_swing_only).probe([t_clear])[0]

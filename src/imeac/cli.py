@@ -1,7 +1,8 @@
 """Command-line front end: simulate, assess, cct, surface.
 
 Exit codes: 0 success (assess: stable), 1 usage or data error,
-2 assess found the system unstable, 3 the simulation diverged.
+2 assess found the system unstable, 3 the simulation diverged (assess:
+during the fault-on stage or after clearing).
 Every command writes the data files it reports plus a JSON run
 manifest.  ``--config FILE`` supplies a JSON object whose entries
 override the corresponding command-line flags (file wins); they are
@@ -22,21 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assess import (
-    assess_machines,
-    assess_system,
-    format_verdict_table,
-    write_events,
-    write_margins,
-    write_verdict,
-)
+from .assess import format_verdict_table, write_events, write_margins, write_verdict
 from .case import solve_postfault_sep
 from .caseio import load_case
-from .cct import find_cct, write_cct, write_margin_curve
+from .cct import find_cct, probe_clearing_time, write_cct, write_margin_curve
 from .dynamics import SimulationConfig, simulate, write_trajectory
 from .energy import compute_energy, critical_machines
-from .errors import ImeacError
-from .events import detect_events
+from .errors import DivergenceError, ImeacError
+from .events import detect_events  # unused here: bench/layers.py traces the events layer by this name
 from .surface import (
     SurfaceSpec,
     check_surface_inputs,
@@ -156,19 +150,18 @@ def cmd_assess(args) -> int:
     started = time.perf_counter()
     case = load_case(args.case)
     cfg = SimulationConfig(t_clear=args.t_clear, t_end=args.t_end, dt=args.dt)
-    sep = solve_postfault_sep(case)
-    traj = simulate(case, cfg)
-    if traj.diverged:
-        # a truncated record may be too short to scan: no verdict either way
-        print(
-            f"simulation diverged at t={traj.divergence_time:.6g} s; no verdict",
-            file=sys.stderr,
+    try:
+        probe = probe_clearing_time(
+            case, cfg.t_clear, cfg.dt, (cfg.n_steps - cfg.clear_index) * cfg.dt
         )
+        divergence_time = probe.divergence_time
+    except DivergenceError as exc:
+        divergence_time = exc.time
+    if divergence_time is not None:
+        # a truncated record may be too short to scan: no verdict either way
+        print(f"simulation diverged at t={divergence_time:.6g} s; no verdict", file=sys.stderr)
         return 3
-    channels = compute_energy(case, traj, sep)
-    events = detect_events(case, traj)
-    assessments = assess_machines(case, traj, channels, events)
-    sa = assess_system(assessments)
+    sa, assessments = probe.assessment, probe.machine_assessments
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     events_path = out_dir / "events.jsonl"
@@ -184,7 +177,7 @@ def cmd_assess(args) -> int:
         out_dir / "manifest.json", "assess", args,
         [events_path, margins_path, verdict_path], started,
     )
-    print(format_verdict_table(sa, assessments, critical_machines(channels, traj.clear_index)))
+    print(format_verdict_table(sa, assessments, critical_machines(probe.ke_at_clear)))
     return 0 if sa.stable else 2
 
 

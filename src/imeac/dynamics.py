@@ -57,6 +57,7 @@ from .case import StabilityCase, coi_frame, coi_share, mismatch, network_product
 OMEGA_DIVERGENCE = 1e4  # rad/s; far beyond any physical swing
 GRID_TOL = 1e-12  # s; switching instants must land on the sample grid
 BLOCK = 32  # samples per streamed block (plus the one-sample overlap)
+MAX_STEPS = 1_000_000  # steps one run may take: 10 s at dt = 1e-5 s, 1000 s at the default 1 ms
 
 # ufunc reductions called directly: the ndarray methods add a Python-level
 # wrapper per call, a measurable share of a step on small cases
@@ -88,6 +89,16 @@ class SimulationConfig:
                 raise ValueError(
                     f"{name}={value} is not an integer multiple of dt={self.dt}"
                 )
+        if not 0 < self.clear_index < self.n_steps:
+            raise ValueError(
+                f"need a step of dt={self.dt} before t_clear and one after it, "
+                f"got t_clear={self.t_clear}, t_end={self.t_end}"
+            )
+        if self.n_steps > MAX_STEPS:
+            raise ValueError(
+                f"t_end={self.t_end} takes {self.n_steps} steps of dt={self.dt}; "
+                f"the limit is {MAX_STEPS}"
+            )
 
     @property
     def clear_index(self) -> int:

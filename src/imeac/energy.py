@@ -109,16 +109,18 @@ def compute_energy(
     return EnergyChannels(ke=ke, pe=pe, total=ke + pe, baseline_from_sep=baseline is not None)
 
 
-def critical_machines(
-    channels: EnergyChannels, clear_index: int, threshold: float = 0.1
-) -> list[int]:
+CRITICAL_KE_SHARE = 0.1  # of the largest machine KE at clearing
+
+
+def critical_machines(ke_clear: Sequence[float]) -> list[int]:
     """Machines carrying a significant share of kinetic energy at clearing.
 
-    Flags every machine whose clearing-sample KE exceeds ``threshold``
-    times the largest machine KE, ordered by descending KE.  The flag
-    only drives reporting order; assessment always covers all machines.
+    Flags every machine whose KE at clearing is at least
+    ``CRITICAL_KE_SHARE`` times the largest machine KE, ordered by
+    descending KE.  The flag only drives reporting order; assessment
+    always covers all machines.
     """
-    ke_clear = channels.ke[:, clear_index]
-    cutoff = threshold * ke_clear.max()
+    ke_clear = np.asarray(ke_clear, dtype=float)
+    cutoff = CRITICAL_KE_SHARE * ke_clear.max()
     flagged = [i for i in range(ke_clear.shape[0]) if ke_clear[i] >= cutoff]
     return sorted(flagged, key=lambda i: -ke_clear[i])

@@ -35,3 +35,11 @@ class BracketError(ImeacError):
 
 class HorizonError(ImeacError):
     """Raised when no machine reaches a verdict within the horizon."""
+
+
+class DivergenceError(ImeacError):
+    """Raised when the fault-on stage diverges; ``time`` is the first sample past the record, s."""
+
+    def __init__(self, message: str, time: float):
+        self.time = time
+        super().__init__(message)

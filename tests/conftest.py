@@ -1,8 +1,13 @@
-"""Shared fixtures and the acceptance-line reporter.
+"""Shared fixtures, the acceptance-line reporter and the trajectory-side oracle.
 
 Acceptance tests register one verdict line each via ``record``; the
 lines are echoed in the terminal summary so a plain ``pytest`` run
 shows the per-criterion outcome without ``-s``.
+
+``assess_machines`` is the reference pipeline's last stage: simulate ->
+compute_energy -> detect_events -> assess_machines reads every margin
+off a whole trajectory record, independently of the clearing-time
+engine, which streams its rows block by block.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from imeac import (
     simulate,
     solve_postfault_sep,
 )
+
+from imeac.assess import UNDETERMINED, MachineAssessment, anchor_index, margin_at_anchor
+from imeac.events import _hermite
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -232,3 +240,31 @@ def run_pool(kernel, heads, steps, dt, block, join_after=0, first=0, leave=None)
         (np.concatenate(record[i]) if record[i] else np.empty((0, width)), i in lost)
         for i in ids
     ]
+
+
+def pe_at_time(traj, channels, machine: int, t: float) -> float:
+    """Cubic Hermite PE value at an arbitrary instant (d pe/dt = -f omega)."""
+    k = int(np.searchsorted(traj.times, t, side="right") - 1)
+    k = min(max(k, 0), traj.n_samples - 2)
+    h = traj.times[k + 1] - traj.times[k]
+    s = (t - traj.times[k]) / h
+    pe = channels.pe[machine]
+    dp0 = -traj.f_coi_pf[machine, k] * traj.omega_coi[machine, k]
+    dp1 = -traj.f_coi_pf[machine, k + 1] * traj.omega_coi[machine, k + 1]
+    return float(_hermite(pe[k], pe[k + 1], dp0, dp1, h, s))
+
+
+def machine_margin(case, traj, channels, events, machine: int) -> MachineAssessment:
+    """Assess one machine from its events, with the areas read off the whole record."""
+    events = tuple(events)
+    if not events:
+        return MachineAssessment(machine, events, UNDETERMINED, None, None, None)
+    anchor = events[anchor_index(events)]
+    a_acc = float(channels.ke[machine, traj.clear_index])
+    pe_clear = float(channels.pe[machine, traj.clear_index])
+    a_dec = pe_at_time(traj, channels, machine, anchor.time) - pe_clear
+    return margin_at_anchor(case, machine, events, a_acc, a_dec)
+
+
+def assess_machines(case, traj, channels, events) -> list[MachineAssessment]:
+    return [machine_margin(case, traj, channels, events[i], i) for i in range(case.n)]

@@ -22,13 +22,12 @@ from imeac import (
     detect_events,
     find_cct,
     grid_node_angles,
-    pe_at_time,
     pe_line_integral,
     simulate,
     solve_postfault_sep,
     surface_grid,
 )
-from conftest import coi_identity_errors, record
+from conftest import coi_identity_errors, pe_at_time, record
 
 
 @pytest.fixture(scope="session")

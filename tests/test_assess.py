@@ -15,11 +15,9 @@ from imeac import (
     HorizonError,
     MachineAssessment,
     SwingEvent,
-    assess_machines,
     assess_system,
     compute_energy,
     detect_events,
-    machine_margin,
     margin_from_areas,
 )
 from imeac.assess import (
@@ -31,6 +29,7 @@ from imeac.assess import (
     write_margins,
 )
 from imeac.energy import EnergyChannels
+from conftest import assess_machines, machine_margin
 
 
 def assessments_for(case, traj, sep):

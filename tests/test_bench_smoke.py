@@ -3,7 +3,8 @@
 Each run works on a copy of bench/ in a temporary directory, with src/
 linked in, so no result lands in the checkout's bench/out/.  Its last
 stdout line must be a strict-JSON result (no NaN or Infinity) that
-reports every op correct.
+reports every op correct and a number for every metric: a layer whose
+wrap targets all left the package reads null.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ def test_traced_run_ends_in_a_correct_strict_json_result(bench_copy, workload):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1], parse_constant=refuse_constant)
     assert result["correct"] is True and result["failed"] == 0, result
+    unmeasured = [
+        name for name, metric in result["metrics"].items()
+        if isinstance(metric["value"], bool) or not isinstance(metric["value"], (int, float))
+    ]
+    assert not unmeasured, unmeasured
     if workload == "grid-threebus":
         # 81 x 81 nodes, 16 path points each
         assert result["metrics"]["surface.path_points"]["value"] == 6561 * 16

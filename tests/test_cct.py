@@ -13,12 +13,12 @@ from imeac import (
     BracketError,
     DLP,
     DSP,
+    DivergenceError,
     HorizonError,
     ImeacError,
     MachineAssessment,
     SimulationConfig,
     SwingEvent,
-    assess_machines,
     assess_system,
     compute_energy,
     detect_events,
@@ -30,7 +30,7 @@ from imeac import (
 )
 from imeac.cct import DEPTH, write_cct, write_margin_curve
 from imeac.dynamics import RowPool
-from conftest import two_machine_case
+from conftest import assess_machines, two_machine_case
 
 
 class TestProbe:
@@ -127,6 +127,8 @@ class TestScan:
             assert probe.machine_assessments == tuple(machines)
             assert probe.assessment == assess_system(machines)
             assert probe.total_at_clear == tuple(channels.total[:, traj.clear_index])
+            assert probe.ke_at_clear == tuple(channels.ke[:, traj.clear_index])
+            assert probe.divergence_time is traj.divergence_time is None
 
     def test_rows_diverging_after_clearing(self):
         # a light machine: early clearing holds, later clearing runs away
@@ -154,8 +156,10 @@ class TestScan:
 
     def test_fault_on_divergence_raises_for_first_offender(self):
         case = two_machine_case(pm=1.0, m0=1e-4, m1=1.0, fault_b=0.0)
-        with pytest.raises(ImeacError, match="fault-on") as single:
+        with pytest.raises(DivergenceError, match="fault-on") as single:
             probe_clearing_time(case, 1.6, horizon=1.0)
+        traj = simulate(case, SimulationConfig(t_clear=1.6, t_end=2.6))
+        assert single.value.time == traj.divergence_time < 1.6
         # fine probes before and after, two offenders: the first one's
         # error, exactly as one-by-one probing reports it
         with pytest.raises(ImeacError, match="fault-on") as batched:

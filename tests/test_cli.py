@@ -17,10 +17,23 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import imeac.cli
+import imeac.dynamics
 import imeac.surface
+from imeac import (
+    SimulationConfig,
+    assess_system,
+    compute_energy,
+    critical_machines,
+    detect_events,
+    load_case,
+    simulate,
+    solve_postfault_sep,
+)
+from imeac.assess import format_verdict_table, write_events, write_margins, write_verdict
 from imeac.cli import MAX_SWEEP, _parse_sweep, main
+from imeac.dynamics import MAX_STEPS
 from imeac.surface import MAX_GRID_N, SurfaceSpec
-from conftest import two_machine_case
+from conftest import assess_machines, two_machine_case
 
 SMIB = "bundled:smib"
 WSCC = "bundled:wscc9"
@@ -188,6 +201,35 @@ class TestAssess:
         )
         assert code == 3
         assert "diverged at t=0.101 s" in stderr
+
+    @pytest.mark.parametrize(
+        "case_path, t_clear", [(WSCC, 0.119), (WSCC, 0.152), (WSCC, 0.2), (SMIB, 0.15)]
+    )
+    def test_same_bytes_as_the_reference_pipeline(self, tmp_path, capsys, case_path, t_clear):
+        # the engine's verdict, written and printed, against simulate ->
+        # compute_energy -> detect_events -> assess_machines -> assess_system
+        # on the whole record; wscc9 at 0.119 s is unstable at swing 3
+        t_end = round(t_clear + 3.0, 3)
+        code, stdout, stderr = run(
+            capsys, "assess", case_path, "--t-clear", str(t_clear), "--t-end", str(t_end),
+            "--out-dir", str(tmp_path),
+        )
+        case = load_case(case_path)
+        traj = simulate(case, SimulationConfig(t_clear=t_clear, t_end=t_end))
+        channels = compute_energy(case, traj, solve_postfault_sep(case))
+        machines = assess_machines(case, traj, channels, detect_events(case, traj))
+        sa = assess_system(machines)
+        for name, write, content in (
+            ("events.jsonl", write_events, sa.timeline),
+            ("margins.tsv", write_margins, machines),
+            ("verdict.json", write_verdict, sa),
+        ):
+            stream = io.StringIO()
+            write(stream, content)
+            assert (tmp_path / name).read_bytes() == stream.getvalue().encode(), name
+        critical = critical_machines(channels.ke[:, traj.clear_index])
+        assert stdout == format_verdict_table(sa, machines, critical) + "\n"
+        assert (code, stderr) == (0 if sa.stable else 2, "")
 
 
 class TestCct:
@@ -362,6 +404,29 @@ class TestErrorPaths:
     def test_overflowing_step_count_is_one_error_line(self, tmp_path, argv, message):
         code, lines = run_quiet([*argv, "--out", str(tmp_path / "out")])
         assert (code, lines) == (1, [message])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "assess", "cct", "surface"])
+    def test_oversized_horizon_is_one_error_line(self, tmp_path, monkeypatch, command):
+        # 10^15 steps of 1 s: refused before a step is taken or a record allocated
+        def no_steps(*args):
+            raise AssertionError("RowPool.advance called")
+
+        monkeypatch.setattr(imeac.dynamics.RowPool, "advance", no_steps)
+        out = str(tmp_path / "out")
+        grid = ["--dt", "1", "--t-clear", "1", "--t-end", "1e15"]
+        argv = {
+            "simulate": ["simulate", SMIB, *grid, "--out", out],
+            "assess": ["assess", SMIB, *grid, "--out-dir", out],
+            "cct": ["cct", SMIB, "--dt", "1", "--resolution", "1", "--t-lo", "1", "--t-hi", "2",
+                    "--horizon", "1e15", "--out", out],
+            "surface": ["surface", STAR, "--focus", "1", "--axes", "1,2", "--mode", "trajectories",
+                        "--sweep", "1", "--dt", "1", "--t-end", "1e15", "--out", out],
+        }[command]
+        code, lines = run_quiet(argv)
+        assert_one_error_line(code, lines)
+        assert lines[0].startswith("error: t_end=")
+        assert lines[0].endswith(f"steps of dt=1.0; the limit is {MAX_STEPS}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

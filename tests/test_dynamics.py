@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 from imeac import (
     SimulationConfig,
     Trajectory,
-    assess_machines,
     coi_forces,
     compute_energy,
     detect_events,
@@ -25,6 +25,7 @@ from imeac import (
 from imeac.case import coi_frame, coi_share, machine_forces, network_products
 from imeac.dynamics import (
     BLOCK,
+    MAX_STEPS,
     OMEGA_DIVERGENCE,
     FaultOnPrefix,
     SwingKernel,
@@ -33,6 +34,7 @@ from imeac.dynamics import (
 )
 from imeac.errors import ImeacError
 from conftest import (
+    assess_machines,
     coi_identity_errors,
     light_smib,
     run_pool,
@@ -83,6 +85,22 @@ class TestConfigValidation:
     def test_overflowing_step_counts_name_their_field(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             SimulationConfig(**kwargs)
+
+    @pytest.mark.parametrize("t_clear, t_end", [(1e-13, 1.0), (0.1, 0.1 + 1e-13)])
+    def test_each_stage_takes_a_step(self, t_clear, t_end):
+        # both times lie on the grid within its tolerance, on the same sample
+        with pytest.raises(ValueError, match=r"^need a step of dt=0\.001 before t_clear and one after"):
+            SimulationConfig(t_clear=t_clear, t_end=t_end)
+
+    def test_step_count_is_capped(self):
+        message = f"t_end=1e+16 takes {10**16} steps of dt=1.0; the limit is {MAX_STEPS}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulationConfig(t_clear=1.0, t_end=1e16, dt=1.0)
+        with pytest.raises(ValueError, match=f"^t_end=.* the limit is {MAX_STEPS}$"):
+            SimulationConfig(t_clear=1.0, t_end=MAX_STEPS + 1.0, dt=1.0)
+        assert SimulationConfig(t_clear=1.0, t_end=float(MAX_STEPS), dt=1.0).n_steps == MAX_STEPS
+        # criterion 8's reference grid fits
+        assert SimulationConfig(t_clear=0.1, t_end=3.1, dt=1e-5).n_steps < MAX_STEPS
 
     @pytest.mark.parametrize("dt", [math.inf, math.nan])
     def test_nonfinite_dt_is_refused(self, dt):
@@ -386,6 +404,7 @@ class TestAugmentedReference:
         for k, (samples, lost), probe in list(zip(clears, records, scan))[::3]:
             traj = simulate(case, SimulationConfig(t_clear=k * dt, t_end=(k + steps) * dt, dt=dt))
             assert lost == traj.diverged == probe.diverged
+            assert probe.divergence_time == traj.divergence_time
             assert np.array_equal(samples[:, : case.n].T, traj.delta[:, k:])
             if lost:
                 assert traj.divergence_time == (k + len(samples)) * dt < (k + steps) * dt

@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from imeac import (
-    EnergyChannels,
     EquilibriumPoint,
     SimulationConfig,
     SurfaceSpec,
-    assess_machines,
     compute_energy,
     critical_machines,
     detect_events,
@@ -23,7 +21,7 @@ from imeac import (
 )
 from imeac.case import coi_forces
 from imeac.energy import PATH_S, PATH_SEGMENTS, PATH_WEIGHTS, path_rule
-from conftest import two_machine_case
+from conftest import assess_machines, two_machine_case
 
 
 def simpson_reference(net, machines, start, end, segments=20000):
@@ -184,19 +182,8 @@ class TestSystemEnergy:
 
 
 class TestCriticalMachines:
-    @staticmethod
-    def channels_with_clearing_ke(ke_clear):
-        ke = np.tile(np.asarray(ke_clear)[:, None], (1, 3))
-        zero = np.zeros_like(ke)
-        return EnergyChannels(ke=ke, pe=zero, total=ke, baseline_from_sep=True)
-
     def test_default_threshold_selects_and_orders_by_ke(self):
-        channels = self.channels_with_clearing_ke([1.0, 0.05, 0.3, 0.09])
-        assert critical_machines(channels, clear_index=1) == [0, 2]
-
-    def test_threshold_override(self):
-        channels = self.channels_with_clearing_ke([1.0, 0.05, 0.3, 0.09])
-        assert critical_machines(channels, 1, threshold=0.05) == [0, 2, 3, 1]
+        assert critical_machines([1.0, 0.05, 0.3, 0.09]) == [0, 2]
 
     def test_wscc_flags_follow_clearing_ke(self, wscc, wscc_sep):
         # the 10% KE screen picks machines 1 and 0; machine 2 falls below
@@ -204,5 +191,5 @@ class TestCriticalMachines:
         traj = simulate(wscc, SimulationConfig(t_clear=0.2, t_end=1.2))
         channels = compute_energy(wscc, traj, wscc_sep)
         ke = channels.ke[:, traj.clear_index]
-        assert critical_machines(channels, traj.clear_index) == [1, 0]
+        assert critical_machines(ke) == [1, 0]
         assert ke[2] < 0.1 * ke.max()

@@ -16,7 +16,6 @@ from imeac import (
     compute_energy,
     detect_events,
     grid_node_angles,
-    pe_at_time,
     pe_line_integral,
     pe_line_to_nodes,
     simulate,
@@ -28,6 +27,7 @@ from imeac import surface
 from imeac.case import coi_forces
 from imeac.energy import PATH_S, PATH_SEGMENTS, PATH_WEIGHTS
 from imeac.surface import write_surface_grid, write_surface_trajectories
+from conftest import pe_at_time
 
 WINDOW = ((-0.6, 1.6), (-0.4, 1.0))
 
