@@ -21,7 +21,11 @@ PYTHONPATH=<root>/src) and prints, per item, same/DIFF.  The items:
   wscc9 with a post-fault network so strong that only the PE integral W
   overflows, during the fault-on stage (a ``simulate`` and a scan) and,
   with heavy machines, after clearing at a step that varies by row (a
-  scan).
+  scan);
+* ``surface_grid`` on 81x81 grids: README's (threebus_lossless, focus 1,
+  axes 1,2, 2 rad around the post-fault SEP), one on wscc9 (focus 2, axes
+  1,2) and an infinite-bus window of threebus_lossless (focus 2, axes 0,1,
+  x -1..1.5, y -2..0.5 rad), which warns.
 
 Each result is reduced to plain values (arrays as dtype, shape and raw
 bytes; floats as hex), with the warnings it raised and, when the call
@@ -120,6 +124,14 @@ def w_overflow_after_clearing(wscc):
         omega0=np.array([2.0, -2.0, 0.0]))
 
 
+def readme_window(case, axes, half=2.0):
+    """The CLI's default grid window: half rad around the post-fault SEP on each axis."""
+    from imeac import solve_postfault_sep
+
+    sep = solve_postfault_sep(case).delta_s
+    return tuple((sep[a] - half, sep[a] + half) for a in axes)
+
+
 def prefix_pieces(case):
     """A fault-on prefix extended to samples 37, 100 and 250: its samples, states and divergence."""
     from imeac.dynamics import FaultOnPrefix, SwingKernel
@@ -131,7 +143,8 @@ def prefix_pieces(case):
 
 def items():
     """(name, zero-argument call) for every engine result compared."""
-    from imeac import SimulationConfig, find_cct, load_bundled, scan_clearing_times, simulate
+    from imeac import (SimulationConfig, SurfaceSpec, find_cct, load_bundled,
+                       scan_clearing_times, simulate, surface_grid)
 
     cases = {name: load_bundled(name) for name in BUNDLED}
     wscc = cases["wscc9"]
@@ -180,6 +193,16 @@ def items():
     heavy_times = [round(0.01 * k, 2) for k in range(1, 25)]
     out.append(("scan wscc9 W overflow after clearing 0.01-0.24 s",
                 lambda: scan_clearing_times(heavy, heavy_times, horizon=1.0)))
+    three = cases["threebus_lossless"]
+    grids = [
+        ("threebus_lossless", three, 1, (1, 2), readme_window(three, (1, 2))),
+        ("wscc9", wscc, 2, (1, 2), readme_window(wscc, (1, 2))),
+        ("threebus_lossless", three, 2, (0, 1), ((-1.0, 1.5), (-2.0, 0.5))),
+    ]
+    for name, case, focus, axes, window in grids:
+        spec = SurfaceSpec(focus_machine=focus, axis_machines=axes, window=window, grid_n=81)
+        out.append((f"surface_grid {name} focus {focus} axes {axes[0]},{axes[1]} 81x81",
+                    lambda c=case, spec=spec: surface_grid(c, spec).pe))
     return out
 
 

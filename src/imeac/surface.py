@@ -219,14 +219,20 @@ def surface_grid(case: StabilityCase, spec: SurfaceSpec, sep=None) -> SurfaceGri
 
 
 def write_surface_grid(stream: IO[str], grid: SurfaceGrid) -> None:
-    """Contour-tool scanline format: x y pe rows, blank line per scanline."""
+    """Contour-tool scanline format: x y pe rows, blank line per scanline.
+
+    Each axis value is formatted once: every y into a row template
+    "\\t<y>\\t%.10e\\n" per grid, every x once per scanline, and a scanline's
+    PE values go through one % of its template.  The bytes are those of
+    formatting x, y and pe on every row.
+    """
     a, b = grid.axis_machines
     stream.write(f"# grid surface: focus machine {grid.focus_machine}, axes ({a}, {b})\n")
     stream.write("# x_rad\ty_rad\tpe_pu\n")
-    ys = grid.y_axis.tolist()
-    for x, row in zip(grid.x_axis.tolist(), grid.pe.tolist()):
-        lines = ["%.10e\t%.10e\t%.10e\n" % (x, y, pe) for y, pe in zip(ys, row)]
-        stream.write("".join(lines) + "\n")
+    rows = ["\t%.10e\t%%.10e\n" % y for y in grid.y_axis.tolist()]
+    for x, pe in zip(grid.x_axis.tolist(), grid.pe.tolist()):
+        xs = "%.10e" % x
+        stream.write((xs + xs.join(rows) + "\n") % tuple(pe))
 
 
 def write_surface_trajectories(stream: IO[str], table: np.ndarray) -> None:

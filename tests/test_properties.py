@@ -388,15 +388,18 @@ def scan_grid(case, horizon, first_swing_only) -> list:
         return []
 
 
-def draw_bracket(data, scan) -> tuple[int, int]:
-    """Grid indices of a bracket: stable/unstable ends from the scan when it has them, else any."""
+def draw_bracket(draw, scan) -> tuple[int, int]:
+    """Grid indices of a bracket: stable/unstable ends from the scan when it has them, else any.
+
+    draw(strategy) supplies each choice: a Hypothesis data.draw, or numpy_draw.
+    """
     stable = [k for k, p in zip(GRID, scan) if p.stable]
     unstable = [k for k, p in zip(GRID, scan) if not p.stable and stable and k > stable[0]]
     if unstable:
-        hi = data.draw(st.sampled_from(unstable))
-        return data.draw(st.sampled_from([k for k in stable if k < hi])), hi
-    lo = data.draw(st.integers(1, 29))
-    return lo, data.draw(st.integers(lo + 1, 30))
+        hi = draw(st.sampled_from(unstable))
+        return draw(st.sampled_from([k for k in stable if k < hi])), hi
+    lo = draw(st.integers(1, 29))
+    return lo, draw(st.integers(lo + 1, 30))
 
 
 def bisection_tree(a: int, b: int) -> set[int]:
@@ -416,12 +419,16 @@ def warning_messages(caught) -> Counter:
 @PROPERTY_SETTINGS
 @given(case=staged_cases(), data=st.data(), horizon=horizons, first_swing_only=st.booleans())
 def test_find_cct_equals_reference_bisection(case, data, horizon, first_swing_only):
+    check_find_cct_equals_reference_bisection(case, data.draw, horizon, first_swing_only)
+
+
+def check_find_cct_equals_reference_bisection(case, draw, horizon, first_swing_only, note=event):
     # the speculative search returns bisection's result, or raises its
     # error (type and message), and warns exactly as bisection does: it
     # starts every probe bisection visits and only probes from the
     # bracket's bisection tree, and a probe it starts but does not visit
     # never raises or warns
-    k_lo, k_hi = draw_bracket(data, scan_grid(case, horizon, first_swing_only))
+    k_lo, k_hi = draw_bracket(draw, scan_grid(case, horizon, first_swing_only))
     t_lo, t_hi = k_lo * RESOLUTION, k_hi * RESOLUTION
     with warnings.catch_warnings(record=True) as expected_warnings:
         warnings.simplefilter("always")
@@ -446,14 +453,14 @@ def test_find_cct_equals_reference_bisection(case, data, horizon, first_swing_on
             warnings.catch_warnings(record=True) as got_warnings:
         warnings.simplefilter("always")
         if isinstance(expected, Exception):
-            event(f"raises {type(expected).__name__}: {str(expected).split('=')[0][:30]}")
+            note(f"raises {type(expected).__name__}: {str(expected).split('=')[0][:30]}")
             with pytest.raises(type(expected)) as raised:
                 search()
         else:
-            event(f"{expected.evaluations} evaluations")
+            note(f"{expected.evaluations} evaluations")
             result = search()
     if expected_warnings:
-        event("warns")
+        note("warns")
     assert warning_messages(got_warnings) == warning_messages(expected_warnings)
     if isinstance(expected, Exception):
         assert str(raised.value) == str(expected)
@@ -467,17 +474,21 @@ def test_find_cct_equals_reference_bisection(case, data, horizon, first_swing_on
 @PROPERTY_SETTINGS
 @given(case=staged_cases(), data=st.data(), first_swing_only=st.booleans())
 def test_find_cct_equals_exhaustive_scan(case, data, first_swing_only):
+    check_find_cct_equals_exhaustive_scan(case, data.draw, first_swing_only)
+
+
+def check_find_cct_equals_exhaustive_scan(case, draw, first_swing_only, note=event):
     # an oracle that shares no code with the bisection loop: wherever the
     # scan of the bracket grid is stable up to one point and unstable
     # after it, find_cct returns that edge
     scan = scan_grid(case, HORIZON, first_swing_only)
-    k_lo, k_hi = draw_bracket(data, scan)
+    k_lo, k_hi = draw_bracket(draw, scan)
     verdicts = [p.stable for p in scan[k_lo - 1 : k_hi]]
     if not (verdicts and verdicts[0] and not verdicts[-1]
             and verdicts == sorted(verdicts, reverse=True)):
-        event("no monotone bracket on the grid")
+        note("no monotone bracket on the grid")
         return
-    event("monotone bracket")
+    note("monotone bracket")
     edge = k_lo - 1 + verdicts.count(True)  # scan index of the first unstable probe
     result = find_cct(
         case, k_lo * RESOLUTION, k_hi * RESOLUTION, resolution=RESOLUTION, dt=DT,
@@ -551,7 +562,7 @@ def numpy_draw(rng: np.random.Generator):
             return float(rng.uniform(inner.min_value, inner.max_value))
         if kind == "BooleansStrategy":
             return bool(rng.integers(2))
-        if kind == "SampledFromStrategy":
+        if kind in ("SampledFromStrategy", "JustStrategy"):  # sampled_from([x]) is just(x)
             return inner.elements[rng.integers(len(inner.elements))]
         raise TypeError(f"no numpy draw for {strategy!r}")
 
@@ -559,12 +570,17 @@ def numpy_draw(rng: np.random.Generator):
 
 
 def corpus_draw(corpus_seed: int):
-    """Corpus entry corpus_seed: (case, clearing times, horizon, first_swing_only)."""
+    """Corpus entry corpus_seed: (case, clearing times, horizon, first_swing_only, draw).
+
+    draw goes on answering strategies from the entry's generator, for
+    choices made after these (a bracket).
+    """
     rng = np.random.default_rng(corpus_seed)
     draw = numpy_draw(rng)
     case = build_staged_case(draw)
     ks = rng.integers(5, 30, size=int(rng.integers(1, 5, endpoint=True)), endpoint=True)
-    return case, [round(0.01 * k, 2) for k in ks.tolist()], draw(horizons), draw(st.booleans())
+    times = [round(0.01 * k, 2) for k in ks.tolist()]
+    return case, times, draw(horizons), draw(st.booleans()), draw
 
 
 def ignore(_label: str) -> None:
@@ -574,12 +590,26 @@ def ignore(_label: str) -> None:
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("corpus_seed", CORPUS)
 def test_corpus_scan_equals_probes_one_by_one(corpus_seed):
-    case, times, horizon, first_swing_only = corpus_draw(corpus_seed)
+    case, times, horizon, first_swing_only, _ = corpus_draw(corpus_seed)
     check_scan_equals_probes(case, times, horizon, first_swing_only, note=ignore)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("corpus_seed", CORPUS)
 def test_corpus_margin_sign_rule(corpus_seed):
-    case, _, horizon, first_swing_only = corpus_draw(corpus_seed)
+    case, _, horizon, first_swing_only, _ = corpus_draw(corpus_seed)
     check_margin_sign_rule(case, horizon, first_swing_only, note=ignore)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("corpus_seed", CORPUS)
+def test_corpus_find_cct_equals_reference_bisection(corpus_seed):
+    case, _, horizon, first_swing_only, draw = corpus_draw(corpus_seed)
+    check_find_cct_equals_reference_bisection(case, draw, horizon, first_swing_only, note=ignore)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("corpus_seed", CORPUS)
+def test_corpus_find_cct_equals_exhaustive_scan(corpus_seed):
+    case, _, _, first_swing_only, draw = corpus_draw(corpus_seed)
+    check_find_cct_equals_exhaustive_scan(case, draw, first_swing_only, note=ignore)

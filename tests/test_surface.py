@@ -289,19 +289,29 @@ class TestExports:
         assert len([b for b in blocks if b.strip()]) == 5
 
     def test_grid_bytes_equal_per_value_formatting(self, star):
-        # the one-format-per-row writer against formatting every value alone
-        grid = surface_grid(star, small_spec(grid_n=5))
-        pe = grid.pe.copy()
-        pe[0] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
-        grid = SurfaceGrid(grid.x_axis, grid.y_axis, pe, grid.focus_machine, grid.axis_machines)
-        stream = io.StringIO()
-        write_surface_grid(stream, grid)
-        expected = "# grid surface: focus machine 1, axes (1, 2)\n# x_rad\ty_rad\tpe_pu\n"
-        for i, x in enumerate(grid.x_axis):
-            for j, y in enumerate(grid.y_axis):
-                expected += f"{x:.10e}\t{y:.10e}\t{grid.pe[i, j]:.10e}\n"
-            expected += "\n"
-        assert stream.getvalue().encode() == expected.encode()
+        # the writer formats each x once per scanline and each y once per
+        # grid: its bytes against formatting every value of every row alone,
+        # with 0.0 and -0.0 (equal as keys) on both axes, and at grid_n = 2
+        cases = [
+            (5, None),
+            (5, ([-1e300, -0.0, 5e-324, 0.0, 1e300], [1e300, 0.0, 5e-324, -0.0, -1e300])),
+            (2, ([-0.0, 1e300], [0.0, 5e-324])),
+        ]
+        for grid_n, axes in cases:
+            grid = surface_grid(star, small_spec(grid_n=grid_n))
+            x_axis, y_axis = axes or (grid.x_axis, grid.y_axis)
+            pe = grid.pe.copy()
+            pe.flat[:4] = [np.nan, np.inf, -0.0, 5e-324]
+            pe.flat[-1] = -np.inf
+            grid = SurfaceGrid(x_axis, y_axis, pe, grid.focus_machine, grid.axis_machines)
+            stream = io.StringIO()
+            write_surface_grid(stream, grid)
+            expected = "# grid surface: focus machine 1, axes (1, 2)\n# x_rad\ty_rad\tpe_pu\n"
+            for i, x in enumerate(grid.x_axis):
+                for j, y in enumerate(grid.y_axis):
+                    expected += f"{x:.10e}\t{y:.10e}\t{grid.pe[i, j]:.10e}\n"
+                expected += "\n"
+            assert stream.getvalue().encode() == expected.encode(), (grid_n, axes)
 
     def test_trajectory_rows(self, star):
         family = (SimulationConfig(t_clear=0.05, t_end=0.2),)
