@@ -33,6 +33,8 @@ COMMANDS = [
     ["cct", "bundled:smib", "--t-lo", "0.15", "--t-hi", "0.25", "--out", "{out}/c.json"],
     ["surface", "bundled:wscc9", "--focus", "2", "--axes", "1,2", "--mode", "trajectories",
      "--sweep", "0.05:0.20:0.05", "--t-end", "1.5", "--out", "{out}/s.tsv"],
+    ["surface", "bundled:wscc9", "--focus", "2", "--axes", "1,2", "--mode", "trajectories",
+     "--sweep", "0.15,0.05,0.10,0.05", "--t-end", "1.5", "--out", "{out}/s.tsv"],
     ["surface", THREE, "--focus", "1", "--axes", "1,2", "--mode", "grid", "--grid-n", "81",
      "--out", "{out}/s.tsv"],
     ["surface", "bundled:wscc9", "--focus", "2", "--axes", "1,2", "--out", "{out}/s.tsv"],

@@ -25,7 +25,12 @@ PYTHONPATH=<root>/src) and prints, per item, same/DIFF.  The items:
 * ``surface_grid`` on 81x81 grids: README's (threebus_lossless, focus 1,
   axes 1,2, 2 rad around the post-fault SEP), one on wscc9 (focus 2, axes
   1,2) and an infinite-bus window of threebus_lossless (focus 2, axes 0,1,
-  x -1..1.5, y -2..0.5 rad), which warns.
+  x -1..1.5, y -2..0.5 rad), which warns;
+* ``surface_from_trajectories`` tables: README's wscc9 family (0.05-0.20 s
+  by 10 ms, 3 s), a light two-machine family with one member that
+  diverges during the fault-on stage and one that diverges after
+  clearing, and a family on the W overflow case after clearing above
+  whose middle member's W overflows.
 
 Each result is reduced to plain values (arrays as dtype, shape and raw
 bytes; floats as hex), with the warnings it raised and, when the call
@@ -124,6 +129,22 @@ def w_overflow_after_clearing(wscc):
         omega0=np.array([2.0, -2.0, 0.0]))
 
 
+def two_machine_case():
+    """Lossless pair, machine 0 10^4 times lighter, bolted fault: it runs away near 1 s."""
+    from imeac import MachineParams, ReducedNetwork, StabilityCase
+
+    pm, b, m = 1.0, 1.5, np.array([1e-4, 1.0])
+    delta0 = np.array([np.arcsin(pm / b), 0.0])
+    delta0 -= (m @ delta0) / m.sum()
+
+    def net(bval, name):
+        return ReducedNetwork(np.zeros((2, 2)), np.array([[-bval, bval], [bval, -bval]]), name)
+
+    machines = (MachineParams(0, m[0], pm, 1.0), MachineParams(1, m[1], -pm, 1.0))
+    return StabilityCase(machines, net(b, "net_prefault"), net(0.0, "net_faulton"),
+                         net(b, "net_postfault"), delta0, np.zeros(2), label="pair")
+
+
 def readme_window(case, axes, half=2.0):
     """The CLI's default grid window: half rad around the post-fault SEP on each axis."""
     from imeac import solve_postfault_sep
@@ -144,7 +165,7 @@ def prefix_pieces(case):
 def items():
     """(name, zero-argument call) for every engine result compared."""
     from imeac import (SimulationConfig, SurfaceSpec, find_cct, load_bundled,
-                       scan_clearing_times, simulate, surface_grid)
+                       scan_clearing_times, simulate, surface_from_trajectories, surface_grid)
 
     cases = {name: load_bundled(name) for name in BUNDLED}
     wscc = cases["wscc9"]
@@ -203,6 +224,20 @@ def items():
         spec = SurfaceSpec(focus_machine=focus, axis_machines=axes, window=window, grid_n=81)
         out.append((f"surface_grid {name} focus {focus} axes {axes[0]},{axes[1]} 81x81",
                     lambda c=case, spec=spec: surface_grid(c, spec).pe))
+    families = [
+        ("wscc9 README family 0.05:0.20:0.01, 3 s", wscc, 2, (1, 2),
+         [(round(0.05 + 0.01 * k, 2), 3.0) for k in range(16)]),
+        # 0.3 s diverges after clearing, 2.0 s during the fault-on stage
+        ("pair 0.05/1.0, 0.3/1.2, 2.0/3.0 s", two_machine_case(), 0, (0, 1),
+         [(0.05, 1.0), (0.3, 1.2), (2.0, 3.0)]),
+        ("wscc9 W overflow after clearing 0.10, 0.07, 0.15 s, 1 s", heavy, 2, (1, 2),
+         [(0.10, 1.0), (0.07, 1.0), (0.15, 1.0)]),
+    ]
+    for name, case, focus, axes, members in families:
+        spec = SurfaceSpec(focus_machine=focus, axis_machines=axes, window=((-1, 1), (-1, 1)),
+                           trajectory_family=tuple(SimulationConfig(*m) for m in members))
+        out.append((f"surface_from_trajectories {name}",
+                    lambda c=case, spec=spec: surface_from_trajectories(c, spec)))
     return out
 
 

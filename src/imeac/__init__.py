@@ -6,12 +6,7 @@ margins, critical clearing time, critical transient energy, and
 individual-machine potential-energy surfaces.
 """
 
-from .assess import (
-    MachineAssessment,
-    SystemAssessment,
-    assess_system,
-    margin_from_areas,
-)
+from .assess import MachineAssessment, SystemAssessment
 from .case import (
     EquilibriumPoint,
     MachineParams,
@@ -20,15 +15,8 @@ from .case import (
     coi_forces,
     solve_postfault_sep,
 )
-from .caseio import case_from_dict, load_bundled, load_case
-from .cct import (
-    CctResult,
-    ProbeResult,
-    find_cct,
-    identify_mdm,
-    probe_clearing_time,
-    scan_clearing_times,
-)
+from .caseio import load_bundled, load_case
+from .cct import CctResult, ProbeResult, find_cct, probe_clearing_time, scan_clearing_times
 from .dynamics import SimulationConfig, Trajectory, simulate
 from .energy import (
     EnergyChannels,
@@ -45,8 +33,7 @@ from .errors import (
     ImeacError,
     NetworkReductionError,
 )
-from .events import DLP, DSP, SwingEvent, detect_events
-from .network import build_bus_admittance, kron_reduce
+from .events import DLP, DSP, SwingEvent
 from .surface import (
     SurfaceGrid,
     SurfaceSpec,
@@ -82,20 +69,13 @@ __all__ = [
     "SwingEvent",
     "SystemAssessment",
     "Trajectory",
-    "assess_system",
-    "build_bus_admittance",
-    "case_from_dict",
     "coi_forces",
     "compute_energy",
     "critical_machines",
-    "detect_events",
     "find_cct",
     "grid_node_angles",
-    "identify_mdm",
-    "kron_reduce",
     "load_bundled",
     "load_case",
-    "margin_from_areas",
     "pe_line_integral",
     "pe_line_to_nodes",
     "probe_clearing_time",

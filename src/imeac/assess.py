@@ -31,7 +31,6 @@ from typing import IO, Sequence
 from .case import StabilityCase
 from .errors import HorizonError
 from .events import DLP, DSP, SwingEvent
-from .exportutil import fmt
 
 EAC_IDENTITY_TOL = 1e-5
 
@@ -171,6 +170,11 @@ def assess_system(assessments: Sequence[MachineAssessment]) -> SystemAssessment:
         timeline=timeline,
         undetermined=tuple(a.machine for a in ordered if not a.determined),
     )
+
+
+def fmt(value: float | None) -> str:
+    """Render a float for a table cell of a file export; missing values print as nan."""
+    return "nan" if value is None else f"{value:.10e}"
 
 
 def event_record(ev: SwingEvent) -> dict:

@@ -42,6 +42,7 @@ from .assess import (
     SystemAssessment,
     anchor_index,
     assess_system,
+    fmt,
     margin_at_anchor,
 )
 from .case import EquilibriumPoint, StabilityCase, coi_frame, solve_postfault_sep
@@ -49,7 +50,6 @@ from .dynamics import FaultOnPrefix, RowPool, SimulationConfig, SwingKernel
 from .energy import pe_baseline
 from .errors import BracketError, DivergenceError, HorizonError, ImeacError
 from .events import EventScanner
-from .exportutil import fmt
 
 DEFAULT_HORIZON = 3.0  # s of post-clearing observation per probe
 DEPTH = 4  # bisection levels find_cct starts ahead of its verdicts

@@ -40,7 +40,7 @@ from .surface import (
     write_surface_trajectories,
 )
 
-MAX_SWEEP = 10_000  # trajectory-family members one --sweep range may ask for
+MAX_SWEEP = 10_000  # trajectory-family members one --sweep may ask for
 
 
 class _UsageError(Exception):
@@ -231,6 +231,7 @@ def _parse_window(text: str) -> tuple[tuple[float, float], tuple[float, float]]:
 
 
 def _parse_sweep(text: str) -> list[float]:
+    too_many = _UsageError(f"--sweep asks for more than {MAX_SWEEP} members, got '{text}'")
     if ":" in text:
         try:
             start, stop, step = (float(p) for p in text.split(":"))
@@ -242,12 +243,15 @@ def _parse_sweep(text: str) -> list[float]:
         if not all(map(math.isfinite, (start, stop, step, count))):
             raise _UsageError(f"--sweep needs a finite start, stop, step and count, got '{text}'")
         if count >= MAX_SWEEP:  # floor(count) + 1 members
-            raise _UsageError(f"--sweep asks for more than {MAX_SWEEP} members, got '{text}'")
+            raise too_many
         return [start + k * step for k in range(max(math.floor(count) + 1, 0))]
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        sweep = [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise _UsageError(f"--sweep expects numbers, got '{text}'") from exc
+    if len(sweep) > MAX_SWEEP:
+        raise too_many
+    return sweep
 
 
 def cmd_surface(args) -> int:

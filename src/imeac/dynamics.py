@@ -39,9 +39,9 @@ columns of a ``Trajectory`` record.  Clearing-time sweeps share work:
   row.  All bookkeeping happens at block boundaries; the step itself
   is the same for one row or many.
 
-``simulate`` is the one-row case of the same path: the prefix up to its
-clearing sample, then a pool of one row, every block copied whole into
-the full record.
+``run_family``, the one prefix-to-pool loop, serves ``simulate`` and the
+surface's trajectory families alike: ``simulate`` is the one-member
+family, its sink copying every block into the full record.
 """
 
 from __future__ import annotations
@@ -384,6 +384,35 @@ class RowPool:
         return block
 
 
+def run_family(case: StabilityCase, family: Sequence[SimulationConfig], sink) -> dict[int, float]:
+    """Run a family of staged simulations; returns {member: divergence time} of those that diverged.
+
+    Members with one dt share a fault-on prefix and a row pool, each joining
+    at its own clearing sample with its own step budget.  ``sink(j, first,
+    rows)`` gets member j's samples (L, 6n; ``Trajectory``'s columns) from
+    sample ``first`` on: the prefix up to clearing, then its rows of each
+    block (the first repeats the block before's last), up to a divergence.
+    """
+    kernel, diverged = SwingKernel(case), {}
+    for dt in dict.fromkeys(cfg.dt for cfg in family):
+        prefix, pool = FaultOnPrefix(kernel, case, dt), RowPool(kernel, dt)
+        for j, cfg in enumerate(family):
+            if cfg.dt == dt:
+                head = prefix.state(cfg.clear_index)
+                sink(j, 0, np.array(prefix.samples[: cfg.clear_index]))
+                if head is None:
+                    diverged[j] = prefix.divergence_index * dt
+                else:
+                    pool.join([j], head, cfg.clear_index, cfg.n_steps - cfg.clear_index)
+        while pool.size:
+            block = pool.advance()
+            for r, (j, first) in enumerate(zip(block.rows.tolist(), block.start.tolist())):
+                sink(j, first, block.samples[:, r])
+                if j in block.lost:
+                    diverged[j] = (first + len(block.samples)) * dt
+    return diverged
+
+
 def simulate(case: StabilityCase, cfg: SimulationConfig) -> Trajectory:
     """Integrate the staged swing equations and record every channel.
 
@@ -393,39 +422,28 @@ def simulate(case: StabilityCase, cfg: SimulationConfig) -> Trajectory:
     across the discontinuity.  Deterministic: identical inputs give
     bit-identical trajectories, equal to the same run inside a sweep.
     """
-    n = case.n
-    kernel = SwingKernel(case)
-    prefix = FaultOnPrefix(kernel, case, cfg.dt)
-    clear = cfg.clear_index
-    head = prefix.state(clear)
-    # columns: state | omega_coi | f_coi | f_coi_pf
-    table = np.empty((cfg.n_steps + 1, 6 * n))
-    end = min(clear, len(prefix.samples))
-    table[:end] = prefix.samples[:end]
-    divergence_index = prefix.divergence_index
-    if head is not None:
-        pool = RowPool(kernel, cfg.dt)
-        pool.join([0], head, clear, cfg.n_steps - clear)
-        while pool.size:
-            block = pool.advance()
-            first = int(block.start[0])
-            end = first + block.samples.shape[0]
-            table[first:end] = block.samples[:, 0]
-            if block.lost.size:
-                divergence_index = end
-    table = table[:end]
+    n, end = case.n, 0
+    table = np.empty((cfg.n_steps + 1, 6 * n))  # state | omega_coi | f_coi | f_coi_pf
+
+    def copy_rows(_, first: int, rows: np.ndarray) -> None:
+        nonlocal end
+        end = first + len(rows)
+        table[first:end] = rows
+
+    divergence_time = run_family(case, [cfg], copy_rows).get(0)
+    table, m = table[:end], case.m_vector()
     return Trajectory(
-        times=np.arange(table.shape[0]) * cfg.dt,
+        times=np.arange(end) * cfg.dt,
         delta=table[:, :n].T,
         omega=table[:, n : 2 * n].T,
-        delta_coi=coi_frame(table[:, :n], kernel.m_share).T,
+        delta_coi=coi_frame(table[:, :n], m / m.sum()).T,
         omega_coi=table[:, 3 * n : 4 * n].T,
         f_coi=table[:, 4 * n : 5 * n].T,
         f_coi_pf=table[:, 5 * n :].T,
         pe_integral=table[:, 2 * n : 3 * n].T,
-        clear_index=clear,
-        diverged=divergence_index is not None,
-        divergence_time=None if divergence_index is None else divergence_index * cfg.dt,
+        clear_index=cfg.clear_index,
+        diverged=divergence_time is not None,
+        divergence_time=divergence_time,
     )
 
 

@@ -2,7 +2,8 @@
 
 Two construction modes:
 
-* trajectory mode runs a family of simulations and emits each sample's
+* trajectory mode runs a family of simulations (``dynamics.run_family``:
+  one fault-on prefix and one row pool) and emits each sample's
   (delta_a-SYS, delta_b-SYS, pe_focus) as one ribbon per trajectory:
   the surface as traced by actual system motion.  The ribbons are one
   table with the columns of their export: traj_id, t, x, y, pe;
@@ -24,9 +25,9 @@ from typing import IO
 
 import numpy as np
 
-from .case import StabilityCase, coi_forces, solve_postfault_sep
-from .dynamics import SimulationConfig, simulate
-from .energy import PATH_SEGMENTS, compute_energy, path_rule
+from .case import StabilityCase, coi_forces, coi_frame, solve_postfault_sep
+from .dynamics import SimulationConfig, run_family
+from .energy import PATH_SEGMENTS, path_rule, pe_baseline
 from .errors import ImeacError
 
 MAX_PATH_SWING = 20.0  # rad of angle-difference swing a path may have: rule error 5e-14
@@ -121,23 +122,23 @@ def surface_from_trajectories(case: StabilityCase, spec: SurfaceSpec, sep=None) 
     check_surface_inputs(case.n, spec.focus_machine, spec.axis_machines, spec.window)
     if not spec.trajectory_family:
         raise ImeacError("trajectory_family is empty")
-    a, b = spec.axis_machines
-    sep = solve_postfault_sep(case) if sep is None else sep
-    ribbons = [np.empty((0, 5))]
-    for tid, cfg in enumerate(spec.trajectory_family):
-        traj = simulate(case, cfg)
-        if traj.diverged:
-            warnings.warn(
-                f"family member {tid} diverged at t={traj.divergence_time} s; skipped",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        pe = compute_energy(case, traj, sep).pe[spec.focus_machine]
-        ribbons.append(np.column_stack((
-            np.full(traj.n_samples, tid), traj.times, traj.delta_coi[a], traj.delta_coi[b], pe,
-        )))
-    return np.concatenate(ribbons)
+    family, focus, n = spec.trajectory_family, spec.focus_machine, case.n
+    m, axes = case.m_vector(), list(spec.axis_machines)
+    baseline = pe_baseline(case, solve_postfault_sep(case) if sep is None else sep)
+    offset = np.cumsum([0] + [cfg.n_steps + 1 for cfg in family])
+    table = np.empty((offset[-1], 5))
+
+    def ribbon_rows(j: int, first: int, rows: np.ndarray) -> None:
+        out = table[offset[j] + first :][: len(rows)]
+        out[:, 0], out[:, 1] = j, (first + np.arange(len(rows))) * family[j].dt
+        out[:, 2:4] = coi_frame(rows[:, :n], m / m.sum())[:, axes]
+        w = rows[:, 2 * n + focus]
+        out[:, 4] = w if baseline is None else baseline[focus] + w
+
+    diverged = run_family(case, family, ribbon_rows)
+    for j, t in sorted(diverged.items()):
+        warnings.warn(f"family member {j} diverged at t={t} s; skipped", RuntimeWarning, 2)
+    return table[np.repeat([j not in diverged for j in range(len(family))], np.diff(offset))]
 
 
 def grid_node_angles(

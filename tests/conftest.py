@@ -7,13 +7,17 @@ shows the per-criterion outcome without ``-s``.
 ``assess_machines`` is the reference pipeline's last stage: simulate ->
 compute_energy -> detect_events -> assess_machines reads every margin
 off a whole trajectory record, independently of the clearing-time
-engine, which streams its rows block by block.
+engine, which streams its rows block by block.  ``family_reference``
+is the surface family run member by member the same way: simulate ->
+compute_energy per member, independently of the family's shared row
+pool.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from imeac import (
     ReducedNetwork,
     SimulationConfig,
     StabilityCase,
+    compute_energy,
     load_bundled,
     scan_clearing_times,
     simulate,
@@ -268,3 +273,28 @@ def machine_margin(case, traj, channels, events, machine: int) -> MachineAssessm
 
 def assess_machines(case, traj, channels, events) -> list[MachineAssessment]:
     return [machine_margin(case, traj, channels, events[i], i) for i in range(case.n)]
+
+
+def family_reference(case, spec, sep=None) -> np.ndarray:
+    """The trajectory-family surface table, one member at a time: the oracle.
+
+    Each member is its own simulate -> compute_energy run; a diverged one
+    warns and is skipped, every other adds its traj_id, t, x, y, pe rows.
+    """
+    a, b = spec.axis_machines
+    sep = solve_postfault_sep(case) if sep is None else sep
+    ribbons = [np.empty((0, 5))]
+    for tid, cfg in enumerate(spec.trajectory_family):
+        traj = simulate(case, cfg)
+        if traj.diverged:
+            warnings.warn(
+                f"family member {tid} diverged at t={traj.divergence_time} s; skipped",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            continue
+        pe = compute_energy(case, traj, sep).pe[spec.focus_machine]
+        ribbons.append(np.column_stack((
+            np.full(traj.n_samples, tid), traj.times, traj.delta_coi[a], traj.delta_coi[b], pe,
+        )))
+    return np.concatenate(ribbons)

@@ -19,7 +19,6 @@ from imeac import (
     SimulationConfig,
     SurfaceSpec,
     compute_energy,
-    detect_events,
     find_cct,
     grid_node_angles,
     pe_line_integral,
@@ -27,6 +26,7 @@ from imeac import (
     solve_postfault_sep,
     surface_grid,
 )
+from imeac.events import detect_events
 from conftest import coi_identity_errors, pe_at_time, record
 
 

@@ -15,20 +15,20 @@ from imeac import (
     HorizonError,
     MachineAssessment,
     SwingEvent,
-    assess_system,
     compute_energy,
-    detect_events,
-    margin_from_areas,
 )
 from imeac.assess import (
     UNDETERMINED,
+    assess_system,
     format_verdict_table,
     margin_at_anchor,
+    margin_from_areas,
     verdict_document,
     write_events,
     write_margins,
 )
 from imeac.energy import EnergyChannels
+from imeac.events import detect_events
 from conftest import assess_machines, machine_margin
 
 

@@ -63,9 +63,10 @@ LIBRARY_CALLS = """
 import sys
 
 from imeac import (SimulationConfig, SurfaceSpec, compute_energy, find_cct, load_bundled,
-                   scan_clearing_times, simulate, solve_postfault_sep, surface_grid)
+                   scan_clearing_times, simulate, solve_postfault_sep, surface_from_trajectories,
+                   surface_grid)
 from imeac.dynamics import write_trajectory
-from imeac.surface import write_surface_grid
+from imeac.surface import write_surface_grid, write_surface_trajectories
 
 out = sys.argv[1]
 wscc, three = load_bundled("wscc9"), load_bundled("threebus_lossless")
@@ -80,6 +81,11 @@ traj = simulate(wscc, SimulationConfig(t_clear=0.2, t_end=1.2))
 channels = compute_energy(wscc, traj, solve_postfault_sep(wscc))
 with open(out + "/trajectory.tsv", "w") as stream:
     write_trajectory(stream, traj, channels.ke, channels.pe)
+family = tuple(SimulationConfig(t_clear=t, t_end=1.0) for t in (0.15, 0.05, 0.10))
+table = surface_from_trajectories(wscc, SurfaceSpec(2, (1, 2), ((-1.0, 1.0), (-1.0, 1.0)),
+                                                    trajectory_family=family))
+with open(out + "/ribbons.tsv", "w") as stream:
+    write_surface_trajectories(stream, table)
 """
 
 
@@ -92,4 +98,5 @@ def test_library_calls_write_nothing_to_stdout(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "past 20 rad" in done.stderr  # warnings reach stderr
     assert done.stdout == ""
-    assert (tmp_path / "surface.tsv").stat().st_size and (tmp_path / "trajectory.tsv").stat().st_size
+    for name in ("surface.tsv", "trajectory.tsv", "ribbons.tsv"):
+        assert (tmp_path / name).stat().st_size

@@ -12,11 +12,10 @@ import pytest
 from imeac import (
     CaseFormatError,
     CaseValidationError,
-    case_from_dict,
     load_bundled,
     load_case,
 )
-from imeac.caseio import bundled_case_names
+from imeac.caseio import bundled_case_names, case_from_dict
 
 
 def explicit_doc() -> dict:

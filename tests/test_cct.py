@@ -19,17 +19,16 @@ from imeac import (
     MachineAssessment,
     SimulationConfig,
     SwingEvent,
-    assess_system,
     compute_energy,
-    detect_events,
     find_cct,
-    identify_mdm,
     probe_clearing_time,
     scan_clearing_times,
     simulate,
 )
-from imeac.cct import DEPTH, write_cct, write_margin_curve
+from imeac.assess import assess_system
+from imeac.cct import DEPTH, identify_mdm, write_cct, write_margin_curve
 from imeac.dynamics import RowPool
+from imeac.events import detect_events
 from conftest import assess_machines, two_machine_case
 
 

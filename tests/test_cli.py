@@ -21,17 +21,22 @@ import imeac.dynamics
 import imeac.surface
 from imeac import (
     SimulationConfig,
-    assess_system,
     compute_energy,
     critical_machines,
-    detect_events,
     load_case,
     simulate,
     solve_postfault_sep,
 )
-from imeac.assess import format_verdict_table, write_events, write_margins, write_verdict
+from imeac.assess import (
+    assess_system,
+    format_verdict_table,
+    write_events,
+    write_margins,
+    write_verdict,
+)
 from imeac.cli import MAX_SWEEP, _parse_sweep, main
 from imeac.dynamics import MAX_STEPS
+from imeac.events import detect_events
 from imeac.surface import MAX_GRID_N, SurfaceSpec
 from conftest import assess_machines, two_machine_case
 
@@ -459,6 +464,22 @@ class TestErrorPaths:
 
     def test_sweep_of_max_members_is_accepted(self):
         assert len(_parse_sweep("0:0.9999:1e-4")) == MAX_SWEEP
+
+    @pytest.mark.parametrize("form", ["range", "list"])
+    def test_sweep_is_capped_at_max_members(self, form):
+        # the parser alone: no member is simulated
+        def sweep(members: int) -> str:
+            if form == "range":
+                return f"0:{(members - 1) * 1e-4}:1e-4"
+            return ",".join(f"{0.05 + k * 1e-4:.4f}" for k in range(members))
+
+        assert len(_parse_sweep(sweep(MAX_SWEEP))) == MAX_SWEEP
+        text = sweep(MAX_SWEEP + 1)
+        with pytest.raises(
+            imeac.cli._UsageError, match=f"^--sweep asks for more than {MAX_SWEEP} members, got"
+        ) as caught:
+            _parse_sweep(text)
+        assert str(caught.value).endswith(f"got '{text}'")
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_grid_n_is_bounded_before_the_grid(self, tmp_path, monkeypatch, where):

@@ -16,7 +16,6 @@ from imeac import (
     Trajectory,
     coi_forces,
     compute_energy,
-    detect_events,
     probe_clearing_time,
     scan_clearing_times,
     simulate,
@@ -33,6 +32,7 @@ from imeac.dynamics import (
     write_trajectory,
 )
 from imeac.errors import ImeacError
+from imeac.events import detect_events
 from conftest import (
     assess_machines,
     coi_identity_errors,

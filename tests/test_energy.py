@@ -13,7 +13,6 @@ from imeac import (
     SurfaceSpec,
     compute_energy,
     critical_machines,
-    detect_events,
     grid_node_angles,
     pe_line_integral,
     simulate,
@@ -21,6 +20,7 @@ from imeac import (
 )
 from imeac.case import coi_forces
 from imeac.energy import PATH_S, PATH_SEGMENTS, PATH_WEIGHTS, path_rule
+from imeac.events import detect_events
 from conftest import assess_machines, two_machine_case
 
 

@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from imeac import DLP, DSP, SimulationConfig, Trajectory, detect_events, simulate
+from imeac import DLP, DSP, SimulationConfig, Trajectory, simulate
+from imeac.events import detect_events
 
 
 def stub_case(m: float = 0.7) -> SimpleNamespace:

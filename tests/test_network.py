@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from imeac import NetworkReductionError, build_bus_admittance, kron_reduce
-from imeac.network import internal_emf, staged_reduction
+from imeac import NetworkReductionError
+from imeac.network import build_bus_admittance, internal_emf, kron_reduce, staged_reduction
 
 
 def random_branches(n_bus: int, rng: np.random.Generator) -> list[tuple]:
@@ -118,7 +118,7 @@ class TestStagedReduction:
             aug[node, bus] -= y
             aug[bus, node] -= y
         aug[1, 1] += 0.6 - 0.2j
-        from imeac import kron_reduce
+        from imeac.network import kron_reduce
 
         expected = kron_reduce(aug, [3, 4], None, name="net_postfault")
         np.testing.assert_allclose(post.g, expected.g, atol=1e-12)

@@ -32,17 +32,16 @@ from imeac import (
     SimulationConfig,
     StabilityCase,
     compute_energy,
-    detect_events,
     find_cct,
-    identify_mdm,
     probe_clearing_time,
     scan_clearing_times,
     simulate,
     solve_postfault_sep,
 )
 from imeac.case import machine_forces
+from imeac.cct import identify_mdm
 from imeac.dynamics import BLOCK, FaultOnPrefix, SwingKernel
-from imeac.events import EventScanner
+from imeac.events import EventScanner, detect_events
 from imeac.network import staged_reduction
 from conftest import coi_identity_errors, run_pool
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from imeac import (
     SurfaceGrid,
     SurfaceSpec,
     compute_energy,
-    detect_events,
     grid_node_angles,
     pe_line_integral,
     pe_line_to_nodes,
@@ -26,8 +26,9 @@ from imeac import (
 from imeac import surface
 from imeac.case import coi_forces
 from imeac.energy import PATH_S, PATH_SEGMENTS, PATH_WEIGHTS
+from imeac.events import detect_events
 from imeac.surface import write_surface_grid, write_surface_trajectories
-from conftest import pe_at_time
+from conftest import family_reference, pe_at_time, two_machine_case, w_overflow_after_clearing
 
 WINDOW = ((-0.6, 1.6), (-0.4, 1.0))
 
@@ -274,6 +275,65 @@ class TestTrajectoryFamily:
         with pytest.warns(RuntimeWarning, match="diverged"):
             table = surface_from_trajectories(case, spec)
         assert table.shape == (0, 5)
+
+
+def family(case, focus, axes, *members):
+    """A trajectory-family spec: members are (t_clear, t_end) or (t_clear, t_end, dt)."""
+    configs = tuple(SimulationConfig(*m) for m in members)
+    return case, SurfaceSpec(focus, axes, ((-1.0, 1.0), (-1.0, 1.0)), trajectory_family=configs)
+
+
+def run_recorded(call, *args):
+    """call(*args) and the texts of every warning it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args)
+    return result, [str(w.message) for w in caught]
+
+
+FAMILIES = {
+    # README's family: --sweep 0.05:0.20:0.01 --t-end 3.0
+    "readme": lambda wscc: family(
+        wscc, 2, (1, 2), *[(round(0.05 + 0.01 * k, 2), 3.0) for k in range(16)]),
+    "unsorted-repeat": lambda wscc: family(
+        wscc, 2, (1, 2), (0.15, 1.5), (0.05, 1.5), (0.10, 1.5), (0.05, 1.5)),
+    "mixed-dt-and-t_end": lambda wscc: family(
+        wscc, 1, (0, 2), (0.1, 1.0), (0.1, 0.8, 2e-3), (0.06, 1.5), (0.2, 0.5, 5e-4)),
+    # the middle member's fault-on stage leaves the guard region
+    "fault-on-divergence": lambda wscc: family(
+        two_machine_case(pm=1.0, m0=1e-4, m1=1.0, fault_b=0.0), 0, (0, 1),
+        (0.05, 1.0), (2.0, 3.0), (0.1, 1.0)),
+    # only the 0.07 s member's W overflows, after clearing, at 0.823 s
+    "divergence-after-clearing": lambda wscc: family(
+        w_overflow_after_clearing(wscc), 2, (1, 2), (0.10, 1.0), (0.07, 1.0), (0.15, 1.0)),
+}
+
+
+class TestFamilyEqualsMemberByMember:
+    """The shared-pool family table against ``family_reference``, bit for bit."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_table_bytes_and_warnings(self, wscc, name):
+        case, spec = FAMILIES[name](wscc)
+        table, caught = run_recorded(surface_from_trajectories, case, spec)
+        reference, expected = run_recorded(family_reference, case, spec)
+        assert table.shape == reference.shape
+        assert table.tobytes() == reference.tobytes()
+        assert caught == expected
+
+    def test_several_diverged_members_warn_in_family_order(self, wscc):
+        # numpy's own overflow warnings come from the shared pool's blocks,
+        # before the member lines; each member line keeps its text and place
+        case, spec = family(
+            w_overflow_after_clearing(wscc), 2, (1, 2),
+            (0.20, 1.0), (0.10, 1.0), (0.01, 1.0), (0.07, 1.0))
+        table, caught = run_recorded(surface_from_trajectories, case, spec)
+        reference, expected = run_recorded(family_reference, case, spec)
+        assert table.tobytes() == reference.tobytes()
+        members = [text for text in caught if text.startswith("family member")]
+        assert [text.split()[2] for text in members] == ["0", "2", "3"]
+        assert members == [text for text in expected if text.startswith("family member")]
+        assert sorted(caught) == sorted(expected)
 
 
 class TestExports:
