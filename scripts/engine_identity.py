@@ -30,7 +30,11 @@ PYTHONPATH=<root>/src) and prints, per item, same/DIFF.  The items:
   by 10 ms, 3 s), a light two-machine family with one member that
   diverges during the fault-on stage and one that diverges after
   clearing, and a family on the W overflow case after clearing above
-  whose middle member's W overflows.
+  whose middle member's W overflows;
+* wscc9 with its post-fault G and B halved, whose post-fault SEP does
+  not converge, so PE counts from the initial point: a scan at 0.02,
+  0.05 and 0.10 s with a 3 s horizon, a ``surface_from_trajectories``
+  family at the same times and ``compute_energy`` of one ``simulate``.
 
 Each result is reduced to plain values (arrays as dtype, shape and raw
 bytes; floats as hex), with the warnings it raised and, when the call
@@ -129,6 +133,15 @@ def w_overflow_after_clearing(wscc):
         omega0=np.array([2.0, -2.0, 0.0]))
 
 
+def weak_postfault(wscc):
+    """wscc9 with its post-fault G and B scaled by 0.5: the post-fault SEP does not converge."""
+    from imeac import ReducedNetwork
+
+    net = wscc.net_postfault
+    return dataclasses.replace(
+        wscc, net_postfault=ReducedNetwork(net.g * 0.5, net.b * 0.5, name=net.name))
+
+
 def two_machine_case():
     """Lossless pair, machine 0 10^4 times lighter, bolted fault: it runs away near 1 s."""
     from imeac import MachineParams, ReducedNetwork, StabilityCase
@@ -164,8 +177,9 @@ def prefix_pieces(case):
 
 def items():
     """(name, zero-argument call) for every engine result compared."""
-    from imeac import (SimulationConfig, SurfaceSpec, find_cct, load_bundled,
-                       scan_clearing_times, simulate, surface_from_trajectories, surface_grid)
+    from imeac import (SimulationConfig, SurfaceSpec, compute_energy, find_cct, load_bundled,
+                       scan_clearing_times, simulate, solve_postfault_sep,
+                       surface_from_trajectories, surface_grid)
 
     cases = {name: load_bundled(name) for name in BUNDLED}
     wscc = cases["wscc9"]
@@ -214,6 +228,9 @@ def items():
     heavy_times = [round(0.01 * k, 2) for k in range(1, 25)]
     out.append(("scan wscc9 W overflow after clearing 0.01-0.24 s",
                 lambda: scan_clearing_times(heavy, heavy_times, horizon=1.0)))
+    weak = weak_postfault(wscc)
+    out.append(("scan wscc9 no SEP 0.02, 0.05, 0.10 s",
+                lambda: scan_clearing_times(weak, [0.02, 0.05, 0.10], horizon=3.0)))
     three = cases["threebus_lossless"]
     grids = [
         ("threebus_lossless", three, 1, (1, 2), readme_window(three, (1, 2))),
@@ -232,12 +249,16 @@ def items():
          [(0.05, 1.0), (0.3, 1.2), (2.0, 3.0)]),
         ("wscc9 W overflow after clearing 0.10, 0.07, 0.15 s, 1 s", heavy, 2, (1, 2),
          [(0.10, 1.0), (0.07, 1.0), (0.15, 1.0)]),
+        ("wscc9 no SEP 0.02, 0.05, 0.10 s, 3 s", weak, 2, (1, 2),
+         [(0.02, 3.0), (0.05, 3.0), (0.10, 3.0)]),
     ]
     for name, case, focus, axes, members in families:
         spec = SurfaceSpec(focus_machine=focus, axis_machines=axes, window=((-1, 1), (-1, 1)),
                            trajectory_family=tuple(SimulationConfig(*m) for m in members))
         out.append((f"surface_from_trajectories {name}",
                     lambda c=case, spec=spec: surface_from_trajectories(c, spec)))
+    out.append(("compute_energy wscc9 no SEP 0.05/3.0", lambda: compute_energy(
+        weak, simulate(weak, SimulationConfig(0.05, 3.0)), solve_postfault_sep(weak))))
     return out
 
 

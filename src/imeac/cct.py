@@ -46,7 +46,7 @@ from .assess import (
     margin_at_anchor,
 )
 from .case import EquilibriumPoint, StabilityCase, coi_frame, solve_postfault_sep
-from .dynamics import FaultOnPrefix, RowPool, SimulationConfig, SwingKernel
+from .dynamics import GRID_TOL, FaultOnPrefix, RowPool, SimulationConfig, SwingKernel
 from .energy import pe_baseline
 from .errors import BracketError, DivergenceError, HorizonError, ImeacError
 from .events import EventScanner
@@ -108,7 +108,7 @@ def _grid_value(value: float, unit: float, name: str) -> int:
     if not math.isfinite(value / unit):
         raise ValueError(f"{name}={value} is too large for a step of {unit}")
     k = round(value / unit)
-    if abs(value - k * unit) > 1e-9:
+    if abs(value - k * unit) > GRID_TOL:
         raise ValueError(f"{name}={value} is not an integer multiple of {unit}")
     return k
 
@@ -143,8 +143,6 @@ class _Sweep:
         self.scanner = EventScanner(self.kernel.m, 0)
         # per probe = pool row = scanner row: None until assembled, then a ProbeResult or an exception
         self.outcomes: list = []
-        # probe -> its divergence time, or None, once its row has left the pool
-        self._ended: dict[int, float | None] = {}
         # probe -> (clearing time, per-machine KE and PE at clearing), once joined
         self._joined: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
 
@@ -159,17 +157,16 @@ class _Sweep:
         except ValueError as exc:
             self.outcomes[j] = exc
             return j
-        head = self.prefix.state(cfg.clear_index)
+        head = self.prefix.join(self.pool, j, cfg)
         if head is None:
-            time = self.prefix.divergence_index * self.dt
+            time = self.pool.ended[j]
             self.outcomes[j] = DivergenceError(
                 f"simulation diverged during the fault-on stage at t={time} s", time
             )
             return j
-        self.pool.join([j], head, cfg.clear_index, cfg.n_steps - cfg.clear_index)
         kernel, n = self.kernel, self.kernel.n
         ke = 0.5 * kernel.m * coi_frame(head[n : 2 * n], kernel.m_share) ** 2
-        self._joined[j] = (t, ke, self._pe(head[2 * n : 3 * n]))
+        self._joined[j] = (t, ke, self.baseline + head[2 * n : 3 * n])
         return j
 
     def start_all(self, times: Sequence[float]) -> list[int]:
@@ -191,7 +188,7 @@ class _Sweep:
         """
         if self.scanner.separated(j, self.first_swing_only):
             return False
-        if j not in self._ended:
+        if j not in self.pool.ended:
             return self.outcomes[j]  # None while running, or the start's error
         try:  # a row with events is stable; one without has no margin to warn about
             return any(self._events(j)) or self.result(j).stable
@@ -201,13 +198,13 @@ class _Sweep:
     def result(self, j: int) -> ProbeResult:
         """Probe j's ProbeResult once its row has left the pool; raises the probe's error."""
         if self.outcomes[j] is None:
-            self.outcomes[j] = self._result(j, self._ended[j])
+            self.outcomes[j] = self._result(j, self.pool.ended[j])
         if isinstance(self.outcomes[j], Exception):
             raise self.outcomes[j]
         return self.outcomes[j]
 
     def advance(self) -> None:
-        """Step the pool one block, scan it, and note the probes whose rows left."""
+        """Step the pool one block and scan it."""
         n = self.kernel.n
         block = self.pool.advance()
         samples = block.samples
@@ -217,12 +214,8 @@ class _Sweep:
             samples[..., 3 * n : 4 * n],
             samples[..., 5 * n :],
             coi_frame(samples[..., :n], self.kernel.m_share),
-            self._pe(samples[..., 2 * n : 3 * n]),
+            self.baseline + samples[..., 2 * n : 3 * n],
         )
-        self._ended.update(dict.fromkeys(block.done.tolist()))
-        for r in np.flatnonzero(np.isin(block.rows, block.lost)).tolist():
-            # the first sample past the lost row's record, as simulate reports it
-            self._ended[int(block.rows[r])] = int(block.start[r] + samples.shape[0]) * self.dt
 
     def probe(self, times: Sequence[float]) -> list[ProbeResult]:
         """Probe every clearing time, all rows from step 0, results in input order.
@@ -267,10 +260,6 @@ class _Sweep:
         if self.first_swing_only:
             events = [[ev for ev in e if ev.swing_index == 1] for e in events]
         return events
-
-    def _pe(self, w: np.ndarray) -> np.ndarray:
-        """Potential energy from the integrated channel W (baseline added)."""
-        return w if self.baseline is None else self.baseline + w
 
 
 def probe_clearing_time(
@@ -372,6 +361,8 @@ def find_cct(
     hi = _grid_value(t_hi, resolution, "t_hi")
     if not lo < hi:
         raise ValueError(f"need t_lo < t_hi, got {t_lo} >= {t_hi}")
+    for name, k in (("t_lo", lo), ("t_hi", hi)):  # so every probe lands on the dt grid
+        _grid_value(k * resolution, dt, name)
     sweep = _Sweep(case, dt, solve_postfault_sep(case), horizon, first_swing_only)
     ends = sweep.start_all([lo * resolution, hi * resolution])
     probes = dict(zip((lo, hi), ends))  # grid index -> probe index, visited, in probing order

@@ -231,7 +231,6 @@ def _parse_window(text: str) -> tuple[tuple[float, float], tuple[float, float]]:
 
 
 def _parse_sweep(text: str) -> list[float]:
-    too_many = _UsageError(f"--sweep asks for more than {MAX_SWEEP} members, got '{text}'")
     if ":" in text:
         try:
             start, stop, step = (float(p) for p in text.split(":"))
@@ -243,14 +242,18 @@ def _parse_sweep(text: str) -> list[float]:
         if not all(map(math.isfinite, (start, stop, step, count))):
             raise _UsageError(f"--sweep needs a finite start, stop, step and count, got '{text}'")
         if count >= MAX_SWEEP:  # floor(count) + 1 members
-            raise too_many
+            raise _UsageError(f"--sweep asks for more than {MAX_SWEEP} members, got '{text}'")
         return [start + k * step for k in range(max(math.floor(count) + 1, 0))]
-    try:
-        sweep = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"--sweep expects numbers, got '{text}'") from exc
-    if len(sweep) > MAX_SWEEP:
-        raise too_many
+    # a list's errors quote its count or one member, never the whole list
+    members = [p.strip() for p in text.split(",") if p.strip()]
+    if len(members) > MAX_SWEEP:
+        raise _UsageError(f"--sweep asks for more than {MAX_SWEEP} members, got {len(members)}")
+    sweep = []
+    for member in members:
+        try:
+            sweep.append(float(member))
+        except ValueError as exc:
+            raise _UsageError(f"--sweep expects numbers, got '{member}'") from exc
     return sweep
 
 

@@ -25,7 +25,7 @@ columns of a ``Trajectory`` record.  Clearing-time sweeps share work:
 * the fault-on stage is the same for every clearing time, so
   ``FaultOnPrefix``, a one-row fault-on pool, integrates it once, up to
   the largest clearing sample, and every probe starts post-fault from
-  the prefix sample at its own clearing index;
+  the prefix sample at its own clearing index (``FaultOnPrefix.join``);
 * the post-fault system is autonomous, so rows at different local
   times can share a step: a post-fault pool advances every probe in
   flight as one (B, 2n) state, rows joining from their prefix heads and
@@ -262,19 +262,30 @@ class FaultOnPrefix:
         if len(samples) < index and self.divergence_index is None:
             pool.join([0], self._head, len(samples), index - len(samples))
             while pool.size:
-                block = pool.advance()
-                rows = block.samples[:, 0]
-                if block.lost.size:  # every sample of a lost row is good
-                    samples.extend(rows)
-                    self.divergence_index = len(samples)
-                else:  # the last sample starts the next block
+                rows = pool.advance().samples[:, 0]
+                if pool.ended.get(0) is None:  # the last sample starts the next block
                     samples.extend(rows[:-1])
                     self._head = rows[-1, : self._head.size]
+                else:  # lost: every sample of its record is good
+                    samples.extend(rows)
+                    self.divergence_index = len(samples)
         if index < len(samples):
             return samples[index][: self._head.size]
         if index == len(samples) and self.divergence_index is None:
             return self._head
         return None
+
+    def join(self, pool: RowPool, j: int, cfg: SimulationConfig) -> np.ndarray | None:
+        """Join run j to the post-fault ``pool`` at its clearing sample; returns that state.
+
+        None when the fault-on stage diverged first: run j has then ended (``pool.ended``).
+        """
+        head = self.state(cfg.clear_index)
+        if head is None:
+            pool.ended[j] = self.divergence_index * self.pool.dt
+        else:
+            pool.join([j], head, cfg.clear_index, cfg.n_steps - cfg.clear_index)
+        return head
 
 
 class Block(NamedTuple):
@@ -283,8 +294,6 @@ class Block(NamedTuple):
     samples: np.ndarray  # (L, R, 6n): delta | omega | W | omega_coi | f_coi | f_coi_pf
     rows: np.ndarray  # (R,) ids of the rows in the block
     start: np.ndarray  # (R,) each row's sample number at samples[0]
-    done: np.ndarray  # ids of the rows whose record ends with this block
-    lost: np.ndarray  # the subset of done that failed the divergence guard
 
 
 class RowPool:
@@ -298,11 +307,12 @@ class RowPool:
     f_coi_pf).  A block ends after ``block`` steps, earlier when a row
     reaches its last sample (so no row steps past its horizon) or when a
     row's next state fails the divergence guard.  Either way that row's
-    record ends with the block and it leaves the pool; the others go on
-    and the next block starts with the last sample of this one.  The
-    caller names each row with its own id when it joins, and may drop
-    rows between blocks (``leave``).  ``fault`` drives the motion with
-    the fault-on network: ``FaultOnPrefix``'s pool, one row at a time.
+    record ends with the block (``ended`` says how) and it leaves the
+    pool; the others go on and the next block starts with the last
+    sample of this one.  The caller names each row with its own id when
+    it joins, and may drop rows between blocks (``leave``).  ``fault``
+    drives the motion with the fault-on network: ``FaultOnPrefix``'s
+    pool, one row at a time.
     """
 
     def __init__(self, kernel: SwingKernel, dt: float, block: int = BLOCK, fault: bool = False):
@@ -314,6 +324,7 @@ class RowPool:
         self._start = np.empty(0, dtype=int)  # sample number of each row's last state
         self._left = np.empty(0, dtype=int)  # steps still to take, per row
         self._last = np.empty((0, 3 * kernel.n))  # the state each row's next block starts from
+        self.ended: dict[int, float | None] = {}  # id -> None, or if lost its divergence time
 
     @property
     def size(self) -> int:
@@ -370,13 +381,9 @@ class RowPool:
         rec[: pos + 1, ..., 3 * n :] = np.concatenate((omega_coi, active, post), -1)[: pos + 1]
         left = self._left - pos
         keep = left > 0 if healthy is None else healthy
-        block = Block(
-            samples=buf[: pos + 1],
-            rows=self.rows,
-            start=self._start,
-            done=self.rows[~keep],
-            lost=self.rows[:0] if healthy is None else self.rows[~healthy],
-        )
+        for j, start in zip(self.rows[~keep].tolist(), self._start[~keep].tolist()):
+            self.ended[j] = None if healthy is None else (start + pos + 1) * dt
+        block = Block(samples=buf[: pos + 1], rows=self.rows, start=self._start)
         self.rows = self.rows[keep]
         self._start = (self._start + pos)[keep]
         self._left = left[keep]
@@ -398,18 +405,13 @@ def run_family(case: StabilityCase, family: Sequence[SimulationConfig], sink) ->
         prefix, pool = FaultOnPrefix(kernel, case, dt), RowPool(kernel, dt)
         for j, cfg in enumerate(family):
             if cfg.dt == dt:
-                head = prefix.state(cfg.clear_index)
+                prefix.join(pool, j, cfg)
                 sink(j, 0, np.array(prefix.samples[: cfg.clear_index]))
-                if head is None:
-                    diverged[j] = prefix.divergence_index * dt
-                else:
-                    pool.join([j], head, cfg.clear_index, cfg.n_steps - cfg.clear_index)
         while pool.size:
             block = pool.advance()
             for r, (j, first) in enumerate(zip(block.rows.tolist(), block.start.tolist())):
                 sink(j, first, block.samples[:, r])
-                if j in block.lost:
-                    diverged[j] = (first + len(block.samples)) * dt
+        diverged.update((j, t) for j, t in pool.ended.items() if t is not None)
     return diverged
 
 

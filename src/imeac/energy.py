@@ -86,10 +86,13 @@ def pe_line_integral(
     return -(weights @ coi_forces(net, machines, path)) * (end - start)
 
 
-def pe_baseline(case: StabilityCase, sep: EquilibriumPoint | None) -> np.ndarray | None:
-    """PE of the initial point relative to the SEP; None without a converged SEP."""
+def pe_baseline(case: StabilityCase, sep: EquilibriumPoint | None) -> np.ndarray:
+    """PE of the initial point relative to the SEP; zeros without a converged SEP.
+
+    PE then counts from the initial point: zeros + W is W bit for bit (W is never -0.0).
+    """
     if sep is None or not sep.converged:
-        return None
+        return np.zeros(case.n)
     m = case.m_vector()
     start_coi = coi_frame(case.delta0, m / m.sum())
     return pe_line_integral(case.net_postfault, case.machines, sep.delta_s, start_coi)
@@ -101,12 +104,9 @@ def compute_energy(
     """Assemble the energy channels for a simulated trajectory."""
     m = case.m_vector()
     ke = 0.5 * m[:, None] * traj.omega_coi**2
-    baseline = pe_baseline(case, sep)
-    if baseline is None:
-        pe = traj.pe_integral.copy()
-    else:
-        pe = baseline[:, None] + traj.pe_integral
-    return EnergyChannels(ke=ke, pe=pe, total=ke + pe, baseline_from_sep=baseline is not None)
+    pe = pe_baseline(case, sep)[:, None] + traj.pe_integral
+    from_sep = sep is not None and sep.converged
+    return EnergyChannels(ke=ke, pe=pe, total=ke + pe, baseline_from_sep=from_sep)
 
 
 CRITICAL_KE_SHARE = 0.1  # of the largest machine KE at clearing

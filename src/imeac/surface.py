@@ -132,8 +132,7 @@ def surface_from_trajectories(case: StabilityCase, spec: SurfaceSpec, sep=None) 
         out = table[offset[j] + first :][: len(rows)]
         out[:, 0], out[:, 1] = j, (first + np.arange(len(rows))) * family[j].dt
         out[:, 2:4] = coi_frame(rows[:, :n], m / m.sum())[:, axes]
-        w = rows[:, 2 * n + focus]
-        out[:, 4] = w if baseline is None else baseline[focus] + w
+        out[:, 4] = baseline[focus] + rows[:, 2 * n + focus]
 
     diverged = run_family(case, family, ribbon_rows)
     for j, t in sorted(diverged.items()):

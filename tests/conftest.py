@@ -197,8 +197,10 @@ def run_pool(kernel, heads, steps, dt, block, join_after=0, first=0, leave=None)
     joins as sample number ``first``.  ``leave`` maps a head's index to
     the number of blocks after which it leaves the pool (``RowPool.leave``),
     counted from the first block; a row that has left must not be in a
-    later block.
-    Returns per head (samples (L, 5n), diverged) with the one-sample
+    later block.  A row whose record ends must be noted in ``pool.ended``
+    after that block, a lost one with the time of the first sample past
+    its record: (start + len) * dt of that block.
+    Returns per head (samples (L, 6n), diverged) with the one-sample
     overlap of consecutive blocks checked and removed; the record of a
     row that left early is the part it got.
     """
@@ -238,8 +240,11 @@ def run_pool(kernel, heads, steps, dt, block, join_after=0, first=0, leave=None)
                 assert block_out.start[r] == first
             if len(chunk):  # a block cut on its first step adds nothing new
                 parts.append(chunk.copy())
-        lost.update(block_out.lost.tolist())
-        assert set(block_out.lost.tolist()) <= set(block_out.done.tolist())
+            if row in pool.rows.tolist():
+                assert row not in pool.ended
+            elif pool.ended[row] is not None:  # lost: its record ended with this block
+                lost.add(row)
+                assert pool.ended[row] == (block_out.start[r] + len(block_out.samples)) * dt
     width = 6 * kernel.n
     return [
         (np.concatenate(record[i]) if record[i] else np.empty((0, width)), i in lost)

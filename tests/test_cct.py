@@ -242,6 +242,25 @@ class TestFindCct:
         with pytest.raises(ValueError, match=message):
             find_cct(smib, **{"t_lo": 0.150, "t_hi": 0.250, **kwargs})
 
+    @pytest.mark.parametrize(
+        "k_lo, k_hi, field",
+        [(None, None, "t_lo"), (140, 172, "t_lo"), (1, 172, "t_hi")],
+        ids=["t_lo-off-resolution", "t_lo-probe-off-dt", "t_hi-probe-off-dt"],
+    )
+    def test_bracket_off_the_dt_grid_names_its_field(self, wscc, k_lo, k_hi, field):
+        # the resolution is within GRID_TOL of dt=1e-3, but 140 or 172 of it
+        # are not: refused before any step, naming the bracket, not t_clear
+        resolution = 0.0010000000005
+        t_lo, t_hi = (0.14, 0.172) if k_lo is None else (k_lo * resolution, k_hi * resolution)
+
+        def no_steps(pool):
+            raise AssertionError("RowPool.advance called")
+
+        with mock.patch.object(RowPool, "advance", no_steps), \
+                pytest.raises(ValueError, match=f"^{field}=") as raised:
+            find_cct(wscc, t_lo, t_hi, resolution=resolution)
+        assert "t_clear" not in str(raised.value) and "\n" not in str(raised.value)
+
     def test_search_runs_ahead_of_its_verdicts(self, wscc):
         # on the seeded wscc9 brackets the pool takes about one horizon of
         # steps (one midpoint after another took 6768-11176), with at most

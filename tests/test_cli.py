@@ -291,6 +291,27 @@ class TestCct:
         assert_one_error_line(code, lines)
         assert lines[0] == f"error: {flag} must be > 0, got {float(value)}"
 
+    @pytest.mark.parametrize(
+        "t_lo, t_hi, field",
+        [("0.14", "0.172", "t_lo"), ("0.14000000007", "0.172000000086", "t_lo"),
+         ("0.0010000000005", "0.172000000086", "t_hi")],
+    )
+    def test_bracket_off_the_dt_grid_is_one_error_line(self, tmp_path, monkeypatch,
+                                                       t_lo, t_hi, field):
+        # a resolution within GRID_TOL of dt whose bracket probes are off
+        # the dt grid: refused before any step, never as a t_clear error
+        def no_steps(*args):
+            raise AssertionError("RowPool.advance called")
+
+        monkeypatch.setattr(imeac.dynamics.RowPool, "advance", no_steps)
+        code, lines = run_quiet([
+            "cct", WSCC, "--t-lo", t_lo, "--t-hi", t_hi, "--resolution", "0.0010000000005",
+            "--out", str(tmp_path / "cct.json"),
+        ])
+        assert_one_error_line(code, lines)
+        assert lines[0].startswith(f"error: {field}=") and "t_clear" not in lines[0]
+        assert not (tmp_path / "cct.json").exists()
+
 
 class TestSurface:
     def test_grid_mode(self, tmp_path, capsys):
@@ -479,7 +500,20 @@ class TestErrorPaths:
             imeac.cli._UsageError, match=f"^--sweep asks for more than {MAX_SWEEP} members, got"
         ) as caught:
             _parse_sweep(text)
-        assert str(caught.value).endswith(f"got '{text}'")
+        # the range form quotes its text, the list form its member count
+        got = f"'{text}'" if form == "range" else str(MAX_SWEEP + 1)
+        assert str(caught.value).endswith(f"got {got}")
+        assert len(str(caught.value)) < 100
+
+    def test_bad_member_of_a_long_sweep_list_is_quoted_alone(self, tmp_path):
+        members = [f"{0.05 + k * 1e-4:.4f}" for k in range(MAX_SWEEP)]
+        members[MAX_SWEEP // 2] = " 0.1x "
+        code, lines = run_quiet([
+            "surface", STAR, "--focus", "1", "--axes", "1,2", "--mode", "trajectories",
+            "--sweep", ",".join(members), "--out", str(tmp_path / "s.tsv"),
+        ])
+        assert (code, lines) == (1, ["error: --sweep expects numbers, got '0.1x'"])
+        assert not (tmp_path / "s.tsv").exists()
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_grid_n_is_bounded_before_the_grid(self, tmp_path, monkeypatch, where):

@@ -221,16 +221,18 @@ def test_scanner_is_blind_to_block_boundaries(case, k_clear):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @seed(20211021)
 @PROPERTY_SETTINGS
-@given(
-    case=staged_cases(),
-    k_clear=st.lists(st.integers(1, 150), min_size=2, max_size=3),
-    block=st.sampled_from([1, 2, BLOCK]),
-    join_after=st.integers(0, 20),
-)
-def test_row_joining_mid_run_equals_row_alone(case, k_clear, block, join_after):
+@given(case=staged_cases(), data=st.data())
+def test_row_joining_mid_run_equals_row_alone(case, data):
+    check_row_joining_mid_run_equals_row_alone(case, data.draw)
+
+
+def check_row_joining_mid_run_equals_row_alone(case, draw, note=event):
     # rows join a running pool at block boundaries, each from its own
     # clearing sample: every row's record, divergence included, is bit
     # for bit what the row gives alone
+    k_clear = draw(st.lists(st.integers(1, 150), min_size=2, max_size=3))
+    block = draw(st.sampled_from([1, 2, BLOCK]))
+    join_after = draw(st.integers(0, 20))
     kernel = SwingKernel(case)
     prefix = FaultOnPrefix(kernel, case, DT)
     heads = [prefix.state(k) for k in k_clear]
@@ -240,7 +242,7 @@ def test_row_joining_mid_run_equals_row_alone(case, k_clear, block, join_after):
     steps = round(HORIZON / DT)
     alone = [run_pool(kernel, [h], steps, DT, block)[0] for h in heads]
     if any(lost for _, lost in alone):
-        event("some rows diverged")
+        note("some rows diverged")
     joined = run_pool(kernel, heads, steps, DT, block, join_after)
     for (got, got_lost), (want, want_lost) in zip(joined, alone):
         assert got_lost == want_lost
@@ -250,17 +252,20 @@ def test_row_joining_mid_run_equals_row_alone(case, k_clear, block, join_after):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @seed(20211021)
 @PROPERTY_SETTINGS
-@given(
-    case=staged_cases(),
-    k_clear=st.lists(st.integers(1, 150), min_size=2, max_size=4),
-    block=st.sampled_from([1, 2, BLOCK]),
-    join_after=st.integers(0, 20),
-    leave_after=st.lists(st.none() | st.integers(0, 30), min_size=4, max_size=4),
-)
-def test_rows_leaving_mid_run_leave_the_others_alone(case, k_clear, block, join_after, leave_after):
+@given(case=staged_cases(), data=st.data())
+def test_rows_leaving_mid_run_leave_the_others_alone(case, data):
+    check_rows_leaving_mid_run_leave_the_others_alone(case, data.draw)
+
+
+def check_rows_leaving_mid_run_leave_the_others_alone(case, draw, note=event):
     # rows leave a running pool at block boundaries: a row that left is in
-    # no later block, its record so far is a prefix of its record alone,
-    # and every other row's record is bit for bit what the row gives alone
+    # no later block, its record so far is a prefix of its record alone
+    # (all of it when it left just before its divergence was seen), and
+    # every other row's record is bit for bit what the row gives alone
+    k_clear = draw(st.lists(st.integers(1, 150), min_size=2, max_size=4))
+    block = draw(st.sampled_from([1, 2, BLOCK]))
+    join_after = draw(st.integers(0, 20))
+    leave_after = draw(st.lists(st.none() | st.integers(0, 30), min_size=4, max_size=4))
     kernel = SwingKernel(case)
     prefix = FaultOnPrefix(kernel, case, DT)
     heads = [h for h in (prefix.state(k) for k in k_clear) if h is not None]
@@ -269,10 +274,10 @@ def test_rows_leaving_mid_run_leave_the_others_alone(case, k_clear, block, join_
     steps = round(HORIZON / DT)
     alone = [run_pool(kernel, [h], steps, DT, block)[0] for h in heads]
     leave = {i: at for i, at in enumerate(leave_after[: len(heads)]) if at is not None}
-    event(f"{len(leave)} of {len(heads)} rows leave")
+    note(f"{len(leave)} of {len(heads)} rows leave")
     pooled = run_pool(kernel, heads, steps, DT, block, join_after, leave=leave)
     for i, ((got, got_lost), (want, want_lost)) in enumerate(zip(pooled, alone)):
-        if i in leave and len(got) < len(want):
+        if i in leave and not got_lost:
             assert np.array_equal(got, want[: len(got)])
             continue
         assert got_lost == want_lost
@@ -563,6 +568,12 @@ def numpy_draw(rng: np.random.Generator):
             return bool(rng.integers(2))
         if kind in ("SampledFromStrategy", "JustStrategy"):  # sampled_from([x]) is just(x)
             return inner.elements[rng.integers(len(inner.elements))]
+        if kind == "OneOfStrategy":
+            options = inner.original_strategies
+            return draw(options[rng.integers(len(options))])
+        if kind == "ListStrategy":
+            size = int(rng.integers(inner.min_size, inner.max_size, endpoint=True))
+            return [draw(inner.element_strategy) for _ in range(size)]
         raise TypeError(f"no numpy draw for {strategy!r}")
 
     return draw
@@ -612,3 +623,17 @@ def test_corpus_find_cct_equals_reference_bisection(corpus_seed):
 def test_corpus_find_cct_equals_exhaustive_scan(corpus_seed):
     case, _, _, first_swing_only, draw = corpus_draw(corpus_seed)
     check_find_cct_equals_exhaustive_scan(case, draw, first_swing_only, note=ignore)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("corpus_seed", CORPUS)
+def test_corpus_row_joining_mid_run_equals_row_alone(corpus_seed):
+    case, *_, draw = corpus_draw(corpus_seed)
+    check_row_joining_mid_run_equals_row_alone(case, draw, note=ignore)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("corpus_seed", CORPUS)
+def test_corpus_rows_leaving_mid_run_leave_the_others_alone(corpus_seed):
+    case, *_, draw = corpus_draw(corpus_seed)
+    check_rows_leaving_mid_run_leave_the_others_alone(case, draw, note=ignore)
