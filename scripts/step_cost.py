@@ -10,7 +10,10 @@ reports, per tree, the microseconds per step of:
 
 Every figure is the minimum over the repeats; each repeat times every
 configuration of both trees in turn, so a slow spell of a shared host
-hits both sides alike.  Standard library and numpy only.
+hits both sides alike.  OLD_ROOT is loaded twice, as two packages timed
+as two trees: the ``old/old`` column, their ratio, is the noise floor
+of the same session for the ``new/old`` beside it.  Standard library
+and numpy only.
 
 Usage:  python scripts/step_cost.py OLD_ROOT NEW_ROOT [--repeats N] [--steps S]
 """
@@ -70,7 +73,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--steps", type=int, default=256)
     args = parser.parse_args(argv)
-    trees = {side: load(getattr(args, side).resolve(), f"imeac_{side}") for side in ("old", "new")}
+    roots = {"old": args.old, "old again": args.old, "new": args.new}
+    trees = {side: load(root.resolve(), f"imeac_{i}") for i, (side, root) in enumerate(roots.items())}
     cases = {side: pkg.load_case(Path(pkg.__file__).parent / "cases" / "wscc9.json")
              for side, pkg in trees.items()}
     labels = [f"post-fault step, B = {rows}" for rows in ROWS] + ["fault-on prefix step"]
@@ -83,10 +87,10 @@ def main(argv: list[str]) -> int:
             cost = prefix_cost(pkg, cases[side], args.steps)
             best[side, labels[-1]] = min(best[side, labels[-1]], cost)
     print(f"us per step, min of {args.repeats} interleaved repeats, {args.steps} steps each")
-    print(f"  {'':28s} {'old':>8s} {'new':>8s} {'new/old':>8s}")
+    print(f"  {'':28s} {'old':>8s} {'new':>8s} {'new/old':>8s} {'old/old':>8s}")
     for label in labels:
-        old, new = best["old", label], best["new", label]
-        print(f"  {label:28s} {old:8.1f} {new:8.1f} {new / old:8.3f}")
+        old, again, new = (best[side, label] for side in trees)
+        print(f"  {label:28s} {old:8.1f} {new:8.1f} {new / old:8.3f} {again / old:8.3f}")
     return 0
 
 

@@ -4,9 +4,10 @@ The case model is the immutable input to everything else: machine
 parameters, the three reduced admittance networks (pre-fault, fault-on,
 post-fault), and the initial operating point.  It also holds the one
 classical-model force (``mismatch`` then ``coi_share``: ``machine_forces``)
-that the RK4 stage, the equilibrium check, the post-fault stable
-equilibrium point (SEP) solve, the PE baseline and the surface grid all
-evaluate, and the one COI projection (``coi_frame``).
+that the equilibrium check, the post-fault stable equilibrium point
+(SEP) solve, the PE baseline and the surface grid all evaluate, and
+that the RK4 stage repeats call for call with ``out=``, and the one COI
+projection (``coi_frame``).
 
 Conventions: angles in radians, time in seconds, power and energy in
 per unit on the system base.  Machine inertia M is in p.u. s^2/rad

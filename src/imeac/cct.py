@@ -46,7 +46,7 @@ from .assess import (
     margin_at_anchor,
 )
 from .case import EquilibriumPoint, StabilityCase, coi_frame, solve_postfault_sep
-from .dynamics import GRID_TOL, FaultOnPrefix, RowPool, SimulationConfig, SwingKernel
+from .dynamics import FaultOnPrefix, RowPool, SimulationConfig, SwingKernel, off_grid
 from .energy import pe_baseline
 from .errors import BracketError, DivergenceError, HorizonError, ImeacError
 from .events import EventScanner
@@ -108,7 +108,7 @@ def _grid_value(value: float, unit: float, name: str) -> int:
     if not math.isfinite(value / unit):
         raise ValueError(f"{name}={value} is too large for a step of {unit}")
     k = round(value / unit)
-    if abs(value - k * unit) > GRID_TOL:
+    if off_grid(value, k, unit):
         raise ValueError(f"{name}={value} is not an integer multiple of {unit}")
     return k
 

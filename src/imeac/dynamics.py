@@ -14,13 +14,14 @@ integrand is post-fault by definition, whatever network drives the
 motion.
 
 One RK4 kernel (``SwingKernel``) and one block loop (``RowPool.advance``)
-serve both stages and every path.  The stage function is written once
-for any leading shape, one state (2n,) or a batch of rows (B, 2n), and
-reduces only over the machine axis, so a batch row is bit-identical to
-the same state advanced alone, also with constants in the batch's shape
-(``for_rows``), which numpy runs faster; so does the W pass.  The guard
-checks each step's motion and each block's W.  Blocks hold the 6n
-columns of a ``Trajectory`` record.  Clearing-time sweeps share work:
+serve both stages and every path.  A block steps in one workspace:
+every stage writes its dy/dt and P_m - P_e with ``out=`` into two
+stacked arrays, which the W pass reads, and reduces only over the
+machine axis, so a batch row is bit-identical to the state alone.  The
+guard runs once per block on the motion and on W; a block that raised
+floating-point errors is stepped again up to the cut with warnings on,
+as a step-by-step loop raised them.  Blocks hold the 6n columns of a
+``Trajectory`` record.  Clearing-time sweeps share work:
 
 * the fault-on stage is the same for every clearing time, so
   ``FaultOnPrefix``, a one-row fault-on pool, integrates it once, up to
@@ -46,16 +47,16 @@ family, its sink copying every block into the full record.
 
 from __future__ import annotations
 
-import copy
+import math
 from dataclasses import dataclass
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .case import StabilityCase, coi_frame, coi_share, mismatch, network_products
+from .case import StabilityCase, coi_frame, coi_share, network_products
 
 OMEGA_DIVERGENCE = 1e4  # rad/s; far beyond any physical swing
-GRID_TOL = 1e-12  # s; switching instants must land on the sample grid
+GRID_TOL = 1e-12  # s; switching instants land on the sample grid to this plus 4 ulps (off_grid)
 BLOCK = 32  # samples per streamed block (plus the one-sample overlap)
 MAX_STEPS = 1_000_000  # steps one run may take: 10 s at dt = 1e-5 s, 1000 s at the default 1 ms
 
@@ -64,6 +65,12 @@ MAX_STEPS = 1_000_000  # steps one run may take: 10 s at dt = 1e-5 s, 1000 s at 
 _all = np.logical_and.reduce
 _any = np.logical_or.reduce
 _max = np.maximum.reduce
+_sum = np.add.reduce
+
+
+def off_grid(value: float, k: int, unit: float) -> bool:
+    """Whether value misses k * unit by more than GRID_TOL plus 4 ulps of value."""
+    return abs(value - k * unit) > GRID_TOL + 4 * math.ulp(value)
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,7 @@ class SimulationConfig:
             steps = value / self.dt
             if not np.isfinite(steps):
                 raise ValueError(f"{name}={value} is too large for dt={self.dt}")
-            if abs(value - round(steps) * self.dt) > GRID_TOL:
+            if off_grid(value, round(steps), self.dt):
                 raise ValueError(
                     f"{name}={value} is not an integer multiple of dt={self.dt}"
                 )
@@ -155,11 +162,11 @@ class Trajectory:
 class SwingKernel:
     """The staged swing equations of one case, with precomputed network products.
 
-    The step integrates the motion delta | omega (..., 2n), one state or a
-    batch of rows, reducing over the machine axis only.  A stage computes
-    P_m - P_e once (``case.mismatch``): a fault-on stage stacks both
-    networks' products; with no machine damped, ``d`` is None and there is
-    no damping term.  ``channels`` makes W per block from the stages (same
+    ``steps`` integrates the motion delta | omega of one state or a batch
+    of rows in a block's workspace.  A stage computes P_m - P_e once
+    (``case.mismatch``'s calls): a fault-on stage stacks both networks'
+    products; with no machine damped, ``d`` is None and there is no
+    damping term.  ``channels`` makes W per block from the stages (same
     RK4 weights and bits) and the COI channels; a non-finite W fails the guard.
     """
 
@@ -174,70 +181,80 @@ class SwingKernel:
         fault = network_products(case.net_faulton, case.e_vector())
         self.both = tuple(np.stack(pair) for pair in zip(self.post, fault))
 
-    def for_rows(self, rows: int) -> SwingKernel:
-        """This kernel for ``rows`` post-fault states: from 2 on, (rows, ...) stage constants.
+    def steps(self, y, k, acc, count: int, dt: float, last: bool = True) -> None:
+        """RK4 steps from the motion y[0] (2, ..., n) into a block's workspace: y[s] is sample s.
 
-        The stacked fault-on products keep their shape: a fault-on pool is one row.
+        k (4L+1, 2, ..., n) and acc (4L+1, ..., n) get each stage's dy/dt
+        and P_m - P_e (fault-on acc: (..., 2, n), post | fault), four per
+        step, then with ``last`` the stage at y[count].  A stage reads one
+        input buffer and writes with ``out=``, with constants in the
+        block's shape: no indexing or allocation, and contiguous loops.
         """
-        if rows < 2:
-            return self
-        shaped = copy.copy(self)
-        for name in ("m", "pm") + (() if self.d is None else ("d",)):
-            setattr(shaped, name, np.repeat(getattr(self, name)[None], rows, axis=0))
-        shaped.post = tuple(np.repeat(p[None], rows, axis=0) for p in self.post)
-        return shaped
+        n, fault = self.n, acc.ndim == k.ndim
+        x = np.empty(y.shape[1:])  # the stage input, delta | omega
+        delta, omega = (x[0, ..., None, :] if fault else x[0]), x[1]
+        dcol, drow = delta[..., :, None], delta[..., None, :]
+        diff, cos = np.empty((2,) + delta.shape + (n,))
+        total, (pe, pe_sin) = np.empty(acc.shape[1:]), np.empty((2,) + acc.shape[1:] + (n,))
+        eg, eb = (np.full(pe.shape, p) for p in (self.both if fault else self.post))
+        pm, m = np.full(total.shape, self.pm), np.full(omega.shape, self.m)
+        d = None if self.d is None else np.full(omega.shape, self.d)
+        half, full, two, sixth = (np.full(x.shape, c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
+        rate, (tmp, tmp2) = np.empty(omega.shape), np.empty((2,) + x.shape)
+        ys, ks, k_omega, k_acc, accs = list(y), list(k), list(k[:, 0]), list(k[:, 1]), list(acc)
+        acts = list(acc[..., 1, :]) if fault else accs
 
-    def stage(self, y: np.ndarray, fault_stage: bool):
-        """(dy/dt, acc) at y: acc = P_m - P_e, undamped; fault-on (..., 2, n): post | fault."""
-        delta, omega = y[..., : self.n], y[..., self.n :]
-        if fault_stage:
-            acc = mismatch(self.both, self.pm, delta[..., None, :])
-            act = acc[..., 1, :]
-        else:
-            acc = act = mismatch(self.post, self.pm, delta)
-        act = act if self.d is None else act - self.d * omega  # act - 0 * omega is act
-        return np.concatenate((omega, act / self.m), axis=-1), acc
+        def stage(i: int) -> None:
+            np.subtract(dcol, drow, out=diff)
+            np.cos(diff, out=cos)
+            np.sin(diff, out=diff)
+            np.multiply(eg, cos, out=pe)
+            np.multiply(eb, diff, out=pe_sin)
+            np.add(pe, pe_sin, out=pe)
+            np.subtract(pm, _sum(pe, -1, out=total), out=accs[i])
+            k_omega[i][...] = omega
+            act = acts[i] if d is None else (  # act - d * omega
+                np.subtract(acts[i], np.multiply(d, omega, out=rate), out=rate))
+            np.divide(act, m, out=k_acc[i])
 
-    def step(self, y: np.ndarray, k1: np.ndarray, fault_stage: bool, dt: float):
-        """One classical RK4 step from y, whose first stage's k1 is known; also its later stages."""
-        s2 = self.stage(y + 0.5 * dt * k1, fault_stage)
-        s3 = self.stage(y + 0.5 * dt * s2[0], fault_stage)
-        s4 = self.stage(y + dt * s3[0], fault_stage)
-        return y + (dt / 6.0) * (k1 + 2.0 * s2[0] + 2.0 * s3[0] + s4[0]), [s2, s3, s4]
+        for s in range(count):
+            y0, i = ys[s], 4 * s
+            x[...] = y0
+            stage(i)
+            for j, c in ((i, half), (i + 1, half), (i + 2, full)):
+                np.add(y0, np.multiply(c, ks[j], out=tmp), out=x)
+                stage(j + 1)
+            # y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), in that order
+            np.add(ks[i], np.multiply(two, ks[i + 1], out=tmp), out=tmp)
+            np.add(tmp, np.multiply(two, ks[i + 2], out=tmp2), out=tmp)
+            np.add(tmp, ks[i + 3], out=tmp)
+            np.add(y0, np.multiply(sixth, tmp, out=tmp), out=ys[s + 1])
+        if last:
+            x[...] = ys[count]
+            stage(4 * count)
 
-    def channels(self, stages: list, w0: np.ndarray, dt: float, cut: int | None = None):
-        """W, omega_coi and coi_share(acc) of a run of steps, from its stages' (dy/dt, acc).
+    def channels(self, k, acc, w0: np.ndarray, dt: float, cut: int | None = None):
+        """W, omega_coi and coi_share(acc) of a run of steps, from a workspace's stages (``steps``).
 
-        ``stages``: four per step in evaluation order, maybe then the first
-        stage at the sample reached.  W_k+1 = W_k + inc_k from w0, with the
-        RK4 weights: the augmented-state integral bit for bit.  Also returns
-        the first step whose W is not finite, or None: the run is then redone
-        up to it (``cut``), raising only that step's floating-point warnings.
+        Four stages per step, maybe then the one at the sample reached.
+        W_k+1 = W_k + inc_k from w0, with the RK4 weights: the augmented-
+        state integral bit for bit.  Also returns the first step whose W is
+        not finite, or None: the run is then redone up to it (``cut``),
+        raising only that step's floating-point warnings.
         """
-        ks, accs = zip(*stages)
         with np.errstate(all="ignore" if cut is None else None):
-            k = np.concatenate(ks).reshape((len(ks),) + ks[0].shape)
-            f = coi_share(np.concatenate(accs).reshape((len(accs),) + accs[0].shape), self.m_share)
-            omega_coi = coi_frame(k[..., : self.n], self.m_share)
-            g = -(f if f.ndim == k.ndim else f[..., 0, :]) * omega_coi
-            end = len(ks) // 4 * 4
+            f = coi_share(acc, np.full(acc.shape, self.m_share))
+            omega_coi = coi_frame(k[:, 0], np.full(k[:, 0].shape, self.m_share))
+            g = -(f[..., 0, :] if f.ndim == k.ndim else f) * omega_coi
+            end = len(k) // 4 * 4
             inc = (dt / 6.0) * (g[0:end:4] + 2.0 * g[1:end:4] + 2.0 * g[2:end:4] + g[3:end:4])
             inc[0] += w0
             w = np.add.accumulate(inc)
         finite = np.isfinite(w)
         if cut is None and not _all(finite, None):
             cut = int(np.flatnonzero(~_all(finite.reshape(len(w), -1), 1))[0])
-            return self.channels(stages[: 4 * cut + 4], w0, dt, cut)
+            return self.channels(k[: 4 * cut + 4], acc[: 4 * cut + 4], w0, dt, cut)
         return w, omega_coi[::4], f[::4], cut
-
-    def healthy(self, y: np.ndarray, axis: int | None = -1):
-        """Divergence guard on the motion: all finite and every |omega| within bounds.
-
-        Per row by default; axis=None answers for the whole batch at once,
-        the cheap test a step takes before it looks for the failing rows.
-        """
-        omega = y[..., self.n : 2 * self.n]
-        return _all(np.isfinite(y), axis) & (_max(np.abs(omega), axis) <= OMEGA_DIVERGENCE)
 
 
 class FaultOnPrefix:
@@ -352,30 +369,34 @@ class RowPool:
 
     def advance(self) -> Block:
         """Step every row in flight through one block; rows that end leave the pool."""
-        kernel, dt, n = self.kernel.for_rows(self.rows.size), self.dt, self.kernel.n
+        kernel, dt, n = self.kernel, self.dt, self.kernel.n
         length = min(self.block, int(self._left.min()))
         buf = np.empty((length + 1, self.rows.size, 6 * n))
         buf[0, :, : 3 * n] = self._last
         # a lone row steps as a plain state: less numpy overhead per call
         rec = buf[:, 0] if self.rows.size == 1 else buf
-        y = rec[0, ..., : 2 * n]
-        stages = [kernel.stage(y, self.fault)]
-        healthy, pos = None, 0
-        while pos < length:
-            y, later = kernel.step(y, stages[-1][0], self.fault, dt)
-            stages += later
-            if not kernel.healthy(y, None):
-                # cut the block here; the survivors redo this step next block
-                healthy = np.atleast_1d(kernel.healthy(y))
-                break
-            pos += 1
-            rec[pos, ..., : 2 * n] = y
-            stages.append(kernel.stage(y, self.fault))
-        w, omega_coi, f, cut = kernel.channels(stages, rec[0, ..., 2 * n : 3 * n], dt)
+        motion = rec[..., : 2 * n].reshape(rec.shape[:-1] + (2, n))  # rows of delta | omega
+        y = np.empty((length + 1, 2) + rec.shape[1:-1] + (n,))
+        y[0].swapaxes(0, -2)[...] = motion[0]
+        k = np.empty((4 * length + 1,) + y.shape[1:])
+        acc = np.empty((4 * length + 1,) + rec.shape[1:-1] + ((2, n) if self.fault else (n,)))
+        raised = []  # floating-point errors, noted; the guard decides where the block ends
+        with np.errstate(all="call", call=lambda *_: raised.append(True)):
+            kernel.steps(y, k, acc, length, dt)
+        good = _all(np.isfinite(y[1:]), (1, -1)) & (_max(np.abs(y[1:, 1]), -1) <= OMEGA_DIVERGENCE)
+        failed = np.flatnonzero(~_all(good.reshape(length, -1), 1))[:1].tolist()
+        # cut the block at the first step a row fails; the survivors redo it next block
+        pos, healthy = (failed[0], np.atleast_1d(good[failed[0]])) if failed else (length, None)
+        stepped = pos if healthy is None else pos + 1
+        if raised:  # again up to the cut, warning as a step-by-step loop
+            kernel.steps(y, k, acc, stepped, dt, last=healthy is None)
+        used = 4 * stepped + (healthy is None)
+        w, omega_coi, f, cut = kernel.channels(k[:used], acc[:used], rec[0, ..., 2 * n : 3 * n], dt)
         if cut is not None:
             finite = _all(np.isfinite(w[cut].reshape(-1, n)), -1)
             healthy = finite if cut < pos else finite & healthy
             pos = cut
+        motion[1 : pos + 1] = y[1 : pos + 1].swapaxes(1, -2)
         rec[1 : pos + 1, ..., 2 * n : 3 * n] = w[:pos]
         active, post = (f[..., 1, :], f[..., 0, :]) if self.fault else (f, f)
         rec[: pos + 1, ..., 3 * n :] = np.concatenate((omega_coi, active, post), -1)[: pos + 1]

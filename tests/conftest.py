@@ -10,7 +10,10 @@ off a whole trajectory record, independently of the clearing-time
 engine, which streams its rows block by block.  ``family_reference``
 is the surface family run member by member the same way: simulate ->
 compute_energy per member, independently of the family's shared row
-pool.
+pool.  ``ReferenceStepper`` is the RK4 step one allocating call per
+stage, with the guard after every step, and ``RowPool.advance`` on it:
+the oracle of the block workspace (``SwingKernel.steps``) and of the
+per-block guard with its replay.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from imeac import (
 )
 
 from imeac.assess import UNDETERMINED, MachineAssessment, anchor_index, margin_at_anchor
+from imeac.case import coi_frame, coi_share, mismatch
+from imeac.dynamics import OMEGA_DIVERGENCE, Block
 from imeac.events import _hermite
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -303,3 +308,143 @@ def family_reference(case, spec, sep=None) -> np.ndarray:
             np.full(traj.n_samples, tid), traj.times, traj.delta_coi[a], traj.delta_coi[b], pe,
         )))
     return np.concatenate(ribbons)
+
+
+class ReferenceStepper:
+    """The RK4 step of a ``SwingKernel``, one allocating call per stage: the oracle.
+
+    Each stage allocates its (dy/dt, acc) from the (n,) constants
+    (fault-on: acc (..., 2, n), post | fault), each step checks the
+    guard on the new state, and ``channels`` stacks the stages of a list.
+    ``advance`` is ``RowPool.advance`` stepping one step at a time and
+    stopping at the first step whose motion fails the guard.
+    """
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+
+    def stage(self, y, fault_stage):
+        """(dy/dt, acc) at y: acc = P_m - P_e, undamped."""
+        kernel, n = self.kernel, self.kernel.n
+        delta, omega = y[..., :n], y[..., n:]
+        if fault_stage:
+            acc = mismatch(kernel.both, kernel.pm, delta[..., None, :])
+            act = acc[..., 1, :]
+        else:
+            acc = act = mismatch(kernel.post, kernel.pm, delta)
+        act = act if kernel.d is None else act - kernel.d * omega
+        return np.concatenate((omega, act / kernel.m), axis=-1), acc
+
+    def step(self, y, k1, fault_stage, dt):
+        """One classical RK4 step from y, whose first stage's k1 is known; also its later stages."""
+        s2 = self.stage(y + 0.5 * dt * k1, fault_stage)
+        s3 = self.stage(y + 0.5 * dt * s2[0], fault_stage)
+        s4 = self.stage(y + dt * s3[0], fault_stage)
+        return y + (dt / 6.0) * (k1 + 2.0 * s2[0] + 2.0 * s3[0] + s4[0]), [s2, s3, s4]
+
+    def healthy(self, y, axis=-1):
+        """The divergence guard on the motion, per row (axis=None: the whole batch)."""
+        omega = y[..., self.kernel.n :]
+        return np.all(np.isfinite(y), axis) & (np.max(np.abs(omega), axis) <= OMEGA_DIVERGENCE)
+
+    def block(self, y, steps, fault_stage, dt):
+        """Up to ``steps`` steps from y: (states, stages, per-row guard of the step that failed or None)."""
+        states, stages = [y], [self.stage(y, fault_stage)]
+        while len(states) <= steps:
+            y, later = self.step(y, stages[-1][0], fault_stage, dt)
+            stages += later
+            if not self.healthy(y, None):
+                return states, stages, np.atleast_1d(self.healthy(y))
+            states.append(y)
+            stages.append(self.stage(y, fault_stage))
+        return states, stages, None
+
+    def channels(self, stages, w0, dt, cut=None):
+        """W, omega_coi and coi_share(acc) of a list of stages, and the first step with W not finite."""
+        n, m_share = self.kernel.n, self.kernel.m_share
+        ks, accs = zip(*stages)
+        with np.errstate(all="ignore" if cut is None else None):
+            k = np.concatenate(ks).reshape((len(ks),) + ks[0].shape)
+            f = coi_share(np.concatenate(accs).reshape((len(accs),) + accs[0].shape), m_share)
+            omega_coi = coi_frame(k[..., :n], m_share)
+            g = -(f if f.ndim == k.ndim else f[..., 0, :]) * omega_coi
+            end = len(ks) // 4 * 4
+            inc = (dt / 6.0) * (g[0:end:4] + 2.0 * g[1:end:4] + 2.0 * g[2:end:4] + g[3:end:4])
+            inc[0] += w0
+            w = np.add.accumulate(inc)
+        finite = np.isfinite(w)
+        if cut is None and not finite.all():
+            cut = int(np.flatnonzero(~finite.reshape(len(w), -1).all(1))[0])
+            return self.channels(stages[: 4 * cut + 4], w0, dt, cut)
+        return w, omega_coi[::4], f[::4], cut
+
+    def advance(self, pool):
+        """``pool.advance()`` as a step-by-step loop: the guard after each step stops the block."""
+        n, dt = self.kernel.n, pool.dt
+        length = min(pool.block, int(pool._left.min()))
+        buf = np.empty((length + 1, pool.rows.size, 6 * n))
+        buf[0, :, : 3 * n] = pool._last
+        rec = buf[:, 0] if pool.rows.size == 1 else buf
+        states, stages, healthy = self.block(rec[0, ..., : 2 * n], length, pool.fault, dt)
+        pos = len(states) - 1
+        for s, y in enumerate(states):
+            rec[s, ..., : 2 * n] = y
+        w, omega_coi, f, cut = self.channels(stages, rec[0, ..., 2 * n : 3 * n], dt)
+        if cut is not None:
+            finite = np.isfinite(w[cut].reshape(-1, n)).all(-1)
+            healthy = finite if cut < pos else finite & healthy
+            pos = cut
+        rec[1 : pos + 1, ..., 2 * n : 3 * n] = w[:pos]
+        active, post = (f[..., 1, :], f[..., 0, :]) if pool.fault else (f, f)
+        rec[: pos + 1, ..., 3 * n :] = np.concatenate((omega_coi, active, post), -1)[: pos + 1]
+        left = pool._left - pos
+        keep = left > 0 if healthy is None else healthy
+        for j, start in zip(pool.rows[~keep].tolist(), pool._start[~keep].tolist()):
+            pool.ended[j] = None if healthy is None else (start + pos + 1) * dt
+        block = Block(samples=buf[: pos + 1], rows=pool.rows, start=pool._start)
+        pool.rows = pool.rows[keep]
+        pool._start = (pool._start + pos)[keep]
+        pool._left = left[keep]
+        pool._last = buf[pos, :, : 3 * n][keep]
+        return block
+
+
+def as_rows(a):
+    """A workspace array (S, 2, ..., n) as rows of delta | omega (S, ..., 2n)."""
+    return a.swapaxes(1, -2).reshape(a.shape[:1] + a.shape[2:-1] + (-1,))
+
+
+def workspace_block(kernel, y0, steps, fault_stage, dt):
+    """``SwingKernel.steps`` from y0 (2n,) or (B, 2n), laid out as ``RowPool.advance`` lays it out.
+
+    Returns the workspace: motion y (steps+1, 2, ..., n), stages' dy/dt k
+    (4 steps+1, 2, ..., n) and acc (4 steps+1, ..., n), fault-on (..., 2, n).
+    """
+    n = kernel.n
+    y = np.empty((steps + 1, 2) + y0.shape[:-1] + (n,))
+    y[0].swapaxes(0, -2)[...] = y0.reshape(y0.shape[:-1] + (2, n))
+    k = np.empty((4 * steps + 1,) + y.shape[1:])
+    acc = np.empty(k.shape[:1] + y0.shape[:-1] + ((2, n) if fault_stage else (n,)))
+    kernel.steps(y, k, acc, steps, dt)
+    return y, k, acc
+
+
+def assert_block_equals_reference(kernel, y0, steps, fault_stage, dt, w0=None):
+    """The workspace block from y0 against the reference stepper's, bit for bit; returns the workspace.
+
+    States, every stage's dy/dt and acc, and the channels from W = w0
+    (zeros by default) must be equal; the run must stay within the guard.
+    """
+    y, k, acc = workspace_block(kernel, y0, steps, fault_stage, dt)
+    ref = ReferenceStepper(kernel)
+    states, stages, healthy = ref.block(y0, steps, fault_stage, dt)
+    assert healthy is None, "the reference left the guard region"
+    assert np.array_equal(as_rows(y), np.array(states))
+    assert np.array_equal(as_rows(k), np.array([s[0] for s in stages]))
+    assert np.array_equal(acc, np.array([s[1] for s in stages]))
+    w0 = np.zeros(y0.shape[:-1] + (kernel.n,)) if w0 is None else w0
+    got, want = kernel.channels(k, acc, w0, dt), ref.channels(stages, w0, dt)
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    assert got[3] == want[3] is None
+    return y, k, acc

@@ -261,6 +261,26 @@ class TestFindCct:
             find_cct(wscc, t_lo, t_hi, resolution=resolution)
         assert "t_clear" not in str(raised.value) and "\n" not in str(raised.value)
 
+    def test_long_horizon_keeps_its_grid(self, smib):
+        # 8324.96 s is 832496 steps of 0.01 s to within one float spacing of
+        # 8324.96, not to within 1e-12 s: both probes start; no step is taken
+        class Started(Exception):
+            pass
+
+        def started(pool):
+            raise Started
+
+        with mock.patch.object(RowPool, "advance", started), pytest.raises(Started):
+            find_cct(smib, 0.15, 0.25, resolution=0.01, dt=0.01, horizon=8324.96)
+
+    def test_horizon_off_the_dt_grid_is_refused(self, smib):
+        def no_steps(pool):
+            raise AssertionError("RowPool.advance called")
+
+        message = r"^horizon=1\.000000001 is not an integer multiple of 0\.001$"
+        with mock.patch.object(RowPool, "advance", no_steps), pytest.raises(ValueError, match=message):
+            find_cct(smib, 0.15, 0.25, horizon=1.0 + 1e-9)
+
     def test_search_runs_ahead_of_its_verdicts(self, wscc):
         # on the seeded wscc9 brackets the pool takes about one horizon of
         # steps (one midpoint after another took 6768-11176), with at most

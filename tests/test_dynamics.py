@@ -27,6 +27,7 @@ from imeac.dynamics import (
     MAX_STEPS,
     OMEGA_DIVERGENCE,
     FaultOnPrefix,
+    RowPool,
     SwingKernel,
     trajectory_header,
     write_trajectory,
@@ -34,6 +35,9 @@ from imeac.dynamics import (
 from imeac.errors import ImeacError
 from imeac.events import detect_events
 from conftest import (
+    ReferenceStepper,
+    as_rows,
+    assert_block_equals_reference,
     assess_machines,
     coi_identity_errors,
     light_smib,
@@ -74,6 +78,14 @@ class TestConfigValidation:
             SimulationConfig(t_clear=0.1005, t_end=1.0, dt=1e-3)
         with pytest.raises(ValueError, match="t_end"):
             SimulationConfig(t_clear=0.1, t_end=1.0007, dt=1e-3)
+
+    def test_long_times_keep_their_grid(self):
+        # 8324.96 is 832496 x 0.01 to within one float spacing of 8324.96,
+        # not to within 1e-12 s; an offset of 1e-9 s is still refused
+        assert SimulationConfig(t_clear=0.1, t_end=8324.96, dt=0.01).n_steps == 832496
+        message = r"^t_end=1\.000000001 is not an integer multiple of dt=0\.001$"
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig(t_clear=0.1, t_end=1.0 + 1e-9, dt=1e-3)
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -139,7 +151,7 @@ class TestRk4Step:
 
     def test_forward_backward_step_returns_state(self, wscc):
         # undamped swing dynamics one step forward then one step back,
-        # W with them
+        # W with them; each step is the reference stepper's bit for bit
         kernel = SwingKernel(wscc)
         n = wscc.n
         y0 = np.concatenate([wscc.delta0 + 0.3, np.linspace(-1.0, 1.0, n)])
@@ -151,7 +163,8 @@ class TestRk4Step:
 
     def test_batch_row_equals_single_state(self, wscc):
         # the stage and the W pass reduce over machines only: a row of a
-        # batch is advanced bit for bit like the same state alone
+        # batch is advanced bit for bit like the same state alone, and
+        # both as the reference stepper advances them
         kernel = SwingKernel(wscc)
         n = wscc.n
         rng = np.random.default_rng(3)
@@ -169,7 +182,7 @@ class TestRk4Step:
     def test_stage_forces_are_coi_forces(self, wscc):
         # one force formula: coi_share of the stage's acc is coi_forces on
         # the post-fault network (and, on fault-on stages, on the fault-on
-        # one), bit for bit
+        # one), bit for bit, in a workspace block equal to the reference
         kernel = SwingKernel(wscc)
         n = wscc.n
         rng = np.random.default_rng(8)
@@ -178,18 +191,19 @@ class TestRk4Step:
         )
         for y in (batch[0], batch):
             post = coi_forces(wscc.net_postfault, wscc.machines, y[..., :n])
-            f = coi_share(kernel.stage(y, True)[1], kernel.m_share)
+            acc = assert_block_equals_reference(kernel, y, 1, True, 1e-3)[2]
+            f = coi_share(acc[0], kernel.m_share)
             fault = coi_forces(wscc.net_faulton, wscc.machines, y[..., :n])
             assert np.array_equal(f[..., 1, :], fault)
             assert np.array_equal(f[..., 0, :], post)
-            assert np.array_equal(coi_share(kernel.stage(y, False)[1], kernel.m_share), post)
+            acc = assert_block_equals_reference(kernel, y, 1, False, 1e-3)[2]
+            assert np.array_equal(coi_share(acc[0], kernel.m_share), post)
 
 
 def rk4(kernel, y, w, fault_stage, dt):
-    """One RK4 step of the motion y and of W, from the kernel's stages as the engine takes it."""
-    first = kernel.stage(y, fault_stage)
-    y_next, later = kernel.step(y, first[0], fault_stage, dt)
-    return y_next, kernel.channels([first, *later], w, dt)[0][-1]
+    """One RK4 step of the motion y and of W in a workspace block, equal to the reference stepper's."""
+    ys, k, acc = assert_block_equals_reference(kernel, y, 1, fault_stage, dt, w)
+    return as_rows(ys)[1], kernel.channels(k, acc, w, dt)[0][-1]
 
 
 def damped_swing_derivative(case, delta, omega, fault_stage):
@@ -221,17 +235,15 @@ class TestDamping:
         return np.concatenate([case.delta0 + rng.normal(0.0, 0.5, (5, n)), omega], axis=1)
 
     def check_derivative(self, case, batch):
+        # the first stage of a workspace block, one row and a batch in the
+        # block's shape as the row pool steps them, equal to the reference
         kernel = SwingKernel(case)
         n = case.n
         for fault_stage in (True, False):
             for y in (batch[0], batch):
-                dy = kernel.stage(y, fault_stage)[0]
+                dy = as_rows(assert_block_equals_reference(kernel, y, 1, fault_stage, 1e-3)[1])[0]
                 want = damped_swing_derivative(case, y[..., :n], y[..., n:], fault_stage)
                 assert np.array_equal(dy[..., n:], want)
-        # the batch-shaped constants of for_rows, as the row pool steps them
-        dy = kernel.for_rows(len(batch)).stage(batch, False)[0]
-        want = damped_swing_derivative(case, batch[:, :n], batch[:, n:], False)
-        assert np.array_equal(dy[:, n:], want)
 
     def test_damped_derivative_keeps_the_damping_term(self, damped):
         assert SwingKernel(damped).d is not None
@@ -536,6 +548,86 @@ class TestFaultOnPrefix:
         for a, b in zip(got, want):
             assert (a is None and b is None) or np.array_equal(a, b)
         assert got[0] is not None and (got[2] is None) == (name != "wscc9")
+
+
+class TestWorkspaceBlock:
+    """SwingKernel.steps against the reference stepper: states, stages and channels, bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("fault_stage", [True, False], ids=["fault-on", "post-fault"])
+    @pytest.mark.parametrize("name", ["wscc9", "wscc9 damped", "ring10"])
+    def test_block_equals_reference_stepper(self, wscc, name, fault_stage, rows):
+        # ring10 has n = 10: numpy sums its machine axis pairwise; one row
+        # steps as a plain (2n,) state, five as a (5, 2n) batch
+        case = {"wscc9": wscc, "wscc9 damped": with_damping(wscc), "ring10": ten_machine_case()}[name]
+        n = case.n
+        rng = np.random.default_rng(13)
+        batch = np.concatenate(
+            [case.delta0 + rng.normal(0.0, 0.3, (rows, n)), rng.normal(0.0, 1.0, (rows, n))], axis=1
+        )
+        y0 = batch[0] if rows == 1 else batch
+        w0 = rng.normal(0.0, 0.1, y0.shape[:-1] + (n,))
+        assert_block_equals_reference(SwingKernel(case), y0, BLOCK, fault_stage, 1e-3, w0)
+
+
+def pool_run(kernel, dt, heads, steps, advance, fault=False):
+    """Each block (samples, rows, start), ``ended`` and the warnings of a pool stepped by ``advance``."""
+    pool = RowPool(kernel, dt, fault=fault)
+    pool.join(range(len(heads)), np.array(heads), 0, steps)
+    blocks = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        while pool.size:
+            blocks.append(advance(pool))
+    return blocks, pool.ended, [(w.category, str(w.message)) for w in caught]
+
+
+class TestGuardReplay:
+    """The per-block guard and its replay against the reference stepper's per-step guard."""
+
+    def scenario(self, name, smib, wscc):
+        """(case, dt, heads, steps, fault) of a batch in which a row leaves the guard."""
+        if name == "subnormal inertia":
+            # an equilibrium row goes on; the other's P_m - P_e over M
+            # overflows on its first step, raising numpy warnings
+            case = two_machine_case(pm=0.8, m0=1e-309, m1=1.0, fault_b=0.0)
+            head = np.concatenate([case.delta0, case.omega0, np.zeros(2)])
+            return case, 1e-3, [head, head + [0.1, 0.0, 0.0, 0.0, 0.0, 0.0]], 50, False
+        if name == "fault-on W overflow":  # W overflows during the fault-on stage
+            case = w_overflow_case(wscc)
+            return case, 1e-3, [np.concatenate([case.delta0, case.omega0, np.zeros(3)])], 300, True
+        case, dt, clears, steps = {
+            # motion: rows leave at |omega| > 1e4 in mid-block, at their own steps
+            "light smib": (light_smib(smib), 2e-3, [1, 11, 21, 31], 1500),
+            # W alone overflows, in mid-block, at a step that varies by row
+            "W overflow after clearing": (w_overflow_after_clearing(wscc), 1e-3, [10, 70, 100, 150], 1000),
+        }[name]
+        prefix = FaultOnPrefix(SwingKernel(case), case, dt)
+        return case, dt, [prefix.state(k) for k in clears], steps, False
+
+    @pytest.mark.parametrize(
+        "name", ["light smib", "W overflow after clearing", "subnormal inertia", "fault-on W overflow"]
+    )
+    def test_cut_equals_per_step_guard(self, smib, wscc, name):
+        # the cut sample, RowPool.ended, every row's records and the warnings
+        # (text, count and order) are the step-by-step loop's
+        case, dt, heads, steps, fault = self.scenario(name, smib, wscc)
+        kernel = SwingKernel(case)
+        got, ended, raised = pool_run(kernel, dt, heads, steps, RowPool.advance, fault)
+        want, want_ended, want_raised = pool_run(
+            kernel, dt, heads, steps, ReferenceStepper(kernel).advance, fault
+        )
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.rows, b.rows) and np.array_equal(a.start, b.start)
+            assert np.array_equal(a.samples, b.samples, equal_nan=True)
+        assert ended == want_ended
+        assert raised == want_raised
+        # a row left the guard; in a batch, at a step inside a block, and another went on
+        lost = {j for j, t in ended.items() if t is not None}
+        assert lost and (fault or set(ended) > lost)
+        assert fault or any(len(b.samples) - 1 < BLOCK and b.rows.size > 1 for b in got[:-1])
+        assert (raised != []) == (name != "light smib")
 
 
 class TestRowPool:

@@ -38,12 +38,11 @@ from imeac import (
     simulate,
     solve_postfault_sep,
 )
-from imeac.case import machine_forces
 from imeac.cct import identify_mdm
 from imeac.dynamics import BLOCK, FaultOnPrefix, SwingKernel
 from imeac.events import EventScanner, detect_events
 from imeac.network import staged_reduction
-from conftest import coi_identity_errors, run_pool
+from conftest import coi_identity_errors, run_pool, workspace_block
 
 DT = 2e-3
 HORIZON = 0.6
@@ -173,18 +172,25 @@ def test_scan_equals_probes_one_by_one(case, times, horizon, first_swing_only):
     check_scan_equals_probes(case, times, horizon, first_swing_only)
 
 
+CLEARING_STEPS = st.integers(1, 30)  # clearing times in units of 10 ms
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @seed(20211021)
 @PROPERTY_SETTINGS
-@given(case=staged_cases(), k_clear=st.integers(1, 30))
+@given(case=staged_cases(), k_clear=CLEARING_STEPS)
 def test_coi_identities_hold_at_every_sample(case, k_clear):
+    check_coi_identities_hold_at_every_sample(case, k_clear)
+
+
+def check_coi_identities_hold_at_every_sample(case, k_clear, note=event):
     # criterion 1's tolerances on generated cases, diverging runs included:
     # the COI momentum and the relative forces on the active and on the
     # post-fault network sum to zero at every recorded sample
     t_clear = round(0.01 * k_clear, 2)
     traj = simulate(case, SimulationConfig(t_clear=t_clear, t_end=t_clear + HORIZON, dt=DT))
     if traj.diverged:
-        event("diverged")
+        note("diverged")
     momentum, force = coi_identity_errors(case, traj)
     assert momentum < 1e-9 * case.m_vector().sum()
     assert force < 1e-8
@@ -205,8 +211,12 @@ def feed_in_blocks(case, traj, pe, block):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @seed(20211021)
 @PROPERTY_SETTINGS
-@given(case=staged_cases(), k_clear=st.integers(1, 30))
+@given(case=staged_cases(), k_clear=CLEARING_STEPS)
 def test_scanner_is_blind_to_block_boundaries(case, k_clear):
+    check_scanner_is_blind_to_block_boundaries(case, k_clear)
+
+
+def check_scanner_is_blind_to_block_boundaries(case, k_clear):
     t_clear = round(0.01 * k_clear, 2)
     traj = simulate(case, SimulationConfig(t_clear=t_clear, t_end=t_clear + HORIZON, dt=DT))
     if traj.n_samples - 1 <= traj.clear_index:
@@ -305,13 +315,13 @@ def test_ten_machine_batch_rows_equal_rows_alone():
     for (got, got_lost), (want, want_lost) in zip(run_pool(kernel, heads, 300, DT, BLOCK), alone):
         assert got_lost == want_lost
         assert np.array_equal(got, want)
-    # the force with the batch-shaped constants of for_rows against the lone call
-    shaped = kernel.for_rows(len(heads))
-    delta = np.array(heads)[:, : case.n]
-    batch = machine_forces(shaped.post, shaped.pm, shaped.m_share, delta)
-    for r, row in enumerate(delta):
-        lone = machine_forces(kernel.post, kernel.pm, kernel.m_share, row)
-        assert all(np.array_equal(b[r], x) for b, x in zip(batch, lone))
+    # a workspace block with constants in the batch's shape against each row
+    # stepped as a plain state, stage by stage
+    motion = np.array(heads)[:, : 2 * case.n]
+    batch = workspace_block(kernel, motion, BLOCK, False, DT)
+    for r, row in enumerate(motion):
+        lone = workspace_block(kernel, row, BLOCK, False, DT)
+        assert all(np.array_equal(b[:, ..., r, :], x) for b, x in zip(batch, lone))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -637,3 +647,17 @@ def test_corpus_row_joining_mid_run_equals_row_alone(corpus_seed):
 def test_corpus_rows_leaving_mid_run_leave_the_others_alone(corpus_seed):
     case, *_, draw = corpus_draw(corpus_seed)
     check_rows_leaving_mid_run_leave_the_others_alone(case, draw, note=ignore)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("corpus_seed", CORPUS)
+def test_corpus_coi_identities_hold_at_every_sample(corpus_seed):
+    case, *_, draw = corpus_draw(corpus_seed)
+    check_coi_identities_hold_at_every_sample(case, draw(CLEARING_STEPS), note=ignore)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("corpus_seed", CORPUS)
+def test_corpus_scanner_is_blind_to_block_boundaries(corpus_seed):
+    case, *_, draw = corpus_draw(corpus_seed)
+    check_scanner_is_blind_to_block_boundaries(case, draw(CLEARING_STEPS))
