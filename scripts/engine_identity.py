@@ -14,8 +14,9 @@ PYTHONPATH=<root>/src) and prints, per item, same/DIFF.  The items:
   overflow case below, whose fault-on stage diverges at sample 82;
 * the ``simulate`` arrays of three configurations per bundled case, and
   of wscc9 with damping 0.02 on every machine;
-* a generated 10-machine case (numpy sums its machine axis pairwise):
-  a scan, a ``find_cct`` and a ``simulate``;
+* a generated 10-machine case (from 8 machines on, the order of a
+  machine-axis sum shows in the last bits): a scan, a ``find_cct`` and a
+  ``simulate``;
 * the divergence guard: smib with its machine 100x lighter (a scan whose
   rows diverge mid-horizon at their own steps, and a ``simulate``), and
   wscc9 with a post-fault network so strong that only the PE integral W
@@ -39,8 +40,11 @@ PYTHONPATH=<root>/src) and prints, per item, same/DIFF.  The items:
 Each result is reduced to plain values (arrays as dtype, shape and raw
 bytes; floats as hex), with the warnings it raised and, when the call
 raised, the error's type and message, so "same" means equal bits,
-warnings and errors.  Exits 1 if anything differs.  Standard library and
-numpy only.
+warnings and errors.  A DIFF line gives the largest absolute and
+relative difference over the item's float leaves and says whether any
+other leaf differs: a verdict, an event kind, a count, an error text or
+a warning.  Exits 1 if anything differs.  Standard library and numpy
+only.
 
 Usage:  python scripts/engine_identity.py OLD_ROOT NEW_ROOT
 """
@@ -48,6 +52,7 @@ Usage:  python scripts/engine_identity.py OLD_ROOT NEW_ROOT
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import os
 import pickle
 import subprocess
@@ -71,7 +76,7 @@ def canon(x):
     if isinstance(x, np.ndarray):
         return ("array", x.dtype.str, x.shape, np.ascontiguousarray(x).tobytes())
     if isinstance(x, (float, np.floating)):
-        return float(x).hex()
+        return ("float", float(x).hex())
     if isinstance(x, (list, tuple)):
         return (type(x).__name__,) + tuple(canon(v) for v in x)
     if isinstance(x, dict):
@@ -79,10 +84,14 @@ def canon(x):
     return repr(x)
 
 
-def ten_machine_case():
-    """A generated ring case with 10 machines, built like tests/test_properties.py's cases."""
-    from imeac import MachineParams, StabilityCase
-    from imeac.network import staged_reduction
+def ten_machine_case(imeac=None):
+    """A generated ring case with 10 machines, built like tests/test_properties.py's cases.
+
+    ``imeac`` is the package to build it with, the importable one by default.
+    """
+    imeac = imeac or importlib.import_module("imeac")
+    MachineParams, StabilityCase = imeac.MachineParams, imeac.StabilityCase
+    staged_reduction = imeac.network.staged_reduction
 
     n, n_bus = 10, 11
     unit = iter(np.random.default_rng(5).random(64)).__next__
@@ -102,6 +111,39 @@ def ten_machine_case():
     pm = e * np.einsum("...ij,j->...i", pre.g * np.cos(diff) + pre.b * np.sin(diff), e)
     machines = tuple(MachineParams(id=i, m=m[i], pm=float(pm[i]), e=e[i]) for i in range(n))
     return StabilityCase(machines, pre, fault, post, delta0, np.zeros(n), label="ring10")
+
+
+def differences(old, new, gaps=None):
+    """Largest |old - new| and relative difference over float leaves, and whether other leaves differ.
+
+    Walks two canonical results in step; relative differences are taken
+    where either value is nonzero.  A float leaf that is not finite on
+    one side only, or a shape that differs, counts as another leaf.
+    """
+    gaps = {"abs": 0.0, "rel": 0.0, "other": False} if gaps is None else gaps
+    pair = isinstance(old, tuple) and isinstance(new, tuple) and len(old) == len(new) > 0
+    tag = old[0] if pair and old[0] == new[0] and isinstance(old[0], str) else None
+    if tag == "float":
+        a, b = (np.array([float.fromhex(x[1])]) for x in (old, new))
+    elif tag == "array" and old[1:3] == new[1:3] and np.dtype(old[1]).kind == "f":
+        a, b = (np.frombuffer(x[3], x[1]).reshape(x[2]) for x in (old, new))
+    elif pair and tag != "array":
+        for u, v in zip(old, new):
+            differences(u, v, gaps)
+        return gaps
+    else:
+        gaps["other"] |= old != new
+        return gaps
+    finite = np.isfinite(a) & np.isfinite(b)
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    gaps["other"] |= bool(np.any(~finite & ~same))
+    if finite.any():
+        gap = np.abs(a[finite] - b[finite])
+        scale = np.maximum(np.abs(a[finite]), np.abs(b[finite]))
+        gaps["abs"] = max(gaps["abs"], float(gap.max()))
+        rel = gap[scale > 0] / scale[scale > 0]
+        gaps["rel"] = max(gaps["rel"], float(rel.max()) if rel.size else 0.0)
+    return gaps
 
 
 def light_smib(smib):
@@ -298,7 +340,15 @@ def main(argv: list[str]) -> int:
     for name in [*old, *(k for k in new if k not in old)]:
         same = old.get(name) == new.get(name)
         differs |= not same
-        print(f"  {'same' if same else 'DIFF'}  {name}")
+        if same:
+            print(f"  same  {name}")
+            continue
+        if name not in old or name not in new:
+            print(f"  DIFF  {name}  (only in {'new' if name in new else 'old'})")
+            continue
+        gaps = differences(old[name], new[name])
+        others = "other leaves differ" if gaps["other"] else "no other leaf differs"
+        print(f"  DIFF  {name}  (max abs {gaps['abs']:.3g}, max rel {gaps['rel']:.3g}; {others})")
     return 1 if differs else 0
 
 

@@ -4,7 +4,9 @@ Loads each tree's ``imeac`` package under its own module name and
 reports, per tree, the microseconds per step of:
 
 * a ``RowPool`` of B = 1, 4, 12 and 32 post-fault rows on wscc9 (each
-  tree's default block length, so the per-block work is included);
+  tree's default block length, so the per-block work is included), and
+  of B = 32 rows on ring10, the 10-machine case of engine_identity.py,
+  built with each tree's own package;
 * the ``FaultOnPrefix``, extended over the same number of steps in one
   call.
 
@@ -26,7 +28,10 @@ import sys
 import time
 from pathlib import Path
 
+from engine_identity import ten_machine_case
+
 ROWS = (1, 4, 12, 32)
+RING_ROWS = 32
 DT = 1e-3
 FIRST_CLEAR = 100  # sample of the first row's clearing; row r clears 2 r samples later
 
@@ -77,20 +82,22 @@ def main(argv: list[str]) -> int:
     trees = {side: load(root.resolve(), f"imeac_{i}") for i, (side, root) in enumerate(roots.items())}
     cases = {side: pkg.load_case(Path(pkg.__file__).parent / "cases" / "wscc9.json")
              for side, pkg in trees.items()}
-    labels = [f"post-fault step, B = {rows}" for rows in ROWS] + ["fault-on prefix step"]
+    rings = {side: ten_machine_case(pkg) for side, pkg in trees.items()}
+    labels = [f"post-fault step, B = {rows}" for rows in ROWS]
+    labels += [f"ring10 post-fault step, B = {RING_ROWS}", "fault-on prefix step"]
     best = {(side, label): float("inf") for side in trees for label in labels}
     for _ in range(args.repeats):
         for side, pkg in trees.items():
-            for rows, label in zip(ROWS, labels):
-                cost = pool_cost(pkg, cases[side], rows, args.steps)
+            costs = [pool_cost(pkg, cases[side], rows, args.steps) for rows in ROWS]
+            costs.append(pool_cost(pkg, rings[side], RING_ROWS, args.steps))
+            costs.append(prefix_cost(pkg, cases[side], args.steps))
+            for label, cost in zip(labels, costs):
                 best[side, label] = min(best[side, label], cost)
-            cost = prefix_cost(pkg, cases[side], args.steps)
-            best[side, labels[-1]] = min(best[side, labels[-1]], cost)
     print(f"us per step, min of {args.repeats} interleaved repeats, {args.steps} steps each")
-    print(f"  {'':28s} {'old':>8s} {'new':>8s} {'new/old':>8s} {'old/old':>8s}")
+    print(f"  {'':34s} {'old':>8s} {'new':>8s} {'new/old':>8s} {'old/old':>8s}")
     for label in labels:
         old, again, new = (best[side, label] for side in trees)
-        print(f"  {label:28s} {old:8.1f} {new:8.1f} {new / old:8.3f} {again / old:8.3f}")
+        print(f"  {label:34s} {old:8.1f} {new:8.1f} {new / old:8.3f} {again / old:8.3f}")
     return 0
 
 

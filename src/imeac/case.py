@@ -7,7 +7,9 @@ classical-model force (``mismatch`` then ``coi_share``: ``machine_forces``)
 that the equilibrium check, the post-fault stable equilibrium point
 (SEP) solve, the PE baseline and the surface grid all evaluate, and
 that the RK4 stage repeats call for call with ``out=``, and the one COI
-projection (``coi_frame``).
+projection (``coi_frame``).  Every machine-axis sum adds its terms one
+after another, ((x_0 + x_1) + x_2) + ..., whatever the memory layout:
+numpy itself pairs the terms of an axis innermost in memory from 8 on.
 
 Conventions: angles in radians, time in seconds, power and energy in
 per unit on the system base.  Machine inertia M is in p.u. s^2/rad
@@ -17,6 +19,7 @@ machine with M = 1e6, so single-machine cases need no special path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,10 +31,6 @@ SYMMETRY_TOL = 1e-9
 EQUILIBRIUM_TOL = 1e-6
 SEP_TOL = 1e-8
 SEP_MAX_ITER = 50
-
-# the ufunc called directly: the ndarray method's wrapper costs an RK4 stage measurably
-_sum = np.add.reduce
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
@@ -183,25 +182,34 @@ def network_products(net: ReducedNetwork, e: np.ndarray) -> tuple[np.ndarray, np
     return ee * net.g, ee * net.b
 
 
-def coi_frame(x: np.ndarray, m_share: np.ndarray) -> np.ndarray:
+def machine_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """sum_j x_j over the machine axis, kept as length 1: term by term, whatever the memory layout."""
+    head = (slice(None),) * (axis % x.ndim)
+    return functools.reduce(np.add, (x[head + (slice(j, j + 1),)] for j in range(x.shape[axis])))
+
+
+def coi_frame(x: np.ndarray, m_share: np.ndarray, axis: int = -1) -> np.ndarray:
     """COI-frame values x_i - x_SYS along the machine axis; m_share is M_i / M_SYS."""
-    return x - _sum(x * m_share, -1, keepdims=True)
+    return x - machine_sum(x * m_share, axis)
 
 
 def mismatch(products, pm, delta) -> np.ndarray:
     """P_m - P_e, P_ei = sum_j E_i E_j (G_ij cos d_ij + B_ij sin d_ij), at angles (..., n).
 
-    Reduced over the machine axis only: a batch row is bit-identical to the
-    angles alone.  The products overwrite the cos and sin temporaries.
+    Machine-major: the angles as (n, ...), copied once from machine-last
+    memory, the terms as (n_j, n_i, ...), summed over the leading axis (an
+    outer axis, which numpy adds term by term); a (..., n) view of (n, ...).
     """
-    eg, eb = products
-    diff = delta[..., :, None] - delta[..., None, :]
-    return pm - _sum(eg * np.cos(diff) + eb * np.sin(diff), -1)
+    d = np.ascontiguousarray(delta.transpose(-1, *range(delta.ndim - 1)))
+    eg, eb = (p.T.reshape(p.shape + (1,) * (d.ndim - 1)) for p in products)
+    diff = d - d[:, None]
+    acc = pm.reshape(eg.shape[1:]) - np.add.reduce(eg * np.cos(diff) + eb * np.sin(diff), 0)
+    return acc.transpose(*range(1, acc.ndim), 0)
 
 
-def coi_share(acc: np.ndarray, m_share: np.ndarray) -> np.ndarray:
+def coi_share(acc: np.ndarray, m_share: np.ndarray, axis: int = -1) -> np.ndarray:
     """f_i-SYS = acc_i - (M_i / M_SYS) sum_j acc_j from acc = P_m - P_e; sums to zero."""
-    return acc - _sum(acc, -1, keepdims=True) * m_share
+    return acc - machine_sum(acc, axis) * m_share
 
 
 def machine_forces(products, pm, m_share, delta) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +225,8 @@ def coi_forces(
     m = np.array([mach.m for mach in machines])
     pm = np.array([mach.pm for mach in machines])
     products = network_products(net, np.array([mach.e for mach in machines]))
-    return machine_forces(products, pm, m / m.sum(), np.asarray(delta, dtype=float))[1]
+    f = machine_forces(products, pm, m / m.sum(), np.asarray(delta, dtype=float))[1]
+    return np.ascontiguousarray(f)  # C order: callers' matrix products keep their bits
 
 
 def solve_postfault_sep(case: StabilityCase) -> EquilibriumPoint:

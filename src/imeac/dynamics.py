@@ -14,35 +14,24 @@ integrand is post-fault by definition, whatever network drives the
 motion.
 
 One RK4 kernel (``SwingKernel``) and one block loop (``RowPool.advance``)
-serve both stages and every path.  A block steps in one workspace:
-every stage writes its dy/dt and P_m - P_e with ``out=`` into two
-stacked arrays, which the W pass reads, and reduces only over the
-machine axis, so a batch row is bit-identical to the state alone.  The
-guard runs once per block on the motion and on W; a block that raised
-floating-point errors is stepped again up to the cut with warnings on,
-as a step-by-step loop raised them.  Blocks hold the 6n columns of a
-``Trajectory`` record.  Clearing-time sweeps share work:
-
-* the fault-on stage is the same for every clearing time, so
-  ``FaultOnPrefix``, a one-row fault-on pool, integrates it once, up to
-  the largest clearing sample, and every probe starts post-fault from
-  the prefix sample at its own clearing index (``FaultOnPrefix.join``);
-* the post-fault system is autonomous, so rows at different local
-  times can share a step: a post-fault pool advances every probe in
-  flight as one (B, 2n) state, rows joining from their prefix heads and
-  leaving between blocks (``RowPool``).  A scan is the case where every
-  row joins at step 0; a bisection joins midpoints ahead of its
-  verdicts and drops the rows it prunes;
-* each block's samples are a fresh array, consecutive blocks of a row
-  overlapping by one sample, for a streaming consumer (the event
-  scanner).  No row ever holds its whole trajectory, so a sweep's
-  memory stays flat in the horizon and grows only by the block per
-  row.  All bookkeeping happens at block boundaries; the step itself
-  is the same for one row or many.
-
-``run_family``, the one prefix-to-pool loop, serves ``simulate`` and the
-surface's trajectory families alike: ``simulate`` is the one-member
-family, its sink copying every block into the full record.
+serve both stages and every path.  A block steps in one ``Workspace``,
+machine-major with rows innermost: every stage writes its dy/dt and
+P_m - P_e with ``out=`` into two stacked arrays, which the W pass reads,
+and reduces only over the machine axis, term by term like ``case``, so a
+batch row is bit-identical to the state alone.  The guard runs once per
+block on the motion and on W; a block that raised floating-point errors
+is stepped again up to the cut with warnings on, as a step-by-step loop
+raised them.  Blocks hold the 6n columns of a ``Trajectory`` record.
+Clearing-time sweeps share work: the fault-on stage is the same for
+every clearing time, so ``FaultOnPrefix`` integrates it once, and the
+post-fault system is autonomous, so rows at different local times share
+a step in one ``RowPool``, joining at their clearing samples and leaving
+between blocks.  Each block's samples are a fresh array for a streaming
+consumer (the event scanner): no row ever holds its whole trajectory, so
+a sweep's memory stays flat in the horizon.  ``run_family``, the one
+prefix-to-pool loop, serves ``simulate`` (the one-member family, its
+sink copying every block into the full record) and the surface's
+trajectory families alike.
 """
 
 from __future__ import annotations
@@ -63,7 +52,6 @@ MAX_STEPS = 1_000_000  # steps one run may take: 10 s at dt = 1e-5 s, 1000 s at 
 # ufunc reductions called directly: the ndarray methods add a Python-level
 # wrapper per call, a measurable share of a step on small cases
 _all = np.logical_and.reduce
-_any = np.logical_or.reduce
 _max = np.maximum.reduce
 _sum = np.add.reduce
 
@@ -85,17 +73,14 @@ class SimulationConfig:
         if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0 < self.t_clear < self.t_end:
-            raise ValueError(
-                f"need 0 < t_clear < t_end, got t_clear={self.t_clear}, t_end={self.t_end}"
-            )
+            raise ValueError(f"need 0 < t_clear < t_end, "
+                             f"got t_clear={self.t_clear}, t_end={self.t_end}")
         for name, value in (("t_clear", self.t_clear), ("t_end", self.t_end)):
             steps = value / self.dt
             if not np.isfinite(steps):
                 raise ValueError(f"{name}={value} is too large for dt={self.dt}")
             if off_grid(value, round(steps), self.dt):
-                raise ValueError(
-                    f"{name}={value} is not an integer multiple of dt={self.dt}"
-                )
+                raise ValueError(f"{name}={value} is not an integer multiple of dt={self.dt}")
         if not 0 < self.clear_index < self.n_steps:
             raise ValueError(
                 f"need a step of dt={self.dt} before t_clear and one after it, "
@@ -103,7 +88,7 @@ class SimulationConfig:
             )
         if self.n_steps > MAX_STEPS:
             raise ValueError(
-                f"t_end={self.t_end} takes {self.n_steps} steps of dt={self.dt}; "
+                f"t_end={self.t_end} takes {self.n_steps:.7g} steps of dt={self.dt}; "
                 f"the limit is {MAX_STEPS}"
             )
 
@@ -142,10 +127,8 @@ class Trajectory:
     divergence_time: float | None = None
 
     def __post_init__(self):
-        for name in (
-            "times", "delta", "omega", "delta_coi", "omega_coi",
-            "f_coi", "f_coi_pf", "pe_integral",
-        ):
+        for name in ("times", "delta", "omega", "delta_coi", "omega_coi", "f_coi", "f_coi_pf",
+                     "pe_integral"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -160,100 +143,114 @@ class Trajectory:
 
 
 class SwingKernel:
-    """The staged swing equations of one case, with precomputed network products.
-
-    ``steps`` integrates the motion delta | omega of one state or a batch
-    of rows in a block's workspace.  A stage computes P_m - P_e once
-    (``case.mismatch``'s calls): a fault-on stage stacks both networks'
-    products; with no machine damped, ``d`` is None and there is no
-    damping term.  ``channels`` makes W per block from the stages (same
-    RK4 weights and bits) and the COI channels; a non-finite W fails the guard.
-    """
+    """The staged swing equations of one case: its constants and network products."""
 
     def __init__(self, case: StabilityCase):
-        m = case.m_vector()
-        self.n = case.n
-        self.m = m
-        self.pm = case.pm_vector()
+        m, self.n, self.pm = case.m_vector(), case.n, case.pm_vector()
+        self.m, self.m_share = m, m / m.sum()
+        # None when no machine is damped: the stage then has no damping term
         self.d = case.d_vector() if any(mach.d for mach in case.machines) else None
-        self.m_share = m / m.sum()
         self.post = network_products(case.net_postfault, case.e_vector())
-        fault = network_products(case.net_faulton, case.e_vector())
-        self.both = tuple(np.stack(pair) for pair in zip(self.post, fault))
+        self.faulton = network_products(case.net_faulton, case.e_vector())
 
-    def steps(self, y, k, acc, count: int, dt: float, last: bool = True) -> None:
-        """RK4 steps from the motion y[0] (2, ..., n) into a block's workspace: y[s] is sample s.
 
-        k (4L+1, 2, ..., n) and acc (4L+1, ..., n) get each stage's dy/dt
-        and P_m - P_e (fault-on acc: (..., 2, n), post | fault), four per
-        step, then with ``last`` the stage at y[count].  A stage reads one
-        input buffer and writes with ``out=``, with constants in the
-        block's shape: no indexing or allocation, and contiguous loops.
-        """
-        n, fault = self.n, acc.ndim == k.ndim
-        x = np.empty(y.shape[1:])  # the stage input, delta | omega
-        delta, omega = (x[0, ..., None, :] if fault else x[0]), x[1]
-        dcol, drow = delta[..., :, None], delta[..., None, :]
-        diff, cos = np.empty((2,) + delta.shape + (n,))
-        total, (pe, pe_sin) = np.empty(acc.shape[1:]), np.empty((2,) + acc.shape[1:] + (n,))
-        eg, eb = (np.full(pe.shape, p) for p in (self.both if fault else self.post))
-        pm, m = np.full(total.shape, self.pm), np.full(omega.shape, self.m)
-        d = None if self.d is None else np.full(omega.shape, self.d)
-        half, full, two, sixth = (np.full(x.shape, c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
-        rate, (tmp, tmp2) = np.empty(omega.shape), np.empty((2,) + x.shape)
-        ys, ks, k_omega, k_acc, accs = list(y), list(k), list(k[:, 0]), list(k[:, 1]), list(acc)
-        acts = list(acc[..., 1, :]) if fault else accs
+class Workspace:
+    """The RK4 workspace of ``length`` steps of ``rows`` rows: () for a lone row's state, or (B,).
 
-        def stage(i: int) -> None:
+    Machine-major, rows innermost: the motion y (L+1, 2, n, *rows), y[s]
+    sample s; each stage's dy/dt k (4L+1, 2, n, *rows) and acc = P_m - P_e
+    (4L+1, n, *rows), fault-on (4L+1, 2, n, *rows), post | fault.  A stage
+    repeats ``case.mismatch``'s calls with ``out=`` on pairwise (n_j, n_i,
+    *rows) temporaries and block-shaped constants: every call one
+    contiguous loop.
+    """
+
+    def __init__(self, kernel: SwingKernel, length: int, rows: tuple, fault: bool, dt: float):
+        n, ones = kernel.n, (1,) * len(rows)
+        nets, net = ((2,), (1,)) if fault else ((), ())  # stacked networks: post | fault
+        self.shape, self.fault, self.dt, self.axis = (length, rows), fault, dt, 1 + len(nets)
+        self.y = np.empty((length + 1, 2, n) + rows)
+        self.k = np.empty((4 * length + 1, 2, n) + rows)
+        self.acc = np.empty((4 * length + 1,) + nets + (n,) + rows)  # machine axis: self.axis
+
+        def spread(shape, vector):  # a machine vector in a block-shaped array
+            return np.full(shape, vector.reshape((n,) + ones))
+
+        self.acc_share, self.k_share = (
+            spread(a.shape, kernel.m_share) for a in (self.acc, self.k[:, 0]))
+        x = np.empty((2, n) + rows)  # the stage input, delta | omega
+        delta, omega = x
+        dcol = delta.reshape((1,) + net + delta.shape)  # d_i - d_j: (n_j, net, n_i, *rows)
+        drow = delta.reshape((n, 1) + net + rows)
+        diff, cos = np.empty((2, n) + net + (n,) + rows)
+        pe, pe_sin = np.empty((2, n) + nets + (n,) + rows)
+        products = map(np.stack, zip(kernel.post, kernel.faulton)) if fault else kernel.post
+        eg, eb = (  # each (nets, n_i, n_j) product as (n_j, nets, n_i)
+            np.full(pe.shape, np.moveaxis(p, -1, 0).reshape(p.shape[-1:] + p.shape[:-1] + ones))
+            for p in products)
+        total, rate = np.empty(self.acc.shape[1:]), np.empty(delta.shape)
+        pm, m = spread(total.shape, kernel.pm), spread(delta.shape, kernel.m)
+        d = None if kernel.d is None else spread(delta.shape, kernel.d)
+        k_omega, k_acc, accs = list(self.k[:, 0]), list(self.k[:, 1]), list(self.acc)
+        acts = list(self.acc[:, 1]) if fault else accs
+
+        def stage(i: int) -> None:  # k[i] and acc[i] at x
             np.subtract(dcol, drow, out=diff)
             np.cos(diff, out=cos)
             np.sin(diff, out=diff)
             np.multiply(eg, cos, out=pe)
             np.multiply(eb, diff, out=pe_sin)
             np.add(pe, pe_sin, out=pe)
-            np.subtract(pm, _sum(pe, -1, out=total), out=accs[i])
+            np.subtract(pm, _sum(pe, 0, out=total), out=accs[i])
             k_omega[i][...] = omega
             act = acts[i] if d is None else (  # act - d * omega
                 np.subtract(acts[i], np.multiply(d, omega, out=rate), out=rate))
             np.divide(act, m, out=k_acc[i])
 
-        for s in range(count):
-            y0, i = ys[s], 4 * s
-            x[...] = y0
-            stage(i)
-            for j, c in ((i, half), (i + 1, half), (i + 2, full)):
-                np.add(y0, np.multiply(c, ks[j], out=tmp), out=x)
-                stage(j + 1)
-            # y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), in that order
-            np.add(ks[i], np.multiply(two, ks[i + 1], out=tmp), out=tmp)
-            np.add(tmp, np.multiply(two, ks[i + 2], out=tmp2), out=tmp)
-            np.add(tmp, ks[i + 3], out=tmp)
-            np.add(y0, np.multiply(sixth, tmp, out=tmp), out=ys[s + 1])
-        if last:
-            x[...] = ys[count]
-            stage(4 * count)
+        ys, ks, (tmp, tmp2) = list(self.y), list(self.k), np.empty((2,) + x.shape)
+        half, full, two, sixth = (np.full(x.shape, c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
 
-    def channels(self, k, acc, w0: np.ndarray, dt: float, cut: int | None = None):
-        """W, omega_coi and coi_share(acc) of a run of steps, from a workspace's stages (``steps``).
+        def steps(count: int, last: bool = True) -> None:
+            """RK4 steps from y[0], four stages each, then with ``last`` the stage at y[count]."""
+            for s in range(count):
+                y0, i = ys[s], 4 * s
+                x[...] = y0
+                stage(i)
+                for j, c in ((i, half), (i + 1, half), (i + 2, full)):
+                    np.add(y0, np.multiply(c, ks[j], out=tmp), out=x)
+                    stage(j + 1)
+                # y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), in that order
+                np.add(ks[i], np.multiply(two, ks[i + 1], out=tmp), out=tmp)
+                np.add(tmp, np.multiply(two, ks[i + 2], out=tmp2), out=tmp)
+                np.add(tmp, ks[i + 3], out=tmp)
+                np.add(y0, np.multiply(sixth, tmp, out=tmp), out=ys[s + 1])
+            if last:
+                x[...] = ys[count]
+                stage(4 * count)
 
-        Four stages per step, maybe then the one at the sample reached.
-        W_k+1 = W_k + inc_k from w0, with the RK4 weights: the augmented-
-        state integral bit for bit.  Also returns the first step whose W is
-        not finite, or None: the run is then redone up to it (``cut``),
-        raising only that step's floating-point warnings.
+        self.steps = steps  # a closure: its loop reads locals only
+
+    def channels(self, used: int, w0: np.ndarray, cut: int | None = None):
+        """W, omega_coi and coi_share(acc) from the first ``used`` stages (4 a step, maybe 1 more).
+
+        W_k+1 = W_k + inc_k from w0 (n, *rows), with the RK4 weights: the
+        augmented-state integral bit for bit.  Also returns the first step
+        whose W is not finite, or None: the run is then redone up to it
+        (``cut``), raising only that step's floating-point warnings.
         """
+        k, acc, dt = self.k[:used], self.acc[:used], self.dt
         with np.errstate(all="ignore" if cut is None else None):
-            f = coi_share(acc, np.full(acc.shape, self.m_share))
-            omega_coi = coi_frame(k[:, 0], np.full(k[:, 0].shape, self.m_share))
-            g = -(f[..., 0, :] if f.ndim == k.ndim else f) * omega_coi
-            end = len(k) // 4 * 4
+            f = coi_share(acc, self.acc_share[:used], self.axis)
+            omega_coi = coi_frame(k[:, 0], self.k_share[:used], 1)
+            g = -(f[:, 0] if self.fault else f) * omega_coi
+            end = used // 4 * 4
             inc = (dt / 6.0) * (g[0:end:4] + 2.0 * g[1:end:4] + 2.0 * g[2:end:4] + g[3:end:4])
             inc[0] += w0
             w = np.add.accumulate(inc)
         finite = np.isfinite(w)
         if cut is None and not _all(finite, None):
             cut = int(np.flatnonzero(~_all(finite.reshape(len(w), -1), 1))[0])
-            return self.channels(k[: 4 * cut + 4], acc[: 4 * cut + 4], w0, dt, cut)
+            return self.channels(4 * cut + 4, w0, cut)
         return w, omega_coi[::4], f[::4], cut
 
 
@@ -316,32 +313,27 @@ class Block(NamedTuple):
 class RowPool:
     """Rows in flight, advanced together as one state array: the one block loop.
 
-    The post-fault system is autonomous, so rows at different local times
-    can share a step.  A row joins, between blocks, with its clearing
-    state, that state's sample number and a step budget; ``advance``
-    steps every row in flight at once and hands out the samples as one
-    ``Block`` in ``Trajectory``'s column order (after clearing f_coi is
-    f_coi_pf).  A block ends after ``block`` steps, earlier when a row
-    reaches its last sample (so no row steps past its horizon) or when a
-    row's next state fails the divergence guard.  Either way that row's
-    record ends with the block (``ended`` says how) and it leaves the
-    pool; the others go on and the next block starts with the last
-    sample of this one.  The caller names each row with its own id when
-    it joins, and may drop rows between blocks (``leave``).  ``fault``
-    drives the motion with the fault-on network: ``FaultOnPrefix``'s
-    pool, one row at a time.
+    A row joins, between blocks, with its clearing state, that state's
+    sample number and a step budget; ``advance`` steps every row in flight
+    at once in one ``Workspace`` and hands out the samples as one ``Block``
+    in ``Trajectory``'s column order (after clearing f_coi is f_coi_pf).  A
+    block ends after ``block`` steps, earlier when a row reaches its last
+    sample or its next state fails the divergence guard: that row's record
+    ends with the block (``ended`` says how) and it leaves the pool; the
+    next block starts with the last sample of this one.  The caller names
+    each row with its own id when it joins, and may drop rows between
+    blocks (``leave``).  ``fault`` drives the motion with the fault-on
+    network: ``FaultOnPrefix``'s pool, one row at a time.
     """
 
     def __init__(self, kernel: SwingKernel, dt: float, block: int = BLOCK, fault: bool = False):
-        self.kernel = kernel
-        self.dt = dt
-        self.block = block
-        self.fault = fault
+        self.kernel, self.dt, self.block, self.fault = kernel, dt, block, fault
         self.rows = np.empty(0, dtype=int)  # ids of the rows in flight
         self._start = np.empty(0, dtype=int)  # sample number of each row's last state
         self._left = np.empty(0, dtype=int)  # steps still to take, per row
         self._last = np.empty((0, 3 * kernel.n))  # the state each row's next block starts from
         self.ended: dict[int, float | None] = {}  # id -> None, or if lost its divergence time
+        self._space: Workspace | None = None  # the last block's, reused while its shape repeats
 
     @property
     def size(self) -> int:
@@ -363,47 +355,46 @@ class RowPool:
 
     def leave(self, ids: Sequence[int]) -> None:
         """Drop rows ``ids`` from the pool between blocks; ids not in flight are ignored."""
-        keep = ~_any(self.rows[:, None] == np.asarray(ids, dtype=int), axis=1)
+        keep = ~np.isin(self.rows, np.asarray(ids, dtype=int))
         self.rows, self._start, self._left = self.rows[keep], self._start[keep], self._left[keep]
         self._last = self._last[keep]
 
     def advance(self) -> Block:
         """Step every row in flight through one block; rows that end leave the pool."""
-        kernel, dt, n = self.kernel, self.dt, self.kernel.n
         length = min(self.block, int(self._left.min()))
+        rows = () if self.rows.size == 1 else (self.rows.size,)  # a lone row: a plain state
+        if self._space is None or self._space.shape != (length, rows):
+            self._space = None  # the old shape's arrays go before the new ones come
+            self._space = Workspace(self.kernel, length, rows, self.fault, self.dt)
+        space, n, y = self._space, self.kernel.n, self._space.y
         buf = np.empty((length + 1, self.rows.size, 6 * n))
         buf[0, :, : 3 * n] = self._last
-        # a lone row steps as a plain state: less numpy overhead per call
-        rec = buf[:, 0] if self.rows.size == 1 else buf
-        motion = rec[..., : 2 * n].reshape(rec.shape[:-1] + (2, n))  # rows of delta | omega
-        y = np.empty((length + 1, 2) + rec.shape[1:-1] + (n,))
-        y[0].swapaxes(0, -2)[...] = motion[0]
-        k = np.empty((4 * length + 1,) + y.shape[1:])
-        acc = np.empty((4 * length + 1,) + rec.shape[1:-1] + ((2, n) if self.fault else (n,)))
+        # the record machine-major, (L+1, 6, n, *rows): delta | omega | W | omega_coi | f | f_pf
+        rec = buf[:, 0] if rows == () else buf
+        cols = np.moveaxis(rec.reshape(rec.shape[:-1] + (6, n)), (-2, -1), (1, 2))
+        y[0] = cols[0, :2]
         raised = []  # floating-point errors, noted; the guard decides where the block ends
         with np.errstate(all="call", call=lambda *_: raised.append(True)):
-            kernel.steps(y, k, acc, length, dt)
-        good = _all(np.isfinite(y[1:]), (1, -1)) & (_max(np.abs(y[1:, 1]), -1) <= OMEGA_DIVERGENCE)
+            space.steps(length)
+        good = _all(np.isfinite(y[1:]), (1, 2)) & (_max(np.abs(y[1:, 1]), 1) <= OMEGA_DIVERGENCE)
         failed = np.flatnonzero(~_all(good.reshape(length, -1), 1))[:1].tolist()
         # cut the block at the first step a row fails; the survivors redo it next block
         pos, healthy = (failed[0], np.atleast_1d(good[failed[0]])) if failed else (length, None)
         stepped = pos if healthy is None else pos + 1
         if raised:  # again up to the cut, warning as a step-by-step loop
-            kernel.steps(y, k, acc, stepped, dt, last=healthy is None)
-        used = 4 * stepped + (healthy is None)
-        w, omega_coi, f, cut = kernel.channels(k[:used], acc[:used], rec[0, ..., 2 * n : 3 * n], dt)
+            space.steps(stepped, last=healthy is None)
+        w, omega_coi, f, cut = space.channels(4 * stepped + (healthy is None), cols[0, 2])
         if cut is not None:
-            finite = _all(np.isfinite(w[cut].reshape(-1, n)), -1)
+            finite = np.atleast_1d(_all(np.isfinite(w[cut]), 0))
             healthy = finite if cut < pos else finite & healthy
             pos = cut
-        motion[1 : pos + 1] = y[1 : pos + 1].swapaxes(1, -2)
-        rec[1 : pos + 1, ..., 2 * n : 3 * n] = w[:pos]
-        active, post = (f[..., 1, :], f[..., 0, :]) if self.fault else (f, f)
-        rec[: pos + 1, ..., 3 * n :] = np.concatenate((omega_coi, active, post), -1)[: pos + 1]
+        cols[1 : pos + 1, :2], cols[1 : pos + 1, 2] = y[1 : pos + 1], w[:pos]
+        cols[: pos + 1, 3] = omega_coi[: pos + 1]
+        cols[: pos + 1, 4:] = (f[:, ::-1] if self.fault else f[:, None])[: pos + 1]  # active | post
         left = self._left - pos
         keep = left > 0 if healthy is None else healthy
         for j, start in zip(self.rows[~keep].tolist(), self._start[~keep].tolist()):
-            self.ended[j] = None if healthy is None else (start + pos + 1) * dt
+            self.ended[j] = None if healthy is None else (start + pos + 1) * self.dt
         block = Block(samples=buf[: pos + 1], rows=self.rows, start=self._start)
         self.rows = self.rows[keep]
         self._start = (self._start + pos)[keep]

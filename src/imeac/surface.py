@@ -168,8 +168,8 @@ def pe_line_to_nodes(
     endpoints as keep a force temporary in CHUNK_BYTES.  A stack's paths are
     built machine-major, (n, nodes, points), and reach coi_forces as a (nodes,
     points, n) view, so every force temporary is (n, n, nodes, points): trig
-    and sums run over contiguous path points.  Below 8 machines the j-sum order
-    is the same in either layout: every node is pe_line_integral(...)[focus].
+    and sums run over contiguous path points.  The machine sums add their
+    terms in one order in any layout: every node is pe_line_integral(...)[focus].
     """
     start = np.asarray(start_coi, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
@@ -179,7 +179,7 @@ def pe_line_to_nodes(
     for base in range(0, nodes.shape[0], chunk):
         ends = nodes[base : base + chunk]
         path = (start[:, None, None] + s * (ends - start).T.copy()[:, :, None]).transpose(1, 2, 0)
-        forces = np.ascontiguousarray(coi_forces(case.net_postfault, case.machines, path))
+        forces = coi_forces(case.net_postfault, case.machines, path)
         out[base : base + len(ends)] = (-(weights @ forces) * (ends - start))[:, focus]
     return out
 

@@ -12,7 +12,7 @@ is the surface family run member by member the same way: simulate ->
 compute_energy per member, independently of the family's shared row
 pool.  ``ReferenceStepper`` is the RK4 step one allocating call per
 stage, with the guard after every step, and ``RowPool.advance`` on it:
-the oracle of the block workspace (``SwingKernel.steps``) and of the
+the oracle of the block workspace (``Workspace.steps``) and of the
 per-block guard with its replay.
 """
 
@@ -39,7 +39,7 @@ from imeac import (
 
 from imeac.assess import UNDETERMINED, MachineAssessment, anchor_index, margin_at_anchor
 from imeac.case import coi_frame, coi_share, mismatch
-from imeac.dynamics import OMEGA_DIVERGENCE, Block
+from imeac.dynamics import OMEGA_DIVERGENCE, Block, Workspace
 from imeac.events import _hermite
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -328,7 +328,7 @@ class ReferenceStepper:
         kernel, n = self.kernel, self.kernel.n
         delta, omega = y[..., :n], y[..., n:]
         if fault_stage:
-            acc = mismatch(kernel.both, kernel.pm, delta[..., None, :])
+            acc = np.stack([mismatch(p, kernel.pm, delta) for p in (kernel.post, kernel.faulton)], -2)
             act = acc[..., 1, :]
         else:
             acc = act = mismatch(kernel.post, kernel.pm, delta)
@@ -410,32 +410,43 @@ class ReferenceStepper:
 
 
 def as_rows(a):
-    """A workspace array (S, 2, ..., n) as rows of delta | omega (S, ..., 2n)."""
+    """A motion or stage array (S, 2, ..., n) as rows of delta | omega (S, ..., 2n)."""
     return a.swapaxes(1, -2).reshape(a.shape[:1] + a.shape[2:-1] + (-1,))
 
 
-def workspace_block(kernel, y0, steps, fault_stage, dt):
-    """``SwingKernel.steps`` from y0 (2n,) or (B, 2n), laid out as ``RowPool.advance`` lays it out.
+def rows_ahead(a, fault_stage):
+    """A machine-major workspace array (S, n, *rows), fault-on (S, 2, n, *rows), as (S, *rows, [2,] n)."""
+    return np.moveaxis(a, (1, 2), (-2, -1)) if fault_stage else np.moveaxis(a, 1, -1)
 
-    Returns the workspace: motion y (steps+1, 2, ..., n), stages' dy/dt k
-    (4 steps+1, 2, ..., n) and acc (4 steps+1, ..., n), fault-on (..., 2, n).
-    """
-    n = kernel.n
-    y = np.empty((steps + 1, 2) + y0.shape[:-1] + (n,))
-    y[0].swapaxes(0, -2)[...] = y0.reshape(y0.shape[:-1] + (2, n))
-    k = np.empty((4 * steps + 1,) + y.shape[1:])
-    acc = np.empty(k.shape[:1] + y0.shape[:-1] + ((2, n) if fault_stage else (n,)))
-    kernel.steps(y, k, acc, steps, dt)
-    return y, k, acc
+
+def run_workspace(kernel, y0, steps, fault_stage, dt):
+    """``Workspace.steps`` from y0 (2n,) or (B, 2n), laid out as ``RowPool.advance`` lays it out."""
+    rows = y0.shape[:-1]
+    space = Workspace(kernel, steps, rows, fault_stage, dt)
+    space.y[0] = np.moveaxis(y0.reshape(rows + (2, kernel.n)), (-2, -1), (0, 1))
+    space.steps(steps)
+    return space
+
+
+def machine_last(space):
+    """A workspace's y (S, 2, ..., n), k (S, 2, ..., n) and acc (S, ..., n), fault-on (S, ..., 2, n)."""
+    return np.moveaxis(space.y, 2, -1), np.moveaxis(space.k, 2, -1), rows_ahead(space.acc, space.fault)
+
+
+def workspace_block(kernel, y0, steps, fault_stage, dt):
+    """The motion, the stages' dy/dt and acc of ``run_workspace``, the machine axis last (``machine_last``)."""
+    return machine_last(run_workspace(kernel, y0, steps, fault_stage, dt))
 
 
 def assert_block_equals_reference(kernel, y0, steps, fault_stage, dt, w0=None):
-    """The workspace block from y0 against the reference stepper's, bit for bit; returns the workspace.
+    """The workspace block from y0 against the reference stepper's, bit for bit.
 
     States, every stage's dy/dt and acc, and the channels from W = w0
     (zeros by default) must be equal; the run must stay within the guard.
+    Returns the workspace as ``workspace_block`` does, and W.
     """
-    y, k, acc = workspace_block(kernel, y0, steps, fault_stage, dt)
+    space = run_workspace(kernel, y0, steps, fault_stage, dt)
+    y, k, acc = machine_last(space)
     ref = ReferenceStepper(kernel)
     states, stages, healthy = ref.block(y0, steps, fault_stage, dt)
     assert healthy is None, "the reference left the guard region"
@@ -443,8 +454,10 @@ def assert_block_equals_reference(kernel, y0, steps, fault_stage, dt, w0=None):
     assert np.array_equal(as_rows(k), np.array([s[0] for s in stages]))
     assert np.array_equal(acc, np.array([s[1] for s in stages]))
     w0 = np.zeros(y0.shape[:-1] + (kernel.n,)) if w0 is None else w0
-    got, want = kernel.channels(k, acc, w0, dt), ref.channels(stages, w0, dt)
-    for a, b in zip(got[:3], want[:3]):
+    got = space.channels(len(space.k), np.moveaxis(w0, -1, 0))
+    want = ref.channels(stages, w0, dt)
+    w, omega_coi, f = rows_ahead(got[0], False), rows_ahead(got[1], False), rows_ahead(got[2], fault_stage)
+    for a, b in zip((w, omega_coi, f), want[:3]):
         assert np.array_equal(a, b)
     assert got[3] == want[3] is None
-    return y, k, acc
+    return y, k, acc, w

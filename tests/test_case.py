@@ -16,8 +16,9 @@ from imeac import (
     coi_forces,
     solve_postfault_sep,
 )
-from imeac.case import coi_frame, machine_forces, network_products
+from imeac.case import coi_frame, machine_forces, mismatch, network_products
 from conftest import two_machine_case
+from test_properties import ten_machine_case
 
 
 def random_network(n: int, rng: np.random.Generator) -> ReducedNetwork:
@@ -156,6 +157,55 @@ class TestCoi:
         case = two_machine_case()
         f = coi_forces(case.net_prefault, case.machines, case.delta0)
         np.testing.assert_allclose(f, 0.0, atol=1e-12)
+
+
+def term_by_term(x):
+    """sum_j x[..., j] one term after another: ((x_0 + x_1) + x_2) + ..."""
+    total = x[..., 0]
+    for j in range(1, x.shape[-1]):
+        total = total + x[..., j]
+    return total
+
+
+class TestSumOrder:
+    """Every machine-axis sum runs term by term, whatever the memory layout of the angles.
+
+    numpy sums an axis that is innermost in memory pairwise from 8 terms
+    on, any other axis term by term; ring10 (n = 10) tells the two apart.
+    """
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        return ten_machine_case()
+
+    def expected(self, case, delta):
+        """(P_m - P_e, f_i-SYS) at angles (..., n), each j-sum spelled out on the same products."""
+        eg, eb = network_products(case.net_postfault, case.e_vector())
+        diff = delta[..., :, None] - delta[..., None, :]
+        acc = case.pm_vector() - term_by_term(eg * np.cos(diff) + eb * np.sin(diff))
+        m = case.m_vector()
+        return acc, acc - term_by_term(acc)[..., None] * (m / m.sum())
+
+    def angles(self, case):
+        rng = np.random.default_rng(21)
+        return case.delta0 + rng.normal(0.0, 1.0, (6, case.n))
+
+    def test_ring10_tells_the_orders_apart(self, ring):
+        acc = self.expected(ring, self.angles(ring))[0]
+        assert not np.array_equal(np.add.reduce(acc, -1), term_by_term(acc))
+
+    @pytest.mark.parametrize("layout", ["one state", "batch", "transposed batch"])
+    def test_forces_sum_term_by_term(self, ring, layout):
+        batch = self.angles(ring)
+        delta = {
+            "one state": batch[0],
+            "batch": batch,  # contiguous (B, n): the machine axis innermost in memory
+            "transposed batch": np.ascontiguousarray(batch.T).T,  # (B, n) view of (n, B) memory
+        }[layout]
+        acc, f = self.expected(ring, batch[0] if layout == "one state" else batch)
+        products = network_products(ring.net_postfault, ring.e_vector())
+        assert np.array_equal(mismatch(products, ring.pm_vector(), delta), acc)
+        assert np.array_equal(coi_forces(ring.net_postfault, ring.machines, delta), f)
 
 
 class TestSepSolve:

@@ -432,6 +432,15 @@ class TestErrorPaths:
         assert (code, lines) == (1, [message])
         assert not (tmp_path / "out").exists()
 
+    def test_step_count_past_the_limit_is_quoted_compactly(self, tmp_path):
+        # 1 s of 1e-300 s steps: the count is a 301-digit integer
+        argv = ["simulate", SMIB, "--t-clear", "0.1", "--t-end", "1", "--dt", "1e-300"]
+        code, lines = run_quiet([*argv, "--out", str(tmp_path / "t.tsv")])
+        message = f"error: t_end=1.0 takes 1e+300 steps of dt=1e-300; the limit is {MAX_STEPS}"
+        assert (code, lines) == (1, [message])
+        assert len(lines[0]) < 80
+        assert not (tmp_path / "t.tsv").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "assess", "cct", "surface"])
     def test_oversized_horizon_is_one_error_line(self, tmp_path, monkeypatch, command):
         # 10^15 steps of 1 s: refused before a step is taken or a record allocated
