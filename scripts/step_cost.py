@@ -8,7 +8,16 @@ reports, per tree, the microseconds per step of:
   of B = 32 rows on ring10, the 10-machine case of engine_identity.py,
   built with each tree's own package;
 * the ``FaultOnPrefix``, extended over the same number of steps in one
-  call.
+  call;
+* ``Workspace.steps`` alone at B = 1 and 32 wscc9 rows from post-fault
+  states, block after block on one workspace: the RK4 kernel without a
+  block's W pass, guard and record.
+
+It also counts the numpy calls of one undamped post-fault step of each
+tree (ufunc calls, reductions and array item assignments), on a one-off
+workspace built and stepped with the ``dynamics`` module's numpy and
+reductions wrapped in counting callables; the timed runs never see the
+wrappers.
 
 Every figure is the minimum over the repeats; each repeat times every
 configuration of both trees in turn, so a slow spell of a shared host
@@ -28,9 +37,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from engine_identity import ten_machine_case
 
 ROWS = (1, 4, 12, 32)
+KERNEL_ROWS = (1, 32)
 RING_ROWS = 32
 DT = 1e-3
 FIRST_CLEAR = 100  # sample of the first row's clearing; row r clears 2 r samples later
@@ -62,6 +74,75 @@ def pool_cost(pkg, case, rows: int, steps: int) -> float:
     return (time.perf_counter() - start) * 1e6 / steps
 
 
+def post_fault_heads(dynamics, kernel, case, rows: int) -> np.ndarray:
+    """The motion of ``rows`` rows at their clearing states, as ``Workspace.y[0]`` holds it."""
+    prefix = dynamics.FaultOnPrefix(kernel, case, DT)
+    heads = np.array([prefix.state(FIRST_CLEAR + 2 * r)[: 2 * kernel.n] for r in range(rows)])
+    return np.moveaxis(heads.reshape(rows, 2, kernel.n), 0, -1).reshape((2, kernel.n) + (
+        () if rows == 1 else (rows,)))
+
+
+def kernel_cost(pkg, case, rows: int, steps: int) -> float:
+    """Microseconds per post-fault step of ``Workspace.steps`` alone, one block after another."""
+    dynamics = pkg.dynamics
+    kernel = dynamics.SwingKernel(case)
+    head = post_fault_heads(dynamics, kernel, case, rows)
+    space = dynamics.Workspace(kernel, dynamics.BLOCK, head.shape[2:], False, DT)
+    space.y[0] = head
+    blocks = max(1, steps // dynamics.BLOCK)
+    start = time.perf_counter()
+    for _ in range(blocks):
+        space.steps(dynamics.BLOCK)
+    return (time.perf_counter() - start) * 1e6 / (blocks * dynamics.BLOCK)
+
+
+def calls_per_step(pkg, case) -> int:
+    """numpy calls of one undamped post-fault step of ``Workspace.steps`` (one row).
+
+    The ``dynamics`` module's numpy and ``_sum`` are swapped for counting
+    wrappers while one-off workspaces are built and stepped.  Arrays made
+    while counting is off are ``Counted`` views, so an item assignment to
+    a workspace array (a copy) counts as a call too.
+    """
+    dynamics, count = pkg.dynamics, {"on": False, "calls": 0}
+
+    class Counted(np.ndarray):
+        def __setitem__(self, key, value):
+            count["calls"] += count["on"]
+            super().__setitem__(key, value)
+
+    def wrap(func):
+        def call(*args, **kwargs):
+            count["calls"] += count["on"]
+            result = func(*args, **kwargs)
+            if isinstance(result, np.ndarray) and not count["on"]:
+                return result.view(Counted)
+            return result
+        return call
+
+    class Numpy:  # numpy as the dynamics module sees it
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            return attr if isinstance(attr, type) or not callable(attr) else wrap(attr)
+
+    kernel = dynamics.SwingKernel(case)
+    head = post_fault_heads(dynamics, kernel, case, 1)
+    saved = dynamics.np, dynamics._sum
+    dynamics.np, dynamics._sum = Numpy(), wrap(dynamics._sum)
+    try:
+        calls = []
+        for steps in (1, 2):
+            space = dynamics.Workspace(kernel, steps, (), False, DT)
+            space.y[0] = head
+            count.update(on=True, calls=0)
+            space.steps(steps)
+            count["on"] = False
+            calls.append(count["calls"])
+    finally:
+        dynamics.np, dynamics._sum = saved
+    return calls[1] - calls[0]
+
+
 def prefix_cost(pkg, case, steps: int) -> float:
     """Microseconds per fault-on step of one prefix extension over ``steps`` steps."""
     dynamics = pkg.dynamics
@@ -85,12 +166,14 @@ def main(argv: list[str]) -> int:
     rings = {side: ten_machine_case(pkg) for side, pkg in trees.items()}
     labels = [f"post-fault step, B = {rows}" for rows in ROWS]
     labels += [f"ring10 post-fault step, B = {RING_ROWS}", "fault-on prefix step"]
+    labels += [f"Workspace.steps only, B = {rows}" for rows in KERNEL_ROWS]
     best = {(side, label): float("inf") for side in trees for label in labels}
     for _ in range(args.repeats):
         for side, pkg in trees.items():
             costs = [pool_cost(pkg, cases[side], rows, args.steps) for rows in ROWS]
             costs.append(pool_cost(pkg, rings[side], RING_ROWS, args.steps))
             costs.append(prefix_cost(pkg, cases[side], args.steps))
+            costs += [kernel_cost(pkg, cases[side], rows, args.steps) for rows in KERNEL_ROWS]
             for label, cost in zip(labels, costs):
                 best[side, label] = min(best[side, label], cost)
     print(f"us per step, min of {args.repeats} interleaved repeats, {args.steps} steps each")
@@ -98,6 +181,8 @@ def main(argv: list[str]) -> int:
     for label in labels:
         old, again, new = (best[side, label] for side in trees)
         print(f"  {label:34s} {old:8.1f} {new:8.1f} {new / old:8.3f} {again / old:8.3f}")
+    calls = [calls_per_step(trees[side], cases[side]) for side in ("old", "new")]
+    print(f"  {'numpy calls per post-fault step':34s} {calls[0]:8d} {calls[1]:8d}")
     return 0
 
 

@@ -15,13 +15,15 @@ motion.
 
 One RK4 kernel (``SwingKernel``) and one block loop (``RowPool.advance``)
 serve both stages and every path.  A block steps in one ``Workspace``,
-machine-major with rows innermost: every stage writes its dy/dt and
-P_m - P_e with ``out=`` into two stacked arrays, which the W pass reads,
-and reduces only over the machine axis, term by term like ``case``, so a
-batch row is bit-identical to the state alone.  The guard runs once per
-block on the motion and on W; a block that raised floating-point errors
-is stepped again up to the cut with warnings on, as a step-by-step loop
-raised them.  Blocks hold the 6n columns of a ``Trajectory`` record.
+machine-major with rows innermost: a stage reads delta | omega at its
+point of one stage-point array and writes acc/M beside them, so its
+dy/dt is a view of its input, and P_m - P_e into a stacked array, which
+the W pass reads; it reduces over the machine axis only, term by term
+like ``case``, so a batch row is bit-identical to the state alone.  The
+guard runs once per block on the motion and on W; a block that raised
+floating-point errors is stepped again up to the cut with warnings on,
+as a step-by-step loop raised them.  Blocks hold the 6n columns of a
+``Trajectory`` record.
 Clearing-time sweeps share work: the fault-on stage is the same for
 every clearing time, so ``FaultOnPrefix`` integrates it once, and the
 post-fault system is autonomous, so rows at different local times share
@@ -157,20 +159,22 @@ class SwingKernel:
 class Workspace:
     """The RK4 workspace of ``length`` steps of ``rows`` rows: () for a lone row's state, or (B,).
 
-    Machine-major, rows innermost: the motion y (L+1, 2, n, *rows), y[s]
-    sample s; each stage's dy/dt k (4L+1, 2, n, *rows) and acc = P_m - P_e
-    (4L+1, n, *rows), fault-on (4L+1, 2, n, *rows), post | fault.  A stage
-    repeats ``case.mismatch``'s calls with ``out=`` on pairwise (n_j, n_i,
-    *rows) temporaries and block-shaped constants: every call one
-    contiguous loop.
+    Machine-major, rows innermost: one stage-point array z (4L+1, 3, n,
+    *rows) holds delta | omega | acc/M at every RK4 stage point, so stage s
+    reads z[s, :2], its dy/dt k[s] is the view z[s, 1:] and sample s, y[s],
+    is z[4s, :2]; acc = P_m - P_e (4L+1, n, *rows), fault-on (4L+1, 2, n,
+    *rows), post | fault.  A stage repeats ``case.mismatch``'s calls on
+    pairwise (n_j, n_i, *rows) temporaries and block-shaped constants,
+    each with a positional out: every call one contiguous loop, 45 calls a
+    step (53 damped).
     """
 
     def __init__(self, kernel: SwingKernel, length: int, rows: tuple, fault: bool, dt: float):
         n, ones = kernel.n, (1,) * len(rows)
         nets, net = ((2,), (1,)) if fault else ((), ())  # stacked networks: post | fault
         self.shape, self.fault, self.dt, self.axis = (length, rows), fault, dt, 1 + len(nets)
-        self.y = np.empty((length + 1, 2, n) + rows)
-        self.k = np.empty((4 * length + 1, 2, n) + rows)
+        z = np.empty((4 * length + 1, 3, n) + rows)
+        self.y, self.k = z[::4, :2], z[:, 1:]
         self.acc = np.empty((4 * length + 1,) + nets + (n,) + rows)  # machine axis: self.axis
 
         def spread(shape, vector):  # a machine vector in a block-shaped array
@@ -178,54 +182,50 @@ class Workspace:
 
         self.acc_share, self.k_share = (
             spread(a.shape, kernel.m_share) for a in (self.acc, self.k[:, 0]))
-        x = np.empty((2, n) + rows)  # the stage input, delta | omega
-        delta, omega = x
-        dcol = delta.reshape((1,) + net + delta.shape)  # d_i - d_j: (n_j, net, n_i, *rows)
-        drow = delta.reshape((n, 1) + net + rows)
-        diff, cos = np.empty((2, n) + net + (n,) + rows)
-        pe, pe_sin = np.empty((2, n) + nets + (n,) + rows)
+        # each stage point's delta as d_i (1, net, n_i, *rows) and d_j (n_j, 1, net, *rows)
+        dcols = list(z[:, 0].reshape((len(z), 1) + net + (n,) + rows))
+        drows = list(z[:, 0].reshape((len(z), n, 1) + net + rows))
+        diff = np.empty((n,) + net + (n,) + rows)
+        trig = cos, sin = np.empty((2,) + diff.shape)
+        terms = pe, pe_sin = np.empty((2, n) + nets + (n,) + rows)  # E_iE_jG_ij cos | E_iE_jB_ij sin
         products = map(np.stack, zip(kernel.post, kernel.faulton)) if fault else kernel.post
-        eg, eb = (  # each (nets, n_i, n_j) product as (n_j, nets, n_i)
+        egb = np.stack([  # each (nets, n_i, n_j) product as (n_j, nets, n_i)
             np.full(pe.shape, np.moveaxis(p, -1, 0).reshape(p.shape[-1:] + p.shape[:-1] + ones))
-            for p in products)
-        total, rate = np.empty(self.acc.shape[1:]), np.empty(delta.shape)
-        pm, m = spread(total.shape, kernel.pm), spread(delta.shape, kernel.m)
-        d = None if kernel.d is None else spread(delta.shape, kernel.d)
-        k_omega, k_acc, accs = list(self.k[:, 0]), list(self.k[:, 1]), list(self.acc)
+            for p in products])
+        total, rate = np.empty(self.acc.shape[1:]), np.empty((n,) + rows)
+        pm, m = spread(total.shape, kernel.pm), spread(rate.shape, kernel.m)
+        d = None if kernel.d is None else spread(rate.shape, kernel.d)
+        omegas, rates, accs = list(z[:, 1]), list(z[:, 2]), list(self.acc)
         acts = list(self.acc[:, 1]) if fault else accs
 
-        def stage(i: int) -> None:  # k[i] and acc[i] at x
-            np.subtract(dcol, drow, out=diff)
-            np.cos(diff, out=cos)
-            np.sin(diff, out=diff)
-            np.multiply(eg, cos, out=pe)
-            np.multiply(eb, diff, out=pe_sin)
-            np.add(pe, pe_sin, out=pe)
-            np.subtract(pm, _sum(pe, 0, out=total), out=accs[i])
-            k_omega[i][...] = omega
+        def stage(i: int) -> None:  # acc[i] and z[i, 2] at z[i, :2]
+            np.subtract(dcols[i], drows[i], diff)
+            np.cos(diff, cos)
+            np.sin(diff, sin)
+            np.multiply(egb, trig, terms)
+            np.add(pe, pe_sin, pe)
+            np.subtract(pm, _sum(pe, 0, None, total), accs[i])
             act = acts[i] if d is None else (  # act - d * omega
-                np.subtract(acts[i], np.multiply(d, omega, out=rate), out=rate))
-            np.divide(act, m, out=k_acc[i])
+                np.subtract(acts[i], np.multiply(d, omegas[i], rate), rate))
+            np.divide(act, m, rates[i])
 
-        ys, ks, (tmp, tmp2) = list(self.y), list(self.k), np.empty((2,) + x.shape)
-        half, full, two, sixth = (np.full(x.shape, c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
+        xs, ks, (tmp, tmp2) = list(z[:, :2]), list(self.k), np.empty((2, 2, n) + rows)
+        half, full, two, sixth = (np.full(tmp.shape, c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
 
         def steps(count: int, last: bool = True) -> None:
             """RK4 steps from y[0], four stages each, then with ``last`` the stage at y[count]."""
             for s in range(count):
-                y0, i = ys[s], 4 * s
-                x[...] = y0
+                y0, i = xs[4 * s], 4 * s
                 stage(i)
                 for j, c in ((i, half), (i + 1, half), (i + 2, full)):
-                    np.add(y0, np.multiply(c, ks[j], out=tmp), out=x)
+                    np.add(y0, np.multiply(c, ks[j], tmp), xs[j + 1])
                     stage(j + 1)
                 # y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), in that order
-                np.add(ks[i], np.multiply(two, ks[i + 1], out=tmp), out=tmp)
-                np.add(tmp, np.multiply(two, ks[i + 2], out=tmp2), out=tmp)
-                np.add(tmp, ks[i + 3], out=tmp)
-                np.add(y0, np.multiply(sixth, tmp, out=tmp), out=ys[s + 1])
+                np.add(ks[i], np.multiply(two, ks[i + 1], tmp), tmp)
+                np.add(tmp, np.multiply(two, ks[i + 2], tmp2), tmp)
+                np.add(tmp, ks[i + 3], tmp)
+                np.add(y0, np.multiply(sixth, tmp, tmp), xs[i + 4])
             if last:
-                x[...] = ys[count]
                 stage(4 * count)
 
         self.steps = steps  # a closure: its loop reads locals only

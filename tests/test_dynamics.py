@@ -6,6 +6,8 @@ import dataclasses
 import io
 import math
 import re
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +31,7 @@ from imeac.dynamics import (
     FaultOnPrefix,
     RowPool,
     SwingKernel,
+    Workspace,
     trajectory_header,
     write_trajectory,
 )
@@ -572,9 +575,12 @@ class TestWorkspaceBlock:
         assert_block_equals_reference(SwingKernel(case), y0, BLOCK, fault_stage, 1e-3, w0)
 
 
-def pool_run(kernel, dt, heads, steps, advance, fault=False):
-    """Each block (samples, rows, start), ``ended`` and the warnings of a pool stepped by ``advance``."""
-    pool = RowPool(kernel, dt, fault=fault)
+def pool_run(kernel, dt, heads, steps, advance, fault=False, pool=None):
+    """Each block (samples, rows, start), ``ended`` and the warnings of a pool stepped by ``advance``.
+
+    The rows join ``pool`` when given, else a new one.
+    """
+    pool = RowPool(kernel, dt, fault=fault) if pool is None else pool
     pool.join(range(len(heads)), np.array(heads), 0, steps)
     blocks = []
     with warnings.catch_warnings(record=True) as caught:
@@ -630,6 +636,116 @@ class TestGuardReplay:
         assert lost and (fault or set(ended) > lost)
         assert fault or any(len(b.samples) - 1 < BLOCK and b.rows.size > 1 for b in got[:-1])
         assert (raised != []) == (name != "light smib")
+
+
+def numpy_data_held(run):
+    """run() and the most numpy array data (bytes) it held at once, seen before every bytecode it ran.
+
+    tracemalloc traces numpy's data allocations in their own domain; the
+    frames run() enters are traced opcode by opcode, so a temporary that
+    lives within one statement shows too.
+    """
+    only_numpy = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    most, outer = 0, sys.gettrace()
+
+    def held():
+        return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(only_numpy).traces)
+
+    def trace(frame, event, arg):
+        nonlocal most
+        frame.f_trace_opcodes = True
+        most = max(most, held())
+        return trace
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = held()
+        sys.settrace(trace)
+        try:
+            result = run()
+        finally:
+            sys.settrace(outer)
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, most - before
+
+
+class TestWorkspaceAllocation:
+    """README's "no allocation": a block on a kept workspace makes no numpy array data."""
+
+    def test_the_probe_sees_a_temporary(self):
+        a = np.ones(9)
+        assert numpy_data_held(lambda: np.add(a, a) is a)[1] >= a.nbytes
+        assert numpy_data_held(lambda: np.add(a, a, a) is a) == (True, 0)
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("fault_stage", [True, False], ids=["fault-on", "post-fault"])
+    @pytest.mark.parametrize("damped", [False, True], ids=["undamped", "damped"])
+    def test_steps_allocate_no_array_data(self, wscc, rows, fault_stage, damped):
+        case = with_damping(wscc) if damped else wscc
+        kernel = SwingKernel(case)
+        assert (kernel.d is None) != damped
+        rng = np.random.default_rng(5)
+        shape = () if rows == 1 else (rows,)
+        space = Workspace(kernel, BLOCK, shape, fault_stage, 1e-3)
+        space.y[0, 0] = case.delta0.reshape((case.n,) + (1,) * len(shape)) + rng.normal(
+            0.0, 0.2, (case.n,) + shape)
+        space.y[0, 1] = rng.normal(0.0, 1.0, (case.n,) + shape)
+        space.steps(BLOCK)  # the first block; the workspace is kept for the next
+        assert numpy_data_held(lambda: space.steps(BLOCK)) == (None, 0)
+        assert np.isfinite(space.k).all()
+
+
+class TestWorkspaceReuse:
+    """One RowPool keeps its workspace across blocks of one shape, whatever the last block left in it."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", [
+        "wscc9 rows", "wscc9 lone row",
+        "light smib", "W overflow after clearing", "subnormal inertia", "fault-on W overflow",
+    ])
+    def test_second_block_equals_fresh_and_reference(self, smib, wscc, name):
+        # a whole block from other states first, its stage points left in
+        # the workspace; the rows of the scenario then join the same pool
+        if name.startswith("wscc9"):
+            clears = [100, 120, 140] if name == "wscc9 rows" else [150]
+            case, dt, steps, fault = wscc, 1e-3, 100, False
+            prefix = FaultOnPrefix(SwingKernel(case), case, dt)
+            heads = [prefix.state(k) for k in clears]
+        else:
+            case, dt, heads, steps, fault = TestGuardReplay().scenario(name, smib, wscc)
+        kernel = SwingKernel(case)
+        start = np.concatenate([case.delta0, case.omega0, np.zeros(case.n)])
+        warm = [FaultOnPrefix(kernel, case, dt).state(40) if fault else start] * len(heads)
+        pool = RowPool(kernel, dt, fault=fault)
+        pool.join(range(len(heads)), np.array(warm), 0, steps)
+        pool.advance()
+        assert pool.size == len(heads) and not pool.ended  # a whole block, every row in flight
+        kept = pool._space
+        pool.leave(pool.rows.tolist())
+        spaces = []
+
+        def advance(p):
+            block = RowPool.advance(p)
+            spaces.append(p._space)
+            return block
+
+        got = pool_run(kernel, dt, heads, steps, advance, fault, pool)
+        fresh = pool_run(kernel, dt, heads, steps, RowPool.advance, fault)
+        want = pool_run(kernel, dt, heads, steps, ReferenceStepper(kernel).advance, fault)
+        assert spaces[0] is kept
+        for other in (fresh, want):
+            assert len(got[0]) == len(other[0])
+            for a, b in zip(got[0], other[0]):
+                assert np.array_equal(a.rows, b.rows) and np.array_equal(a.start, b.start)
+                assert np.array_equal(a.samples, b.samples, equal_nan=True)
+            assert got[1:] == other[1:]
+        # subnormal inertia cuts the first block and replays it with warnings
+        assert (len(got[0][0].samples) - 1 < BLOCK) == (name == "subnormal inertia")
+        assert (got[2] != []) == (name not in ("wscc9 rows", "wscc9 lone row", "light smib"))
 
 
 class TestRowPool:
