@@ -27,10 +27,14 @@ FIELD = re.compile(r'[\s,:\[\]{}"]+')  # separators of TSV and JSON fields
 COMMANDS = [
     ["assess", "bundled:wscc9", "--t-clear", "0.2", "--t-end", "1.2", "--out-dir", "{out}/v"],
     ["assess", "bundled:smib", "--t-clear", "0.15", "--t-end", "1.0", "--out-dir", "{out}/v"],
+    # machine 2, not critical, liberates on its third swing: exit 2
+    ["assess", "bundled:wscc9", "--t-clear", "0.119", "--t-end", "3.119", "--out-dir", "{out}/v"],
     ["simulate", "bundled:wscc9", "--t-clear", "0.08", "--t-end", "3.0", "--out", "{out}/t.tsv"],
     ["simulate", "bundled:smib", "--t-clear", "0.2", "--t-end", "1.0", "--out", "{out}/t.tsv"],
     ["cct", "bundled:wscc9", "--t-lo", "0.1", "--t-hi", "0.2", "--out", "{out}/c.json"],
     ["cct", "bundled:smib", "--t-lo", "0.15", "--t-hi", "0.25", "--out", "{out}/c.json"],
+    ["cct", "bundled:wscc9", "--t-lo", "0.06", "--t-hi", "0.24", "--first-swing-only",
+     "--out", "{out}/c.json"],
     ["surface", "bundled:wscc9", "--focus", "2", "--axes", "1,2", "--mode", "trajectories",
      "--sweep", "0.05:0.20:0.05", "--t-end", "1.5", "--out", "{out}/s.tsv"],
     ["surface", "bundled:wscc9", "--focus", "2", "--axes", "1,2", "--mode", "trajectories",

@@ -4,9 +4,11 @@ Runs a fixed list of engine calls in each tree (a subprocess with
 PYTHONPATH=<root>/src) and prints, per item, same/DIFF.  The items:
 
 * 181-point clearing-time scans, 0.060-0.240 s on the 1 ms grid, of the
-  three bundled cases;
+  three bundled cases, and of wscc9 with ``first_swing_only``;
 * ``find_cct`` on the 13 wscc9 brackets [lo, lo + 32 ms], lo = 139..151 ms,
   and on the acceptance brackets (smib 0.150-0.250 s, wscc9 0.140-0.172 s);
+  with ``first_swing_only``, on wscc9 [0.060, 0.240] and [0.110, 0.160]
+  (stable at both ends: a BracketError);
 * a wscc9 scan at unsorted, repeated clearing times, so the fault-on
   prefix is extended out of order;
 * the fault-on prefix extended in pieces (to samples 37, 100 and 250):
@@ -231,6 +233,8 @@ def items():
     out = []
     for name, case in cases.items():
         out.append((f"scan {name} 0.060-0.240 s", lambda c=case: scan_clearing_times(c, SCAN_TIMES)))
+    out.append(("scan wscc9 0.060-0.240 s first swing only",
+                lambda: scan_clearing_times(wscc, SCAN_TIMES, first_swing_only=True)))
     out.append(("scan wscc9 unsorted 0.200, 0.061, 0.150, 0.240, 0.100, 0.061 s",
                 lambda: scan_clearing_times(wscc, [0.200, 0.061, 0.150, 0.240, 0.100, 0.061])))
     for lo in range(139, 152):
@@ -240,6 +244,9 @@ def items():
                 lambda: find_cct(cases["smib"], 0.150, 0.250, resolution=1e-3)))
     out.append(("find_cct wscc9 [0.140, 0.172]",
                 lambda: find_cct(wscc, 0.140, 0.172, resolution=1e-3)))
+    for lo, hi in ((0.060, 0.240), (0.110, 0.160)):
+        out.append((f"find_cct wscc9 [{lo:.3f}, {hi:.3f}] first swing only",
+                    lambda lo=lo, hi=hi: find_cct(wscc, lo, hi, first_swing_only=True)))
     for name, case in [*cases.items(), ("wscc9 damped", damped)]:
         for t_clear, t_end in CONFIGS:
             cfg = SimulationConfig(t_clear=t_clear, t_end=t_end)

@@ -15,9 +15,11 @@ clamped to exactly 0).  This keeps the sign rule, the classification
 and the terminal event kind in exact agreement for every machine:
 unstable (some DLP, at any swing) iff eta_i < 0.
 
-The system verdict applies the unity principle: one separating machine
-is enough, and it is the first DLP that decides when.  Severity orders
-all separating machines by their first-DLP times.
+The system verdict applies the unity principle, and ``first_dlps`` is
+its one implementation: one separating machine is enough, the first DLP
+decides when, and severity orders all separating machines by their
+first-DLP times.  The streaming verdict that prunes ``find_cct``, the
+system assessment and the MDM all read it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 from .case import StabilityCase
 from .errors import HorizonError
@@ -58,10 +60,18 @@ class MachineAssessment:
         return self.classification.startswith("unstable")
 
     def first_dlp(self) -> SwingEvent | None:
-        for event in self.events:
-            if event.kind == DLP:
-                return event
-        return None
+        return next((ev for ev in self.events if ev.kind == DLP), None)
+
+
+def first_dlps(machine_events: Iterable[Sequence[SwingEvent]]) -> list[tuple[int, float]]:
+    """The unity principle: each separating machine's (machine, first-DLP time), earliest first.
+
+    machine_events holds one event list per machine; ties go to the
+    lower machine.  The system is unstable iff the list is not empty,
+    and its head is the leading LOSP and the MDM.
+    """
+    firsts = (next((ev for ev in events if ev.kind == DLP), None) for events in machine_events)
+    return [(m, t) for t, m in sorted((ev.time, ev.machine) for ev in firsts if ev is not None)]
 
 
 def margin_from_areas(a_acc: float, a_dec: float) -> float:
@@ -147,13 +157,7 @@ def assess_system(assessments: Sequence[MachineAssessment]) -> SystemAssessment:
     ordered = sorted(assessments, key=lambda a: a.machine)
     if not any(a.determined for a in ordered):
         raise HorizonError("horizon too short: no machine reached a verdict")
-    dlps = []
-    for a in ordered:
-        first = a.first_dlp()
-        if first is not None:
-            dlps.append((first.time, a.machine))
-    dlps.sort()
-    severity = tuple((machine, time) for time, machine in dlps)
+    severity = tuple(first_dlps(a.events for a in ordered))
     stable = not severity
     timeline = tuple(
         sorted(

@@ -19,11 +19,12 @@ every row is bit-identical to that probe run alone.
 
 ``find_cct`` reports bisection's probes but runs the bisection tree
 ``DEPTH`` levels ahead of its verdicts and drops the rows of each
-pruned half from the pool.  Under the unity principle a probe's verdict
-is final as unstable once one of its machines emits an accepted DLP (on
-swing 1 only under ``first_swing_only``), as stable or failed only when
-its row leaves the pool.  Results are assembled only when reported, so
-a probe bisection never visits never raises or warns.
+pruned half from the pool.  A probe's verdict is final as unstable once
+``assess.first_dlps`` finds a DLP among its events so far, as stable or
+failed only when its row leaves the pool.  Results are assembled only
+when reported, so a probe bisection never visits never raises or warns.
+This module only searches: the scanner detects the events, and
+``first_dlps`` alone decides what they mean.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .assess import (
     SystemAssessment,
     anchor_index,
     assess_system,
+    first_dlps,
     fmt,
     margin_at_anchor,
 )
@@ -181,17 +183,18 @@ class _Sweep:
     def verdict(self, j: int):
         """Probe j's final verdict: True (stable), False (unstable), its exception, or None.
 
-        A probe is final as unstable as soon as one of its machines emits
-        an accepted DLP (unity principle; on swing 1 under
-        first_swing_only), and final as stable or failed only when its
-        row has left the pool; None means not final yet.  Never warns.
+        A probe is final as unstable as soon as ``first_dlps`` finds a
+        DLP among its events so far, and final as stable or failed only
+        when its row has left the pool; None means not final yet.  Never
+        warns.
         """
-        if self.scanner.separated(j, self.first_swing_only):
+        events = self._events(j)
+        if first_dlps(events):
             return False
         if j not in self.pool.ended:
             return self.outcomes[j]  # None while running, or the start's error
         try:  # a row with events is stable; one without has no margin to warn about
-            return any(self._events(j)) or self.result(j).stable
+            return any(events) or self.result(j).stable
         except ImeacError as exc:
             return exc
 
@@ -255,7 +258,11 @@ class _Sweep:
         )
 
     def _events(self, j: int) -> list[list]:
-        """Probe j's events per machine; under first_swing_only the swing-1 prefix of each."""
+        """Probe j's events per machine; under first_swing_only the swing-1 prefix of each.
+
+        The one place first_swing_only applies: the verdict, the margins
+        and the system assessment all read these events.
+        """
         events = self.scanner.events[j]
         if self.first_swing_only:
             events = [[ev for ev in e if ev.swing_index == 1] for e in events]
@@ -301,20 +308,16 @@ def identify_mdm(
     stable_assessments: Sequence[MachineAssessment],
     unstable_assessments: Sequence[MachineAssessment],
 ) -> int:
-    """The machine emitting the first DLP on the unstable side.
+    """The machine emitting the first DLP on the unstable side, the head of ``first_dlps``.
 
     Consistency check: the same machine should carry the minimum margin
     on the stable side; a mismatch is reported as a warning and the
     unstable-side identity wins.
     """
-    dlps = [
-        (a.first_dlp().time, a.machine)
-        for a in unstable_assessments
-        if a.first_dlp() is not None
-    ]
+    dlps = first_dlps(a.events for a in unstable_assessments)
     if not dlps:
         raise ImeacError("unstable-side assessments contain no DLP")
-    mdm = min(dlps)[1]
+    mdm = dlps[0][0]
     margins = {a.machine: a.margin for a in stable_assessments if a.margin is not None}
     if margins:
         low = min(margins.values())
@@ -349,11 +352,16 @@ def find_cct(
     verdicts on one row pool: before waiting on a midpoint it starts
     every midpoint of its subtree, DEPTH levels deep, so the ends and
     the first midpoint's subtree join at step 0.  A verdict is final as
-    unstable once a machine emits an accepted DLP (the unity principle),
-    as stable or failed when the run ends; then the rows of the pruned
-    half leave the pool, and at the end every unvisited row leaves.
-    Visited probes run their whole horizon, each equal to the probe run
-    alone, so the result, errors included, is one-by-one bisection's.
+    unstable once ``first_dlps`` finds a DLP, as stable or failed when
+    the run ends; then the rows of the pruned half leave the pool, and
+    at the end every unvisited row leaves.  Visited probes run their
+    whole horizon, each equal to the probe run alone, so the result,
+    errors included, is one-by-one bisection's.
+
+    Visited verdicts are monotone by construction: a stable one was the
+    bracket's lower end when visited, an unstable one its upper end, the
+    ends only close in, and a failed end or midpoint raises first.  On a
+    bracket with an island the search returns one edge inside it.
     """
     _positive(dt=dt, resolution=resolution, horizon=horizon, t_lo=t_lo)
     _grid_value(resolution, dt, "resolution")
@@ -407,12 +415,6 @@ def find_cct(
     results = {k: sweep.result(j) for k, j in probes.items()}
     lo, hi = a, b
     ordered = sorted(results.items())
-    for (ka, pa), (kb, pb) in zip(ordered, ordered[1:]):
-        if not pa.stable and pb.stable:
-            raise ImeacError(
-                f"non-monotone verdicts: unstable at {ka * resolution:.6g} s but "
-                f"stable at {kb * resolution:.6g} s"
-            )
     mdm = identify_mdm(results[lo].machine_assessments, results[hi].machine_assessments)
     curve = tuple(
         (k * resolution, p.machine_assessments[mdm].margin)

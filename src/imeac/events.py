@@ -17,12 +17,13 @@ identities hold at events to interpolation accuracy.
 There is one implementation, ``EventScanner``: it takes the samples in
 blocks, for many trajectories (rows) at once, and carries per row and
 machine what a scan needs across a block boundary: the largest |omega|
-since the last DSP, the swing count and whether a DLP ended the scan.
-Candidate crossings are found with array operations; Python loops only
-over the few crossings.  ``detect_events`` feeds it one trajectory as a
-single block; clearing-time sweeps stream their pooled rows through it
-block by block and never hold a whole trajectory, and a bisection asks
-it (``separated``) whether a probe's verdict is already final.
+since the last DSP, and the events so far, whose count is the swing
+count and whose last one, if a DLP, ended the scan.  Candidate
+crossings are found with array operations; Python loops only over the
+few crossings.  ``detect_events`` feeds it one trajectory as a single
+block; clearing-time sweeps stream their pooled rows through it block
+by block and never hold a whole trajectory.  The scanner only detects:
+what the events mean for a verdict is ``assess.first_dlps``'s to say.
 """
 
 from __future__ import annotations
@@ -83,8 +84,6 @@ class EventScanner:
         self.omega_tol = omega_tol
         self.events: list[list[list[SwingEvent]]] = []
         self.event_pe: list[list[list[float]]] = []
-        self._swings: list[list[int]] = []
-        self._done: list[list[bool]] = []
         self._moved = np.zeros((0, self.m.shape[0]))  # max |omega| since the last DSP
         self.add_rows(n_rows)
 
@@ -94,20 +93,7 @@ class EventScanner:
         for _ in range(count):
             self.events.append([[] for _ in range(n)])
             self.event_pe.append([[] for _ in range(n)])
-            self._swings.append([0] * n)
-            self._done.append([False] * n)
         self._moved = np.concatenate((self._moved, np.zeros((count, n))))
-
-    def separated(self, row: int, first_swing_only: bool = False) -> bool:
-        """Whether some machine of the row has emitted its DLP (on swing 1 only, if asked).
-
-        Under the unity principle that settles the row's verdict,
-        unstable, however long the row still runs.
-        """
-        return any(
-            done and (not first_swing_only or events[-1].swing_index == 1)
-            for done, events in zip(self._done[row], self.events[row])
-        )
 
     def feed(
         self,
@@ -135,8 +121,9 @@ class EventScanner:
         restart: dict[tuple[int, int], int] = {}  # first interval after a DSP in this block
         for r, i, k in zip(*(h.tolist() for h in hits)):
             row = rows[r]
-            if self._done[row][i]:
-                continue
+            events = self.events[row][i]
+            if events and events[-1].kind == DLP:
+                continue  # the first DLP ended this machine's scan
             if turning[k, r, i]:
                 seg = restart.get((r, i))
                 if seg is None:
@@ -146,15 +133,15 @@ class EventScanner:
                 if moved > self.omega_tol:
                     self._emit(row, r, i, k, DSP, times, omega, force, delta, pe)
                     restart[(r, i)] = k + 1
-            elif self._emit(row, r, i, k, DLP, times, omega, force, delta, pe):
-                self._done[row][i] = True  # the first DLP ends this machine's scan
+            else:
+                self._emit(row, r, i, k, DLP, times, omega, force, delta, pe)
         rows = np.asarray(rows)
         self._moved[rows] = np.maximum(self._moved[rows], speed.max(axis=0))
         for (r, i), seg in restart.items():
             self._moved[rows[r], i] = speed[seg:, r, i].max(initial=0.0)
 
-    def _emit(self, row, r, i, k, kind, times, omega, force, delta, pe) -> bool:
-        """Interpolate and record one event in interval k; False if rejected."""
+    def _emit(self, row, r, i, k, kind, times, omega, force, delta, pe) -> None:
+        """Interpolate and record one event in interval k, unless it is a DLP at rest."""
         m = self.m
         t0 = times[k, r]
         h = times[k + 1, r] - t0
@@ -163,13 +150,14 @@ class EventScanner:
         s = w0 / (w0 - w1) if kind == DSP else f0 / (f0 - f1)
         w_star = _hermite(w0, w1, f0 / m[i], f1 / m[i], h, s)
         if kind == DLP and not abs(w_star) > self.omega_tol:
-            return False
+            return
         t_star = t0 + s * h
-        self.events[row][i].append(
+        events = self.events[row][i]
+        events.append(
             SwingEvent(
                 machine=i,
                 kind=kind,
-                swing_index=self._swings[row][i] + 1,
+                swing_index=len(events) + 1,  # every earlier event is a DSP
                 time=float(t_star),
                 delta_coi=float(_hermite(delta[k, r, i], delta[k + 1, r, i], w0, w1, h, s)),
                 residual_ke=float(0.5 * m[i] * w_star**2),
@@ -177,15 +165,12 @@ class EventScanner:
                 near_critical=kind == DSP and bool((f0 < 0.0 < f1) or (f1 < 0.0 < f0)),
             )
         )
-        if kind == DSP:
-            self._swings[row][i] += 1
         if pe is not None:
             self.event_pe[row][i].append(
                 float(_hermite(
                     pe[k, r, i], pe[k + 1, r, i], -f0 * w0, -f1 * w1, h, (t_star - t0) / h
                 ))
             )
-        return True
 
 
 def detect_events(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -81,6 +82,26 @@ class TestValidation:
                 delta0=np.zeros(3),
                 omega0=case.omega0,
             )
+
+    def test_network_g_and_b_sizes_must_agree(self):
+        with pytest.raises(CaseValidationError, match="G and B dimensions differ") as raised:
+            ReducedNetwork(g=np.zeros((2, 2)), b=np.zeros((3, 3)), name="net_x")
+        assert raised.value.field == "net_x"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("net_faulton", ReducedNetwork(np.zeros((3, 3)), np.zeros((3, 3)), "net_faulton")),
+            ("delta0", np.array([math.nan, 0.0])),
+            ("omega0", np.array([0.0, math.inf])),
+            ("machines", tuple(dataclasses.replace(m, id=1 - m.id) for m in two_machine_case().machines)),
+        ],
+        ids=["network-size", "delta0", "omega0", "machine-ids"],
+    )
+    def test_case_fields_are_named(self, field, value):
+        with pytest.raises(CaseValidationError) as raised:
+            dataclasses.replace(two_machine_case(), **{field: value})
+        assert raised.value.field == field
 
     def test_equilibrium_point_consistency(self):
         with pytest.raises(CaseValidationError, match="residual"):

@@ -12,10 +12,12 @@ import pytest
 from imeac import (
     CaseFormatError,
     CaseValidationError,
+    NetworkReductionError,
     load_bundled,
     load_case,
 )
 from imeac.caseio import bundled_case_names, case_from_dict
+from test_cli import run_quiet
 
 
 def explicit_doc() -> dict:
@@ -168,6 +170,72 @@ class TestRawForm:
         assert all(m.e > 0.5 for m in wscc.machines)
         # fault-on coupling must be strictly weaker than pre-fault
         assert wscc.net_faulton.b[0, 1] < wscc.net_prefault.b[0, 1]
+
+
+def without_m(doc):
+    del doc["machines"][0]["M"]
+
+
+def no_machines(doc):
+    doc["machines"] = []
+
+
+def raw_not_an_object(doc):
+    doc["network_raw"] = [1, 2]
+
+
+def duplicate_bus(doc):
+    doc["network_raw"]["buses"][1]["id"] = 1
+
+
+def unknown_bus(doc):
+    doc["network_raw"]["branches"][0]["to_bus"] = 99
+
+
+def two_generators(doc):
+    del doc["network_raw"]["generators"][2]
+
+
+def generator_index(doc):
+    doc["network_raw"]["generators"][1]["machine"] = 3
+
+
+def parallel_cleared_branch(doc):
+    # a twin of the cleared branch, from bus 5 to bus 7 (positions 4 and 6)
+    branches = doc["network_raw"]["branches"]
+    branches.append(next(dict(br) for br in branches if (br["from_bus"], br["to_bus"]) == (5, 7)))
+
+
+class TestInputErrorsNameTheirField:
+    """Each bad case document raises an error naming its field, and the CLI prints it as one line."""
+
+    @pytest.mark.parametrize(
+        "doc, mutate, error, named",
+        [
+            (explicit_doc, without_m, CaseValidationError, "machines[0].M"),
+            (explicit_doc, no_machines, CaseValidationError, "machines"),
+            (wscc_raw_doc, raw_not_an_object, CaseValidationError, "network_raw"),
+            (wscc_raw_doc, duplicate_bus, CaseValidationError, "network_raw.buses[1].id"),
+            (wscc_raw_doc, unknown_bus, CaseValidationError, "network_raw.branches[0].to_bus"),
+            (wscc_raw_doc, two_generators, CaseValidationError, "network_raw.generators"),
+            (wscc_raw_doc, generator_index, CaseValidationError, "network_raw.generators.machine"),
+            (wscc_raw_doc, parallel_cleared_branch, NetworkReductionError, (4, 6)),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_field_is_named(self, tmp_path, doc, mutate, error, named):
+        doc = doc()
+        mutate(doc)
+        with pytest.raises(error) as raised:
+            case_from_dict(doc)
+        if error is NetworkReductionError:
+            assert raised.value.buses == named
+        else:
+            assert raised.value.field == named
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        argv = ["assess", str(path), "--t-clear", "0.1", "--t-end", "0.2", "--out-dir", str(tmp_path)]
+        assert run_quiet(argv) == (1, [f"error: {raised.value}"])
 
 
 class TestLoadCase:

@@ -24,9 +24,10 @@ from imeac import (
     probe_clearing_time,
     scan_clearing_times,
     simulate,
+    solve_postfault_sep,
 )
 from imeac.assess import assess_system
-from imeac.cct import DEPTH, identify_mdm, write_cct, write_margin_curve
+from imeac.cct import DEFAULT_HORIZON, DEPTH, _Sweep, identify_mdm, write_cct, write_margin_curve
 from imeac.dynamics import RowPool
 from imeac.events import detect_events
 from conftest import assess_machines, two_machine_case
@@ -322,6 +323,30 @@ class TestFindCct:
         verdicts = {p.t_clear: p.stable for p in wscc_scan}
         assert verdicts[0.118] and not verdicts[0.119] and not verdicts[0.138]
         assert verdicts[0.139]
+
+
+SCAN_TIMES = [round(0.110 + 0.001 * k, 3) for k in range(63)]  # conftest's wscc_scan
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("first_swing_only", [False, True])
+    def test_final_verdict_is_the_probe_result(self, wscc, first_swing_only):
+        # stepped block by block, as find_cct steps it: once final, a verdict never changes
+        sweep = _Sweep(wscc, 1e-3, solve_postfault_sep(wscc), DEFAULT_HORIZON, first_swing_only)
+        probes = sweep.start_all(SCAN_TIMES)
+        final = {}
+        while sweep.pool.size:
+            sweep.advance()
+            for j in probes:
+                if (verdict := sweep.verdict(j)) is not None:
+                    assert final.setdefault(j, verdict) == verdict
+        assert [final[j] for j in probes] == [sweep.result(j).stable for j in probes]
+
+    def test_wscc9_first_swing_scan_has_one_edge(self, wscc):
+        # no island on swing 1: stable through 0.160 s, unstable from
+        # 0.161 s, the bracket where the trajectory itself separates
+        scan = scan_clearing_times(wscc, SCAN_TIMES, first_swing_only=True)
+        assert [p.stable for p in scan] == [t <= 0.160 for t in SCAN_TIMES]
 
 
 def fake_assessment(machine, margin=None, dlp_time=None):

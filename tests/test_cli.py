@@ -465,6 +465,24 @@ class TestErrorPaths:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--axes", "1"], "--axes expects 'a,b', got '1'"),
+            (["--axes", "a,b"], "--axes expects integers, got 'a,b'"),
+            (["--axes", "1,2", "--window", "1:2"], "--window expects 'xlo:xhi:ylo:yhi', got '1:2'"),
+            (["--axes", "1,2", "--mode", "trajectories", "--sweep", "0:1"],
+             "--sweep expects 'start:stop:step', got '0:1'"),
+            (["--axes", "1,2", "--mode", "trajectories", "--sweep", "0:1:0"],
+             "--sweep step must be > 0"),
+        ],
+        ids=["axes-one", "axes-text", "window-two", "sweep-two", "sweep-step-zero"],
+    )
+    def test_bad_surface_flag_is_one_error_line(self, tmp_path, flags, message):
+        argv = ["surface", STAR, "--focus", "1", *flags, "--out", str(tmp_path / "s.tsv")]
+        assert run_quiet(argv) == (1, [f"error: {message}"])
+        assert not (tmp_path / "s.tsv").exists()
+
+    @pytest.mark.parametrize(
         "sweep", ["0:inf:0.1", "-inf:1:0.1", "nan:1:0.1", "0:1:nan", "0:1:inf", "0:1e300:1e-300"]
     )
     def test_sweep_range_needs_finite_parts_and_count(self, tmp_path, sweep):

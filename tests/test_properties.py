@@ -336,7 +336,7 @@ def test_ten_machine_scan_equals_probes_one_by_one():
 RESOLUTION = 5 * DT
 
 
-def reference_bisection(case, t_lo, t_hi, horizon, first_swing_only):
+def reference_bisection(case, t_lo, t_hi, horizon, first_swing_only, resolution=RESOLUTION, dt=DT):
     """find_cct's contract spelled out: probe the ends, then one midpoint at a time.
 
     Returns the CctResult and the grid indices probed.
@@ -345,11 +345,11 @@ def reference_bisection(case, t_lo, t_hi, horizon, first_swing_only):
 
     def probe(k):
         probes[k] = probe_clearing_time(
-            case, k * RESOLUTION, dt=DT, horizon=horizon, first_swing_only=first_swing_only
+            case, k * resolution, dt=dt, horizon=horizon, first_swing_only=first_swing_only
         )
         return probes[k]
 
-    lo, hi = round(t_lo / RESOLUTION), round(t_hi / RESOLUTION)
+    lo, hi = round(t_lo / resolution), round(t_hi / resolution)
     lo_probe, hi_probe = probe(lo), probe(hi)
     if not lo_probe.stable:
         raise BracketError(
@@ -368,24 +368,33 @@ def reference_bisection(case, t_lo, t_hi, horizon, first_swing_only):
     for (ka, pa), (kb, pb) in zip(ordered, ordered[1:]):
         if not pa.stable and pb.stable:
             raise ImeacError(
-                f"non-monotone verdicts: unstable at {ka * RESOLUTION:.6g} s but "
-                f"stable at {kb * RESOLUTION:.6g} s"
+                f"non-monotone verdicts: unstable at {ka * resolution:.6g} s but "
+                f"stable at {kb * resolution:.6g} s"
             )
     mdm = identify_mdm(probes[lo].machine_assessments, probes[hi].machine_assessments)
     result = CctResult(
-        cct=lo * RESOLUTION,
-        cct_unstable=hi * RESOLUTION,
-        resolution=RESOLUTION,
+        cct=lo * resolution,
+        cct_unstable=hi * resolution,
+        resolution=resolution,
         mdm=mdm,
         critical_energy=probes[lo].total_at_clear[mdm],
         margin_curve=tuple(
-            (k * RESOLUTION, p.machine_assessments[mdm].margin)
+            (k * resolution, p.machine_assessments[mdm].margin)
             for k, p in ordered
             if p.machine_assessments[mdm].margin is not None
         ),
         evaluations=len(probes),
     )
     return result, sorted(probes)
+
+
+def test_wscc9_first_swing_find_cct_equals_reference_bisection(wscc):
+    # the trajectory oracle's bracket, 0.160/0.161 s; counting every
+    # swing, machine 2's later-swing DLPs move it to 0.152/0.153 s
+    result = find_cct(wscc, 0.060, 0.240, first_swing_only=True)
+    reference, _ = reference_bisection(wscc, 0.060, 0.240, 3.0, True, resolution=1e-3, dt=1e-3)
+    assert result == reference
+    assert (result.cct, result.cct_unstable, result.mdm, result.evaluations) == (0.160, 0.161, 1, 10)
 
 
 GRID = range(1, 31)  # bracket grid indices, in units of RESOLUTION

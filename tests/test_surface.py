@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import tracemalloc
 import warnings
@@ -11,6 +12,7 @@ import pytest
 
 from imeac import (
     ImeacError,
+    ReducedNetwork,
     SimulationConfig,
     SurfaceGrid,
     SurfaceSpec,
@@ -215,6 +217,16 @@ class TestSurfaceGrid:
     def test_window_needs_lo_below_hi(self, star, window):
         with pytest.raises(ImeacError, match="^window: [xy] range"):
             surface_grid(star, small_spec(window=window))
+
+    def test_unconverged_sep_is_refused(self, wscc):
+        # halving the post-fault network leaves no SEP: grid PE would have no baseline
+        net = wscc.net_postfault
+        weak = dataclasses.replace(wscc, net_postfault=ReducedNetwork(net.g * 0.5, net.b * 0.5, net.name))
+        sep = solve_postfault_sep(weak)
+        assert not sep.converged
+        spec = small_spec(focus_machine=2, window=((-1.0, 1.0), (-1.0, 1.0)))
+        with pytest.raises(ImeacError, match="^post-fault SEP did not converge"):
+            surface_grid(weak, spec, sep)
 
     def test_interpolate_rejects_outside_window(self, star):
         grid = surface_grid(star, small_spec())
