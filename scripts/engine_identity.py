@@ -12,7 +12,7 @@ PYTHONPATH=<root>/src) and prints, per item, same/DIFF.  The items:
 * a wscc9 scan at unsorted, repeated clearing times, so the fault-on
   prefix is extended out of order;
 * the fault-on prefix extended in pieces (to samples 37, 100 and 250):
-  its samples, states and divergence index, on wscc9 and on the W
+  its samples, states and divergence time, on wscc9 and on the W
   overflow case below, whose fault-on stage diverges at sample 82;
 * the ``simulate`` arrays of three configurations per bundled case, and
   of wscc9 with damping 0.02 on every machine;
@@ -24,7 +24,8 @@ PYTHONPATH=<root>/src) and prints, per item, same/DIFF.  The items:
   wscc9 with a post-fault network so strong that only the PE integral W
   overflows, during the fault-on stage (a ``simulate`` and a scan) and,
   with heavy machines, after clearing at a step that varies by row (a
-  scan);
+  scan); and a ``RowPool`` of light smib rows whose first step ends one
+  row on its motion and one on its W, while a third goes on;
 * ``surface_grid`` on 81x81 grids: README's (threebus_lossless, focus 1,
   axes 1,2, 2 rad around the post-fault SEP), one on wscc9 (focus 2, axes
   1,2) and an infinite-bus window of threebus_lossless (focus 2, axes 0,1,
@@ -211,12 +212,36 @@ def readme_window(case, axes, half=2.0):
 
 
 def prefix_pieces(case):
-    """A fault-on prefix extended to samples 37, 100 and 250: its samples, states and divergence."""
+    """A fault-on prefix extended to samples 37, 100 and 250: its samples, states and divergence time."""
     from imeac.dynamics import FaultOnPrefix, SwingKernel
 
     prefix = FaultOnPrefix(SwingKernel(case), case, 1e-3)
     states = [prefix.state(k) for k in (37, 100, 250)]
-    return np.array(prefix.samples), states, prefix.divergence_index
+    return np.array(prefix.samples), states, prefix.pool.ended.get(0)
+
+
+def guard_at_one_step(smib):
+    """Light smib rows in one RowPool, two ending at its first step: every block and ``ended``.
+
+    One row is a step before its motion leaves the guard, one has a W
+    that is not finite, and one goes on to its budget.
+    """
+    from imeac.dynamics import FaultOnPrefix, RowPool, SwingKernel
+
+    case, dt = light_smib(smib), 2e-3
+    kernel = SwingKernel(case)
+    prefix, pool = FaultOnPrefix(kernel, case, dt), RowPool(kernel, dt)
+    pool.join([0], prefix.state(11), 0, 1500)
+    while pool.size:  # the row diverges: its last block ends with its last good sample
+        last = pool.advance().samples[-1, 0, : 3 * case.n]
+    w_lost = prefix.state(21).copy()
+    w_lost[2 * case.n :] = np.inf
+    pool = RowPool(kernel, dt)
+    pool.join([0, 1, 2], np.array([prefix.state(1), last, w_lost]), 0, 1500)
+    blocks = []
+    while pool.size:
+        blocks.append(pool.advance())
+    return [tuple(b) for b in blocks], pool.ended
 
 
 def items():
@@ -273,6 +298,8 @@ def items():
                 lambda: scan_clearing_times(strong, SCAN_TIMES[40:])))
     for name, case in (("wscc9", wscc), ("wscc9 W overflow", strong)):
         out.append((f"prefix {name} extended to 37, 100, 250", lambda c=case: prefix_pieces(c)))
+    out.append(("pool light smib: motion and W end rows at one step",
+                lambda: guard_at_one_step(cases["smib"])))
     heavy = w_overflow_after_clearing(wscc)
     heavy_times = [round(0.01 * k, 2) for k in range(1, 25)]
     out.append(("scan wscc9 W overflow after clearing 0.01-0.24 s",

@@ -59,9 +59,6 @@ class MachineAssessment:
     def unstable(self) -> bool:
         return self.classification.startswith("unstable")
 
-    def first_dlp(self) -> SwingEvent | None:
-        return next((ev for ev in self.events if ev.kind == DLP), None)
-
 
 def first_dlps(machine_events: Iterable[Sequence[SwingEvent]]) -> list[tuple[int, float]]:
     """The unity principle: each separating machine's (machine, first-DLP time), earliest first.

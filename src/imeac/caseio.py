@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .case import MachineParams, ReducedNetwork, StabilityCase
-from .errors import CaseFormatError, CaseValidationError
+from .errors import CaseFormatError, CaseValidationError, NetworkReductionError
 from .network import internal_emf, staged_reduction
 
 BUNDLED_PREFIX = "bundled:"
@@ -264,8 +264,8 @@ def _build_raw(raw: dict, n: int):
     emf = np.empty(n)
     delta0 = np.empty(n)
     seen = set()
-    for entry in gens:
-        where = "network_raw.generators"
+    for g, entry in enumerate(gens):
+        where = f"network_raw.generators[{g}]"
         k = _require(entry, "machine", int, where)
         if k in seen or not 0 <= k < n:
             raise CaseValidationError(f"{where}.machine", f"bad machine index {k}")
@@ -287,10 +287,11 @@ def _build_raw(raw: dict, n: int):
         bus_ref(cleared, "from_bus", "network_raw.fault.cleared_branch"),
         bus_ref(cleared, "to_bus", "network_raw.fault.cleared_branch"),
     )
-    net_pre, net_fault, net_post = staged_reduction(
-        len(buses), branches, load_y, gen_bus, xd_prime, fault_bus, cleared_pair
-    )
-    nets = {"prefault": net_pre, "faulton": net_fault, "postfault": net_post}
+    try:
+        nets = dict(zip(("prefault", "faulton", "postfault"), staged_reduction(
+            len(buses), branches, load_y, gen_bus, xd_prime, fault_bus, cleared_pair)))
+    except NetworkReductionError as exc:  # name the file's bus ids, not matrix positions
+        raise NetworkReductionError([list(bus_index)[b] for b in exc.buses], exc.reason) from exc
     return pm, emf, delta0, nets
 
 

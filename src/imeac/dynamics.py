@@ -19,11 +19,11 @@ machine-major with rows innermost: a stage reads delta | omega at its
 point of one stage-point array and writes acc/M beside them, so its
 dy/dt is a view of its input, and P_m - P_e into a stacked array, which
 the W pass reads; it reduces over the machine axis only, term by term
-like ``case``, so a batch row is bit-identical to the state alone.  The
-guard runs once per block on the motion and on W; a block that raised
-floating-point errors is stepped again up to the cut with warnings on,
-as a step-by-step loop raised them.  Blocks hold the 6n columns of a
-``Trajectory`` record.
+like ``case``, so a batch row is bit-identical to the state alone.  One
+guard per block checks the motion and W together and cuts both at one
+step; a block that raised floating-point errors is replayed once, steps
+and W pass, up to the cut with warnings on, as a step-by-step loop
+raised them.  Blocks hold the 6n columns of a ``Trajectory`` record.
 Clearing-time sweeps share work: the fault-on stage is the same for
 every clearing time, so ``FaultOnPrefix`` integrates it once, and the
 post-fault system is autonomous, so rows at different local times share
@@ -230,28 +230,22 @@ class Workspace:
 
         self.steps = steps  # a closure: its loop reads locals only
 
-    def channels(self, used: int, w0: np.ndarray, cut: int | None = None):
+    def channels(self, used: int, w0: np.ndarray):
         """W, omega_coi and coi_share(acc) from the first ``used`` stages (4 a step, maybe 1 more).
 
         W_k+1 = W_k + inc_k from w0 (n, *rows), with the RK4 weights: the
-        augmented-state integral bit for bit.  Also returns the first step
-        whose W is not finite, or None: the run is then redone up to it
-        (``cut``), raising only that step's floating-point warnings.
+        augmented-state integral bit for bit.  W at step k reads the stages
+        up to that step only, so ``RowPool.advance`` checks it with the
+        motion, in one guard, and cuts both at one step.
         """
         k, acc, dt = self.k[:used], self.acc[:used], self.dt
-        with np.errstate(all="ignore" if cut is None else None):
-            f = coi_share(acc, self.acc_share[:used], self.axis)
-            omega_coi = coi_frame(k[:, 0], self.k_share[:used], 1)
-            g = -(f[:, 0] if self.fault else f) * omega_coi
-            end = used // 4 * 4
-            inc = (dt / 6.0) * (g[0:end:4] + 2.0 * g[1:end:4] + 2.0 * g[2:end:4] + g[3:end:4])
-            inc[0] += w0
-            w = np.add.accumulate(inc)
-        finite = np.isfinite(w)
-        if cut is None and not _all(finite, None):
-            cut = int(np.flatnonzero(~_all(finite.reshape(len(w), -1), 1))[0])
-            return self.channels(4 * cut + 4, w0, cut)
-        return w, omega_coi[::4], f[::4], cut
+        f = coi_share(acc, self.acc_share[:used], self.axis)
+        omega_coi = coi_frame(k[:, 0], self.k_share[:used], 1)
+        g = -(f[:, 0] if self.fault else f) * omega_coi
+        end = used // 4 * 4
+        inc = (dt / 6.0) * (g[0:end:4] + 2.0 * g[1:end:4] + 2.0 * g[2:end:4] + g[3:end:4])
+        inc[0] += w0
+        return np.add.accumulate(inc), omega_coi[::4], f[::4]
 
 
 class FaultOnPrefix:
@@ -259,21 +253,21 @@ class FaultOnPrefix:
 
     Each extension is one join of a one-row fault-on ``RowPool``, whose
     block rows are kept as they come: ``samples[k]`` is sample k (6n).
-    The state one sample past the last row is known.  When a step leaves
-    the guard region, ``divergence_index`` is the sample it produced and
-    the prefix ends at the row before it.
+    The state one sample past the last row is known.  When a step fails
+    the pool's guard, the prefix ends at the row before it, and the pool
+    holds its end: ``pool.ended.get(0)`` is None while the prefix is
+    intact, then the time of the sample that failed.
     """
 
     def __init__(self, kernel: SwingKernel, case: StabilityCase, dt: float):
         self.pool = RowPool(kernel, dt, fault=True)
         self.samples: list[np.ndarray] = []
-        self.divergence_index: int | None = None
         self._head = np.concatenate([case.delta0, case.omega0, np.zeros(case.n)])
 
     def state(self, index: int) -> np.ndarray | None:
         """State at sample ``index``; None when the fault-on stage diverged first."""
         samples, pool = self.samples, self.pool
-        if len(samples) < index and self.divergence_index is None:
+        if len(samples) < index and pool.ended.get(0) is None:
             pool.join([0], self._head, len(samples), index - len(samples))
             while pool.size:
                 rows = pool.advance().samples[:, 0]
@@ -282,10 +276,9 @@ class FaultOnPrefix:
                     self._head = rows[-1, : self._head.size]
                 else:  # lost: every sample of its record is good
                     samples.extend(rows)
-                    self.divergence_index = len(samples)
         if index < len(samples):
             return samples[index][: self._head.size]
-        if index == len(samples) and self.divergence_index is None:
+        if index == len(samples) and pool.ended.get(0) is None:
             return self._head
         return None
 
@@ -296,7 +289,7 @@ class FaultOnPrefix:
         """
         head = self.state(cfg.clear_index)
         if head is None:
-            pool.ended[j] = self.divergence_index * self.pool.dt
+            pool.ended[j] = self.pool.ended[0]
         else:
             pool.join([j], head, cfg.clear_index, cfg.n_steps - cfg.clear_index)
         return head
@@ -318,12 +311,14 @@ class RowPool:
     at once in one ``Workspace`` and hands out the samples as one ``Block``
     in ``Trajectory``'s column order (after clearing f_coi is f_coi_pf).  A
     block ends after ``block`` steps, earlier when a row reaches its last
-    sample or its next state fails the divergence guard: that row's record
-    ends with the block (``ended`` says how) and it leaves the pool; the
-    next block starts with the last sample of this one.  The caller names
-    each row with its own id when it joins, and may drop rows between
-    blocks (``leave``).  ``fault`` drives the motion with the fault-on
-    network: ``FaultOnPrefix``'s pool, one row at a time.
+    sample or its next state fails the divergence guard, one check of the
+    motion and W: that row's record ends with the block (``ended`` says
+    how) and it leaves the pool; the next block starts with the last
+    sample of this one.  A block that raised floating-point errors is
+    replayed once up to that end, warning as a step-by-step loop.  The
+    caller names each row with its own id when it joins, and may drop
+    rows between blocks (``leave``).  ``fault`` drives the motion with
+    the fault-on network: ``FaultOnPrefix``'s pool, one row at a time.
     """
 
     def __init__(self, kernel: SwingKernel, dt: float, block: int = BLOCK, fault: bool = False):
@@ -372,22 +367,21 @@ class RowPool:
         # the record machine-major, (L+1, 6, n, *rows): delta | omega | W | omega_coi | f | f_pf
         rec = buf[:, 0] if rows == () else buf
         cols = np.moveaxis(rec.reshape(rec.shape[:-1] + (6, n)), (-2, -1), (1, 2))
-        y[0] = cols[0, :2]
+        y[0], w0 = cols[0, :2], cols[0, 2]
         raised = []  # floating-point errors, noted; the guard decides where the block ends
         with np.errstate(all="call", call=lambda *_: raised.append(True)):
             space.steps(length)
+            w, omega_coi, f = space.channels(4 * length + 1, w0)
+        # the guard, per step and row: finite motion with |omega| <= 1e4, and finite W
         good = _all(np.isfinite(y[1:]), (1, 2)) & (_max(np.abs(y[1:, 1]), 1) <= OMEGA_DIVERGENCE)
+        good &= _all(np.isfinite(w), 1)
         failed = np.flatnonzero(~_all(good.reshape(length, -1), 1))[:1].tolist()
         # cut the block at the first step a row fails; the survivors redo it next block
         pos, healthy = (failed[0], np.atleast_1d(good[failed[0]])) if failed else (length, None)
-        stepped = pos if healthy is None else pos + 1
         if raised:  # again up to the cut, warning as a step-by-step loop
+            stepped = pos if healthy is None else pos + 1
             space.steps(stepped, last=healthy is None)
-        w, omega_coi, f, cut = space.channels(4 * stepped + (healthy is None), cols[0, 2])
-        if cut is not None:
-            finite = np.atleast_1d(_all(np.isfinite(w[cut]), 0))
-            healthy = finite if cut < pos else finite & healthy
-            pos = cut
+            space.channels(4 * stepped + (healthy is None), w0)
         cols[1 : pos + 1, :2], cols[1 : pos + 1, 2] = y[1 : pos + 1], w[:pos]
         cols[: pos + 1, 3] = omega_coi[: pos + 1]
         cols[: pos + 1, 4:] = (f[:, ::-1] if self.fault else f[:, None])[: pos + 1]  # active | post

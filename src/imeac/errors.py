@@ -22,10 +22,10 @@ class CaseValidationError(ImeacError):
 
 
 class NetworkReductionError(ImeacError):
-    """Raised when bus elimination fails (singular load subnetwork)."""
+    """Raised when bus elimination fails (singular load subnetwork); ``reason`` is the message."""
 
     def __init__(self, buses, message: str):
-        self.buses = tuple(buses)
+        self.buses, self.reason = tuple(buses), message
         super().__init__(f"{message} (buses: {list(self.buses)})")
 
 

@@ -99,7 +99,8 @@ def staged_reduction(
     original buses are then eliminated.  Stage differences: the
     fault-on stage grounds fault_bus (its row/column is removed before
     elimination, pinning the node voltage to zero); the post-fault
-    stage rebuilds the matrix without the cleared branch.
+    stage rebuilds the matrix without the cleared branch.  A
+    NetworkReductionError names buses by their index, in every stage.
     """
     n_gen = len(gen_buses)
     n_all = n_bus + n_gen
@@ -127,7 +128,10 @@ def staged_reduction(
     idx = np.flatnonzero(keep_mask)
     y_fault = y_pre[np.ix_(idx, idx)]
     internal_fault = [int(np.searchsorted(idx, node)) for node in internal]
-    net_fault = kron_reduce(y_fault, internal_fault, loads[idx], name="net_faulton")
+    try:
+        net_fault = kron_reduce(y_fault, internal_fault, loads[idx], name="net_faulton")
+    except NetworkReductionError as exc:  # positions without the faulted bus, as bus indices
+        raise NetworkReductionError(idx[list(exc.buses)].tolist(), exc.reason) from exc
 
     f, t = cleared_branch
     remaining = [br for br in branches if not (br[0], br[1]) == (f, t) and not (br[1], br[0]) == (f, t)]

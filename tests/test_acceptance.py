@@ -26,6 +26,7 @@ from imeac import (
     solve_postfault_sep,
     surface_grid,
 )
+from imeac.assess import first_dlps
 from imeac.events import detect_events
 from conftest import coi_identity_errors, pe_at_time, record
 
@@ -165,7 +166,8 @@ def test_criterion_07_critical_stability_pattern(wscc_scan, wscc_cct):
     mdm_stable = at_cct.machine_assessments[wscc_cct.mdm]
     mdm_unstable = beyond.machine_assessments[wscc_cct.mdm]
     residual_at_cct = max(ev.residual_ke for ev in mdm_stable.events)
-    dlp = mdm_unstable.first_dlp()
+    firsts = first_dlps([mdm_unstable.events])  # [(MDM, its first DLP's time)] if it separates
+    dlp = next((ev for ev in mdm_unstable.events if (ev.machine, ev.time) in firsts), None)
     ok = (
         residual_at_cct < 1e-4
         and dlp is not None

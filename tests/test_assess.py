@@ -20,6 +20,7 @@ from imeac import (
 from imeac.assess import (
     UNDETERMINED,
     assess_system,
+    first_dlps,
     format_verdict_table,
     margin_at_anchor,
     margin_from_areas,
@@ -51,7 +52,7 @@ class TestMachineMargin:
             assert a.classification == "stable"
             assert a.margin is not None and a.margin >= 0.0
             assert a.a_acc > 0.0
-            assert a.first_dlp() is None
+            assert first_dlps([a.events]) == []
 
     def test_unstable_run(self, wscc, wscc_sep, wscc_unstable_run):
         out = assessments_for(wscc, wscc_unstable_run, wscc_sep)
@@ -61,7 +62,7 @@ class TestMachineMargin:
             assert a.margin is not None and a.margin < 0.0
             swing = int(a.classification.rsplit("-", 1)[-1])
             assert a.classification == f"unstable-at-swing-{swing}"
-            assert a.first_dlp() is not None
+            assert [m for m, _ in first_dlps([a.events])] == [a.machine]
 
     def test_no_events_is_undetermined(self, wscc, wscc_sep, wscc_stable_run):
         channels = compute_energy(wscc, wscc_stable_run, wscc_sep)

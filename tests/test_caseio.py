@@ -200,10 +200,28 @@ def generator_index(doc):
     doc["network_raw"]["generators"][1]["machine"] = 3
 
 
+def generator_bus(doc):
+    doc["network_raw"]["generators"][1]["bus"] = 99
+
+
+def generator_xd_prime(doc):
+    doc["network_raw"]["generators"][1]["xd_prime"] = -0.1
+
+
 def parallel_cleared_branch(doc):
     # a twin of the cleared branch, from bus 5 to bus 7 (positions 4 and 6)
     branches = doc["network_raw"]["branches"]
     branches.append(next(dict(br) for br in branches if (br["from_bus"], br["to_bus"]) == (5, 7)))
+
+
+def unknown_cleared_branch(doc):
+    # buses 1 and 2 (positions 0 and 1) share no branch
+    doc["network_raw"]["fault"]["cleared_branch"] = {"from_bus": 1, "to_bus": 2}
+
+
+def isolated_bus(doc):
+    # a bus with no branch and no load: the eliminated subnetwork is singular
+    doc["network_raw"]["buses"].append({"id": 10, "vm": 1.0, "va_deg": 0.0})
 
 
 class TestInputErrorsNameTheirField:
@@ -218,8 +236,14 @@ class TestInputErrorsNameTheirField:
             (wscc_raw_doc, duplicate_bus, CaseValidationError, "network_raw.buses[1].id"),
             (wscc_raw_doc, unknown_bus, CaseValidationError, "network_raw.branches[0].to_bus"),
             (wscc_raw_doc, two_generators, CaseValidationError, "network_raw.generators"),
-            (wscc_raw_doc, generator_index, CaseValidationError, "network_raw.generators.machine"),
-            (wscc_raw_doc, parallel_cleared_branch, NetworkReductionError, (4, 6)),
+            (wscc_raw_doc, generator_index, CaseValidationError, "network_raw.generators[1].machine"),
+            (wscc_raw_doc, generator_bus, CaseValidationError, "network_raw.generators[1].bus"),
+            (wscc_raw_doc, generator_xd_prime, CaseValidationError,
+             "network_raw.generators[1].xd_prime"),
+            # network errors name the file's bus ids
+            (wscc_raw_doc, parallel_cleared_branch, NetworkReductionError, (5, 7)),
+            (wscc_raw_doc, unknown_cleared_branch, NetworkReductionError, (1, 2)),
+            (wscc_raw_doc, isolated_bus, NetworkReductionError, tuple(range(1, 11))),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )

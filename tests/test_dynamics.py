@@ -546,8 +546,8 @@ class TestFaultOnPrefix:
         got = [pieces.state(k) for k in (37, 100, 250)]
         last = once.state(250)  # one extension; the earlier states come from its samples
         want = [once.state(37), once.state(100), last]
-        assert pieces.divergence_index == once.divergence_index == (
-            None if name == "wscc9" else 82)
+        assert pieces.pool.ended.get(0) == once.pool.ended.get(0) == (
+            None if name == "wscc9" else 82 * 1e-3)
         assert len(pieces.samples) == len(once.samples) == (250 if name == "wscc9" else 82)
         assert np.array_equal(np.array(pieces.samples), np.array(once.samples))
         for a, b in zip(got, want):
@@ -604,6 +604,17 @@ class TestGuardReplay:
         if name == "fault-on W overflow":  # W overflows during the fault-on stage
             case = w_overflow_case(wscc)
             return case, 1e-3, [np.concatenate([case.delta0, case.omega0, np.zeros(3)])], 300, True
+        if name == "W and motion at one step":
+            # light smib rows: one a step before its motion leaves the guard
+            # and one whose W is not finite both end at the first step, one goes on
+            case, dt = light_smib(smib), 2e-3
+            kernel = SwingKernel(case)
+            prefix = FaultOnPrefix(kernel, case, dt)
+            (samples, lost), = run_pool(kernel, [prefix.state(11)], 1500, dt, BLOCK)
+            w_lost = prefix.state(21).copy()
+            w_lost[2 * case.n :] = np.inf
+            assert lost
+            return case, dt, [prefix.state(1), samples[-1, : 3 * case.n], w_lost], 1500, False
         case, dt, clears, steps = {
             # motion: rows leave at |omega| > 1e4 in mid-block, at their own steps
             "light smib": (light_smib(smib), 2e-3, [1, 11, 21, 31], 1500),
@@ -613,9 +624,10 @@ class TestGuardReplay:
         prefix = FaultOnPrefix(SwingKernel(case), case, dt)
         return case, dt, [prefix.state(k) for k in clears], steps, False
 
-    @pytest.mark.parametrize(
-        "name", ["light smib", "W overflow after clearing", "subnormal inertia", "fault-on W overflow"]
-    )
+    @pytest.mark.parametrize("name", [
+        "light smib", "W overflow after clearing", "subnormal inertia", "fault-on W overflow",
+        "W and motion at one step",
+    ])
     def test_cut_equals_per_step_guard(self, smib, wscc, name):
         # the cut sample, RowPool.ended, every row's records and the warnings
         # (text, count and order) are the step-by-step loop's
@@ -635,7 +647,9 @@ class TestGuardReplay:
         lost = {j for j, t in ended.items() if t is not None}
         assert lost and (fault or set(ended) > lost)
         assert fault or any(len(b.samples) - 1 < BLOCK and b.rows.size > 1 for b in got[:-1])
-        assert (raised != []) == (name != "light smib")
+        assert (raised != []) == (name not in ("light smib", "W and motion at one step"))
+        if name == "W and motion at one step":  # the motion and W cut one block at one step
+            assert len(got[0].samples) == 1 and lost == {1, 2} and ended[1] == ended[2] == dt
 
 
 def numpy_data_held(run):
@@ -706,6 +720,7 @@ class TestWorkspaceReuse:
     @pytest.mark.parametrize("name", [
         "wscc9 rows", "wscc9 lone row",
         "light smib", "W overflow after clearing", "subnormal inertia", "fault-on W overflow",
+        "W and motion at one step",
     ])
     def test_second_block_equals_fresh_and_reference(self, smib, wscc, name):
         # a whole block from other states first, its stage points left in
@@ -743,9 +758,12 @@ class TestWorkspaceReuse:
                 assert np.array_equal(a.rows, b.rows) and np.array_equal(a.start, b.start)
                 assert np.array_equal(a.samples, b.samples, equal_nan=True)
             assert got[1:] == other[1:]
-        # subnormal inertia cuts the first block and replays it with warnings
-        assert (len(got[0][0].samples) - 1 < BLOCK) == (name == "subnormal inertia")
-        assert (got[2] != []) == (name not in ("wscc9 rows", "wscc9 lone row", "light smib"))
+        # subnormal inertia cuts the first block and replays it with warnings; the
+        # one-step case cuts it too, without warnings
+        cut_first = name in ("subnormal inertia", "W and motion at one step")
+        assert (len(got[0][0].samples) - 1 < BLOCK) == cut_first
+        assert (got[2] != []) == (name not in (
+            "wscc9 rows", "wscc9 lone row", "light smib", "W and motion at one step"))
 
 
 class TestRowPool:

@@ -130,6 +130,22 @@ class TestStagedReduction:
         pre, fault, _ = self.staged()
         assert 0.0 < fault.b[0, 1] < pre.b[0, 1]
 
+    def test_faulton_error_names_buses_not_positions(self):
+        # grounding bus 0 leaves buses 1 and 2 (positions 0 and 1 once it is
+        # dropped) with the exactly singular block j [[-4, 1], [1, -0.25]];
+        # the pre-fault block with bus 0 is regular
+        with pytest.raises(NetworkReductionError, match="singular") as raised:
+            staged_reduction(
+                n_bus=3,
+                branches=[(0, 1, 0.0, 1.0, 0.0), (1, 2, 0.0, 1.0, 0.0)],
+                load_admittances=np.array([0.0, 0.0, 0.75j]),
+                gen_buses=[1],
+                xd_primes=[0.5],
+                fault_bus=0,
+                cleared_branch=(0, 1),
+            )
+        assert raised.value.buses == (1, 2)
+
     def test_unknown_cleared_branch_is_an_error(self):
         with pytest.raises(NetworkReductionError, match="cleared_branch"):
             staged_reduction(
