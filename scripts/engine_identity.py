@@ -38,7 +38,12 @@ PYTHONPATH=<root>/src) and prints, per item, same/DIFF.  The items:
 * wscc9 with its post-fault G and B halved, whose post-fault SEP does
   not converge, so PE counts from the initial point: a scan at 0.02,
   0.05 and 0.10 s with a 3 s horizon, a ``surface_from_trajectories``
-  family at the same times and ``compute_energy`` of one ``simulate``.
+  family at the same times and ``compute_energy`` of one ``simulate``;
+* the allocating force path on its own: ``solve_postfault_sep`` of the
+  three bundled cases and of the 10-machine case, and ``coi_forces`` on
+  the post-fault network of wscc9 and of the 10-machine case at one
+  state, a (12, n) batch and a (3, 4, n) view of (n, 3, 4) memory, the
+  layout of a surface-grid chunk.
 
 Each result is reduced to plain values (arrays as dtype, shape and raw
 bytes; floats as hex), with the warnings it raised and, when the call
@@ -244,10 +249,17 @@ def guard_at_one_step(smib):
     return [tuple(b) for b in blocks], pool.ended
 
 
+def force_layouts(case):
+    """(layout, angles) for coi_forces: one state, a (12, n) batch and a grid-chunk view."""
+    batch = case.delta0 + np.random.default_rng(7).normal(0.0, 1.0, (12, case.n))
+    chunk = np.ascontiguousarray(batch.reshape(3, 4, case.n).transpose(2, 0, 1)).transpose(1, 2, 0)
+    return [("one state", batch[0]), ("batch", batch), ("grid chunk", chunk)]
+
+
 def items():
     """(name, zero-argument call) for every engine result compared."""
-    from imeac import (SimulationConfig, SurfaceSpec, compute_energy, find_cct, load_bundled,
-                       scan_clearing_times, simulate, solve_postfault_sep,
+    from imeac import (SimulationConfig, SurfaceSpec, coi_forces, compute_energy, find_cct,
+                       load_bundled, scan_clearing_times, simulate, solve_postfault_sep,
                        surface_from_trajectories, surface_grid)
 
     cases = {name: load_bundled(name) for name in BUNDLED}
@@ -335,6 +347,12 @@ def items():
                     lambda c=case, spec=spec: surface_from_trajectories(c, spec)))
     out.append(("compute_energy wscc9 no SEP 0.05/3.0", lambda: compute_energy(
         weak, simulate(weak, SimulationConfig(0.05, 3.0)), solve_postfault_sep(weak))))
+    for name, case in [*cases.items(), ("ring10", ring)]:
+        out.append((f"solve_postfault_sep {name}", lambda c=case: solve_postfault_sep(c)))
+    for name, case in (("wscc9", wscc), ("ring10", ring)):
+        for layout, delta in force_layouts(case):
+            out.append((f"coi_forces {name} {layout}", lambda c=case, d=delta: coi_forces(
+                c.net_postfault, c.machines, d)))
     return out
 
 

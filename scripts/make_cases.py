@@ -238,14 +238,12 @@ def main() -> None:
         print(f"wrote {path}")
 
     from imeac import load_bundled, solve_postfault_sep
-    from imeac.case import machine_forces, network_products
+    from imeac.case import mismatch, network_products
 
     for name in ("wscc9", "smib", "threebus_lossless"):
         case = load_bundled(name)
-        m = case.m_vector()
         products = network_products(case.net_prefault, case.e_vector())
-        acc, _ = machine_forces(products, case.pm_vector(), m / m.sum(), case.delta0)
-        eq = np.max(np.abs(acc))
+        eq = np.max(np.abs(mismatch(products, case.pm_vector(), case.delta0)))
         sep = solve_postfault_sep(case)
         print(
             f"{name}: pre-fault residual {eq:.3e}, "

@@ -15,9 +15,9 @@ reports, per tree, the microseconds per step of:
 
 It also counts the numpy calls of one undamped post-fault step of each
 tree (ufunc calls, reductions and array item assignments), on a one-off
-workspace built and stepped with the ``dynamics`` module's numpy and
-reductions wrapped in counting callables; the timed runs never see the
-wrappers.
+workspace built and stepped with the ``dynamics`` and ``case`` modules'
+numpy and reductions wrapped in counting callables; the timed runs never
+see the wrappers.
 
 Every figure is the minimum over the repeats; each repeat times every
 configuration of both trees in turn, so a slow spell of a shared host
@@ -99,10 +99,12 @@ def kernel_cost(pkg, case, rows: int, steps: int) -> float:
 def calls_per_step(pkg, case) -> int:
     """numpy calls of one undamped post-fault step of ``Workspace.steps`` (one row).
 
-    The ``dynamics`` module's numpy and ``_sum`` are swapped for counting
-    wrappers while one-off workspaces are built and stepped.  Arrays made
-    while counting is off are ``Counted`` views, so an item assignment to
-    a workspace array (a copy) counts as a call too.
+    The numpy of the ``dynamics`` and ``case`` modules, where the stage's
+    calls run, and their module-level reductions (``_sum``, where a tree
+    has one) are swapped for counting wrappers while one-off workspaces
+    are built and stepped; a ufunc's methods (``np.add.reduce``) count
+    too.  Arrays made while counting is off are ``Counted`` views, so an
+    item assignment to a workspace array (a copy) counts as a call too.
     """
     dynamics, count = pkg.dynamics, {"on": False, "calls": 0}
 
@@ -120,15 +122,30 @@ def calls_per_step(pkg, case) -> int:
             return result
         return call
 
-    class Numpy:  # numpy as the dynamics module sees it
+    class Ufunc:  # a ufunc whose call and methods count
+        def __init__(self, func):
+            self.call = wrap(func)
+            self.func = func
+
+        def __call__(self, *args, **kwargs):
+            return self.call(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return wrap(getattr(self.func, name))
+
+    class Numpy:  # numpy as the wrapped modules see it
         def __getattr__(self, name):
             attr = getattr(np, name)
+            if isinstance(attr, np.ufunc):
+                return Ufunc(attr)
             return attr if isinstance(attr, type) or not callable(attr) else wrap(attr)
 
     kernel = dynamics.SwingKernel(case)
     head = post_fault_heads(dynamics, kernel, case, 1)
-    saved = dynamics.np, dynamics._sum
-    dynamics.np, dynamics._sum = Numpy(), wrap(dynamics._sum)
+    saved = [(module, name, getattr(module, name)) for module in (dynamics, pkg.case)
+             for name in ("np", "_sum") if hasattr(module, name)]
+    for module, name, value in saved:
+        setattr(module, name, Numpy() if name == "np" else wrap(value))
     try:
         calls = []
         for steps in (1, 2):
@@ -139,7 +156,8 @@ def calls_per_step(pkg, case) -> int:
             count["on"] = False
             calls.append(count["calls"])
     finally:
-        dynamics.np, dynamics._sum = saved
+        for module, name, value in saved:
+            setattr(module, name, value)
     return calls[1] - calls[0]
 
 

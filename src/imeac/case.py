@@ -3,13 +3,13 @@
 The case model is the immutable input to everything else: machine
 parameters, the three reduced admittance networks (pre-fault, fault-on,
 post-fault), and the initial operating point.  It also holds the one
-classical-model force (``mismatch`` then ``coi_share``: ``machine_forces``)
-that the equilibrium check, the post-fault stable equilibrium point
-(SEP) solve, the PE baseline and the surface grid all evaluate, and
-that the RK4 stage repeats call for call with ``out=``, and the one COI
-projection (``coi_frame``).  Every machine-axis sum adds its terms one
-after another, ((x_0 + x_1) + x_2) + ..., whatever the memory layout:
-numpy itself pairs the terms of an axis innermost in memory from 8 on.
+classical-model force formula, ``force_kernel``, which ``mismatch``
+runs for the equilibrium check, the post-fault stable equilibrium point
+(SEP) solve, the PE baseline and the surface grid, and the RK4 stage on
+its workspace; ``coi_share`` makes it f_i-SYS, and ``coi_frame`` is the
+one COI projection.  Every machine-axis sum adds its terms one after
+another, ((x_0 + x_1) + x_2) + ..., whatever the memory layout: numpy
+itself pairs the terms of an axis innermost in memory from 8 on.
 
 Conventions: angles in radians, time in seconds, power and energy in
 per unit on the system base.  Machine inertia M is in p.u. s^2/rad
@@ -193,18 +193,45 @@ def coi_frame(x: np.ndarray, m_share: np.ndarray, axis: int = -1) -> np.ndarray:
     return x - machine_sum(x * m_share, axis)
 
 
-def mismatch(products, pm, delta) -> np.ndarray:
-    """P_m - P_e, P_ei = sum_j E_i E_j (G_ij cos d_ij + B_ij sin d_ij), at angles (..., n).
+def force_kernel(products, pm, angles, fill: bool = False):
+    """The one force formula, its temporaries and ufuncs bound once: returns mismatch_into(s, out).
 
-    Machine-major: the angles as (n, ...), copied once from machine-last
-    memory, the terms as (n_j, n_i, ...), summed over the leading axis (an
-    outer axis, which numpy adds term by term); a (..., n) view of (n, ...).
+    mismatch_into writes P_m - P_e, P_ei = sum_j E_i E_j (G_ij cos d_ij +
+    B_ij sin d_ij), at angles[s] (each (n, *rest)) on the k networks of
+    ``products`` (k, 2, n, n) into out (k, n, *rest), (n, *rest) if k =
+    1, or a new array, adding the terms (n_j, [k,] n_i, *rest) one by
+    one; ``fill`` makes the products and P_m block-shaped.
     """
-    d = np.ascontiguousarray(delta.transpose(-1, *range(delta.ndim - 1)))
-    eg, eb = (p.T.reshape(p.shape + (1,) * (d.ndim - 1)) for p in products)
-    diff = d - d[:, None]
-    acc = pm.reshape(eg.shape[1:]) - np.add.reduce(eg * np.cos(diff) + eb * np.sin(diff), 0)
-    return acc.transpose(*range(1, acc.ndim), 0)
+    n, rest, k = len(angles[0]), angles[0].shape[1:], len(products)
+    nets, net = ((k,), (1,)) if k > 1 else ((), ())
+    d_i = [a.reshape((1,) + net + (n,) + rest) for a in angles]  # each (1, [1,] n_i, *rest)
+    d_j = [a.reshape((n, 1) + net + rest) for a in angles]  # each (n_j, 1, [1,] *rest)
+    trig = cos_d, sin_d = np.empty((2, n) + net + (n,) + rest)
+    lead, ones = (2, n) + nets + (n,), (1,) * len(rest)  # E_iE_jG_ij cos | E_iE_jB_ij sin
+    terms = pe, pe_sin = np.empty(lead + rest) if k > 1 else trig  # one network: in place
+    egb = np.transpose(products, (1, 3, 0, 2)).reshape(lead + ones)
+    pm = pm.reshape((n,) + ones)
+    if fill:
+        egb, pm = np.full(terms.shape, egb), np.full(terms.shape[2:], pm)
+    subtract, cos, sin, multiply, add = np.subtract, np.cos, np.sin, np.multiply, np.add
+
+    def mismatch_into(s: int, out):
+        subtract(d_i[s], d_j[s], sin_d)  # d_i - d_j, then its sine in place
+        cos(sin_d, cos_d)
+        sin(sin_d, sin_d)
+        multiply(egb, trig, terms)
+        add(pe, pe_sin, pe)
+        out = add.reduce(pe, 0, None, out)
+        return subtract(pm, out, out)
+
+    return mismatch_into
+
+
+def mismatch(products, pm, delta) -> np.ndarray:
+    """P_m - P_e of one network's products at angles (..., n), a view of (n, ...) memory."""
+    d = np.ascontiguousarray(delta.transpose(-1, *range(delta.ndim - 1)))  # machine-major
+    acc = force_kernel(np.asarray(products)[None], pm, (d,))(0, None)
+    return acc.transpose(*range(1, d.ndim), 0)
 
 
 def coi_share(acc: np.ndarray, m_share: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -212,20 +239,14 @@ def coi_share(acc: np.ndarray, m_share: np.ndarray, axis: int = -1) -> np.ndarra
     return acc - machine_sum(acc, axis) * m_share
 
 
-def machine_forces(products, pm, m_share, delta) -> tuple[np.ndarray, np.ndarray]:
-    """The classical-model force on one network's products: (P_m - P_e, f_i-SYS)."""
-    acc = mismatch(products, pm, delta)
-    return acc, coi_share(acc, m_share)
-
-
 def coi_forces(
     net: ReducedNetwork, machines: Sequence[MachineParams], delta: np.ndarray
 ) -> np.ndarray:
-    """Force f_i-SYS of every machine on net at angles (n,) or (..., n); see machine_forces."""
+    """Force f_i-SYS of every machine on net at angles (n,) or (..., n): coi_share of mismatch."""
     m = np.array([mach.m for mach in machines])
     pm = np.array([mach.pm for mach in machines])
     products = network_products(net, np.array([mach.e for mach in machines]))
-    f = machine_forces(products, pm, m / m.sum(), np.asarray(delta, dtype=float))[1]
+    f = coi_share(mismatch(products, pm, np.asarray(delta, dtype=float)), m / m.sum())
     return np.ascontiguousarray(f)  # C order: callers' matrix products keep their bits
 
 

@@ -15,14 +15,13 @@ motion.
 
 One RK4 kernel (``SwingKernel``) and one block loop (``RowPool.advance``)
 serve both stages and every path.  A block steps in one ``Workspace``,
-machine-major with rows innermost: a stage reads delta | omega at its
-point of one stage-point array and writes acc/M beside them, so its
-dy/dt is a view of its input, and P_m - P_e into a stacked array, which
-the W pass reads; it reduces over the machine axis only, term by term
-like ``case``, so a batch row is bit-identical to the state alone.  One
-guard per block checks the motion and W together and cuts both at one
-step; a block that raised floating-point errors is replayed once, steps
-and W pass, up to the cut with warnings on, as a step-by-step loop
+machine-major with rows innermost: a stage runs ``case.force_kernel`` at
+its point of one stage-point array, writing P_m - P_e for the W pass and
+acc/M beside delta | omega, so its dy/dt is a view of its input; it sums
+over machines only, so a batch row is bit-identical to the state alone.
+One guard per block checks the motion and W together and cuts both at
+one step; a block that raised floating-point errors is replayed once,
+steps and W pass, up to the cut with warnings on, as a step-by-step loop
 raised them.  Blocks hold the 6n columns of a ``Trajectory`` record.
 Clearing-time sweeps share work: the fault-on stage is the same for
 every clearing time, so ``FaultOnPrefix`` integrates it once, and the
@@ -44,7 +43,7 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .case import StabilityCase, coi_frame, coi_share, network_products
+from .case import StabilityCase, coi_frame, coi_share, force_kernel, network_products
 
 OMEGA_DIVERGENCE = 1e4  # rad/s; far beyond any physical swing
 GRID_TOL = 1e-12  # s; switching instants land on the sample grid to this plus 4 ulps (off_grid)
@@ -55,7 +54,6 @@ MAX_STEPS = 1_000_000  # steps one run may take: 10 s at dt = 1e-5 s, 1000 s at 
 # wrapper per call, a measurable share of a step on small cases
 _all = np.logical_and.reduce
 _max = np.maximum.reduce
-_sum = np.add.reduce
 
 
 def off_grid(value: float, k: int, unit: float) -> bool:
@@ -162,51 +160,30 @@ class Workspace:
     Machine-major, rows innermost: one stage-point array z (4L+1, 3, n,
     *rows) holds delta | omega | acc/M at every RK4 stage point, so stage s
     reads z[s, :2], its dy/dt k[s] is the view z[s, 1:] and sample s, y[s],
-    is z[4s, :2]; acc = P_m - P_e (4L+1, n, *rows), fault-on (4L+1, 2, n,
-    *rows), post | fault.  A stage repeats ``case.mismatch``'s calls on
-    pairwise (n_j, n_i, *rows) temporaries and block-shaped constants,
-    each with a positional out: every call one contiguous loop, 45 calls a
-    step (53 damped).
+    is z[4s, :2]; acc = P_m - P_e (4L+1, k, n, *rows), post-fault, or
+    fault-on post | fault.  A stage is ``case.force_kernel`` writing acc,
+    then damping and /M, on block-shaped constants with a positional out:
+    every call one contiguous loop, 45 calls a step (53 damped).
     """
 
     def __init__(self, kernel: SwingKernel, length: int, rows: tuple, fault: bool, dt: float):
-        n, ones = kernel.n, (1,) * len(rows)
-        nets, net = ((2,), (1,)) if fault else ((), ())  # stacked networks: post | fault
-        self.shape, self.fault, self.dt, self.axis = (length, rows), fault, dt, 1 + len(nets)
+        n, column = kernel.n, (kernel.n,) + (1,) * len(rows)  # a machine vector along the rows
+        nets = (kernel.post, kernel.faulton) if fault else (kernel.post,)
+        self.shape, self.dt = (length, rows), dt
         z = np.empty((4 * length + 1, 3, n) + rows)
         self.y, self.k = z[::4, :2], z[:, 1:]
-        self.acc = np.empty((4 * length + 1,) + nets + (n,) + rows)  # machine axis: self.axis
-
-        def spread(shape, vector):  # a machine vector in a block-shaped array
-            return np.full(shape, vector.reshape((n,) + ones))
-
-        self.acc_share, self.k_share = (
-            spread(a.shape, kernel.m_share) for a in (self.acc, self.k[:, 0]))
-        # each stage point's delta as d_i (1, net, n_i, *rows) and d_j (n_j, 1, net, *rows)
-        dcols = list(z[:, 0].reshape((len(z), 1) + net + (n,) + rows))
-        drows = list(z[:, 0].reshape((len(z), n, 1) + net + rows))
-        diff = np.empty((n,) + net + (n,) + rows)
-        trig = cos, sin = np.empty((2,) + diff.shape)
-        terms = pe, pe_sin = np.empty((2, n) + nets + (n,) + rows)  # E_iE_jG_ij cos | E_iE_jB_ij sin
-        products = map(np.stack, zip(kernel.post, kernel.faulton)) if fault else kernel.post
-        egb = np.stack([  # each (nets, n_i, n_j) product as (n_j, nets, n_i)
-            np.full(pe.shape, np.moveaxis(p, -1, 0).reshape(p.shape[-1:] + p.shape[:-1] + ones))
-            for p in products])
-        total, rate = np.empty(self.acc.shape[1:]), np.empty((n,) + rows)
-        pm, m = spread(total.shape, kernel.pm), spread(rate.shape, kernel.m)
-        d = None if kernel.d is None else spread(rate.shape, kernel.d)
-        omegas, rates, accs = list(z[:, 1]), list(z[:, 2]), list(self.acc)
-        acts = list(self.acc[:, 1]) if fault else accs
+        self.acc = np.empty((4 * length + 1, len(nets), n) + rows)
+        self.share = np.full(self.acc.shape, kernel.m_share.reshape(column))  # also as share[:, 0]
+        forces = force_kernel(nets, kernel.pm, z[:, 0], fill=True)
+        m = np.full((n,) + rows, kernel.m.reshape(column))
+        d = None if kernel.d is None else np.full(m.shape, kernel.d.reshape(column))
+        omegas, rates = list(z[:, 1]), list(z[:, 2])
+        accs, acts = list(self.acc if fault else self.acc[:, 0]), list(self.acc[:, -1])
 
         def stage(i: int) -> None:  # acc[i] and z[i, 2] at z[i, :2]
-            np.subtract(dcols[i], drows[i], diff)
-            np.cos(diff, cos)
-            np.sin(diff, sin)
-            np.multiply(egb, trig, terms)
-            np.add(pe, pe_sin, pe)
-            np.subtract(pm, _sum(pe, 0, None, total), accs[i])
+            forces(i, accs[i])
             act = acts[i] if d is None else (  # act - d * omega
-                np.subtract(acts[i], np.multiply(d, omegas[i], rate), rate))
+                np.subtract(acts[i], np.multiply(d, omegas[i], rates[i]), rates[i]))
             np.divide(act, m, rates[i])
 
         xs, ks, (tmp, tmp2) = list(z[:, :2]), list(self.k), np.empty((2, 2, n) + rows)
@@ -239,9 +216,9 @@ class Workspace:
         motion, in one guard, and cuts both at one step.
         """
         k, acc, dt = self.k[:used], self.acc[:used], self.dt
-        f = coi_share(acc, self.acc_share[:used], self.axis)
-        omega_coi = coi_frame(k[:, 0], self.k_share[:used], 1)
-        g = -(f[:, 0] if self.fault else f) * omega_coi
+        f = coi_share(acc, self.share[:used], 2)
+        omega_coi = coi_frame(k[:, 0], self.share[:used, 0], 1)
+        g = -f[:, 0] * omega_coi
         end = used // 4 * 4
         inc = (dt / 6.0) * (g[0:end:4] + 2.0 * g[1:end:4] + 2.0 * g[2:end:4] + g[3:end:4])
         inc[0] += w0
@@ -384,7 +361,7 @@ class RowPool:
             space.channels(4 * stepped + (healthy is None), w0)
         cols[1 : pos + 1, :2], cols[1 : pos + 1, 2] = y[1 : pos + 1], w[:pos]
         cols[: pos + 1, 3] = omega_coi[: pos + 1]
-        cols[: pos + 1, 4:] = (f[:, ::-1] if self.fault else f[:, None])[: pos + 1]  # active | post
+        cols[: pos + 1, 4:] = f[: pos + 1, ::-1]  # active | post, or post twice
         left = self._left - pos
         keep = left > 0 if healthy is None else healthy
         for j, start in zip(self.rows[~keep].tolist(), self._start[~keep].tolist()):

@@ -50,31 +50,35 @@ def kron_reduce(
     """Eliminate all non-generator nodes: Y_red = Y_gg - Y_gl Y_ll^-1 Y_lg.
 
     load_admittances (complex, one entry per node of full_y) are added to
-    the diagonal before elimination.  A singular eliminated subnetwork
-    (islanded load buses) raises NetworkReductionError naming the buses.
+    the diagonal first.  A NetworkReductionError names the buses of the
+    eliminated islands that are singular or ill-conditioned (or all).
     """
     y = np.array(full_y, dtype=complex)
     if load_admittances is not None:
         y[np.diag_indices_from(y)] += np.asarray(load_admittances, dtype=complex)
     keep = list(generator_nodes)
     elim = [i for i in range(y.shape[0]) if i not in set(keep)]
-    y_gg = y[np.ix_(keep, keep)]
-    if not elim:
-        reduced = y_gg
-    else:
-        y_gl = y[np.ix_(keep, elim)]
-        y_ll = y[np.ix_(elim, elim)]
-        y_lg = y[np.ix_(elim, keep)]
-        try:
-            solved = np.linalg.solve(y_ll, y_lg)
-        except np.linalg.LinAlgError as exc:
-            raise NetworkReductionError(elim, "singular eliminated subnetwork") from exc
-        residual = np.max(np.abs(y_ll @ solved - y_lg))
-        scale = max(np.max(np.abs(y_lg)), 1.0)
-        if not np.isfinite(residual) or residual > 1e-6 * scale:
-            raise NetworkReductionError(elim, "ill-conditioned eliminated subnetwork")
-        reduced = y_gg - y_gl @ solved
+    y_ll = y[np.ix_(elim, elim)]
+    y_lg = y[np.ix_(elim, keep)]
+    solved = _solve(y_ll, y_lg)
+    if isinstance(solved, str):  # name the islands (connected parts) of Y_ll that fail alone
+        linked = (y_ll != 0) | (y_ll.T != 0) | np.eye(len(elim), dtype=bool)
+        parts = map(np.flatnonzero, np.unique(np.linalg.matrix_power(linked, len(elim)), axis=0))
+        failed = [p for p in parts if isinstance(_solve(y_ll[np.ix_(p, p)], y_lg[p]), str)]
+        raise NetworkReductionError(sorted(elim[i] for p in failed for i in p) or elim, solved)
+    reduced = y[np.ix_(keep, keep)] - y[np.ix_(keep, elim)] @ solved
     return ReducedNetwork(g=reduced.real, b=reduced.imag, name=name)
+
+
+def _solve(y_ll: np.ndarray, y_lg: np.ndarray) -> np.ndarray | str:
+    """Y_ll^-1 Y_lg, or why it fails: singular, or a residual past 1e-6 of max(|Y_lg|, 1)."""
+    try:
+        solved = np.linalg.solve(y_ll, y_lg)
+    except np.linalg.LinAlgError:
+        return "singular eliminated subnetwork"
+    residual = np.max(np.abs(y_ll @ solved - y_lg), initial=0.0)
+    ok = np.isfinite(residual) and residual <= 1e-6 * np.max(np.abs(y_lg), initial=1.0)
+    return solved if ok else "ill-conditioned eliminated subnetwork"
 
 
 def internal_emf(v_term: complex, p_gen: float, q_gen: float, xd_prime: float) -> complex:
@@ -123,9 +127,7 @@ def staged_reduction(
     net_pre = kron_reduce(y_pre, internal, loads, name="net_prefault")
 
     # bolted fault: drop the faulted bus, then eliminate the rest
-    keep_mask = np.ones(n_all, dtype=bool)
-    keep_mask[fault_bus] = False
-    idx = np.flatnonzero(keep_mask)
+    idx = np.delete(np.arange(n_all), fault_bus)
     y_fault = y_pre[np.ix_(idx, idx)]
     internal_fault = [int(np.searchsorted(idx, node)) for node in internal]
     try:

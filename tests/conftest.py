@@ -414,9 +414,10 @@ def as_rows(a):
     return a.swapaxes(1, -2).reshape(a.shape[:1] + a.shape[2:-1] + (-1,))
 
 
-def rows_ahead(a, fault_stage):
-    """A machine-major workspace array (S, n, *rows), fault-on (S, 2, n, *rows), as (S, *rows, [2,] n)."""
-    return np.moveaxis(a, (1, 2), (-2, -1)) if fault_stage else np.moveaxis(a, 1, -1)
+def rows_ahead(a):
+    """A workspace array (S, k, n, *rows) on k networks, post | fault, as (S, *rows, [2,] n)."""
+    a = np.moveaxis(a, (1, 2), (-2, -1))
+    return a if a.shape[-2] == 2 else a[..., 0, :]
 
 
 def run_workspace(kernel, y0, steps, fault_stage, dt):
@@ -430,7 +431,7 @@ def run_workspace(kernel, y0, steps, fault_stage, dt):
 
 def machine_last(space):
     """A workspace's y (S, 2, ..., n), k (S, 2, ..., n) and acc (S, ..., n), fault-on (S, ..., 2, n)."""
-    return np.moveaxis(space.y, 2, -1), np.moveaxis(space.k, 2, -1), rows_ahead(space.acc, space.fault)
+    return np.moveaxis(space.y, 2, -1), np.moveaxis(space.k, 2, -1), rows_ahead(space.acc)
 
 
 def workspace_block(kernel, y0, steps, fault_stage, dt):
@@ -456,7 +457,8 @@ def assert_block_equals_reference(kernel, y0, steps, fault_stage, dt, w0=None):
     w0 = np.zeros(y0.shape[:-1] + (kernel.n,)) if w0 is None else w0
     got = space.channels(len(space.k), np.moveaxis(w0, -1, 0))
     want = ref.channels(stages, w0, dt)
-    w, omega_coi, f = rows_ahead(got[0], False), rows_ahead(got[1], False), rows_ahead(got[2], fault_stage)
+    w, omega_coi = (np.moveaxis(x, 1, -1) for x in got[:2])
+    f = rows_ahead(got[2])
     for a, b in zip((w, omega_coi, f), want[:3]):
         assert np.array_equal(a, b)
     assert want[3] is None

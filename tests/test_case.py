@@ -17,7 +17,7 @@ from imeac import (
     coi_forces,
     solve_postfault_sep,
 )
-from imeac.case import coi_frame, machine_forces, mismatch, network_products
+from imeac.case import coi_frame, mismatch, network_products
 from conftest import two_machine_case
 from test_properties import ten_machine_case
 
@@ -110,11 +110,9 @@ class TestValidation:
 
 def electrical_power(net, machines, delta):
     """P_e read off the one force formula: P_m - (P_m - P_e)."""
-    m = np.array([mach.m for mach in machines])
     pm = np.array([mach.pm for mach in machines])
     products = network_products(net, np.array([mach.e for mach in machines]))
-    acc, _ = machine_forces(products, pm, m / m.sum(), np.asarray(delta))
-    return pm - acc
+    return pm - mismatch(products, pm, np.asarray(delta))
 
 
 class TestElectricalPower:
@@ -215,15 +213,18 @@ class TestSumOrder:
         acc = self.expected(ring, self.angles(ring))[0]
         assert not np.array_equal(np.add.reduce(acc, -1), term_by_term(acc))
 
-    @pytest.mark.parametrize("layout", ["one state", "batch", "transposed batch"])
+    @pytest.mark.parametrize("layout", ["one state", "batch", "transposed batch", "grid chunk"])
     def test_forces_sum_term_by_term(self, ring, layout):
         batch = self.angles(ring)
+        nodes = batch.reshape(2, 3, ring.n)  # 2 nodes, 3 path points each
         delta = {
             "one state": batch[0],
             "batch": batch,  # contiguous (B, n): the machine axis innermost in memory
             "transposed batch": np.ascontiguousarray(batch.T).T,  # (B, n) view of (n, B) memory
+            # (nodes, points, n) view of (n, nodes, points) memory, as pe_line_to_nodes passes it
+            "grid chunk": np.ascontiguousarray(nodes.transpose(2, 0, 1)).transpose(1, 2, 0),
         }[layout]
-        acc, f = self.expected(ring, batch[0] if layout == "one state" else batch)
+        acc, f = self.expected(ring, {"one state": batch[0], "grid chunk": nodes}.get(layout, batch))
         products = network_products(ring.net_postfault, ring.e_vector())
         assert np.array_equal(mismatch(products, ring.pm_vector(), delta), acc)
         assert np.array_equal(coi_forces(ring.net_postfault, ring.machines, delta), f)

@@ -23,7 +23,7 @@ from imeac import (
     simulate,
     solve_postfault_sep,
 )
-from imeac.case import coi_frame, coi_share, machine_forces, network_products
+from imeac.case import coi_frame, coi_share, mismatch, network_products
 from imeac.dynamics import (
     BLOCK,
     MAX_STEPS,
@@ -214,10 +214,9 @@ def rk4(kernel, y, w, fault_stage, dt):
 def damped_swing_derivative(case, delta, omega, fault_stage):
     """d omega / dt = (P_m - P_e - D omega) / M, the damping term always written out."""
     net = case.net_faulton if fault_stage else case.net_postfault
-    m = case.m_vector()
     products = network_products(net, case.e_vector())
-    acc = machine_forces(products, case.pm_vector(), m / m.sum(), delta)[0]
-    return (acc - case.d_vector() * omega) / m
+    acc = mismatch(products, case.pm_vector(), delta)
+    return (acc - case.d_vector() * omega) / case.m_vector()
 
 
 def with_damping(case):
@@ -291,8 +290,11 @@ def augmented_reference(case, cfg):
 
     def stage(y, fault_stage):
         delta, omega = y[:n], y[n : 2 * n]
-        acc, f_pf = machine_forces(post, pm, m_share, delta)
-        acc, f_act = machine_forces(fault, pm, m_share, delta) if fault_stage else (acc, f_pf)
+        acc = mismatch(post, pm, delta)
+        f_pf = f_act = coi_share(acc, m_share)
+        if fault_stage:
+            acc = mismatch(fault, pm, delta)
+            f_act = coi_share(acc, m_share)
         acc = acc - d * omega if d.any() else acc
         omega_coi = coi_frame(omega, m_share)
         dy = np.concatenate((omega, acc / m, -f_pf * omega_coi))

@@ -74,6 +74,25 @@ class TestKronReduction:
         with pytest.raises(NetworkReductionError):
             kron_reduce(full, [0], None, name="net_test")
 
+    def test_only_the_failing_island_is_named(self):
+        # buses 1-2 hang off the machine bus 0 with loads; bus 3 is an
+        # island of its own with a load, healthy although no path leads to
+        # a machine; buses 4-5 float: one lossless branch, no load
+        full = build_bus_admittance(6, [(0, 1, 0.0, 0.5, 0.0), (1, 2, 0.0, 0.4, 0.0),
+                                        (4, 5, 0.0, 0.5, 0.0)])
+        loads = np.array([0.0, 0.5 - 0.1j, 0.3, 0.4 - 0.2j, 0.0, 0.0])
+        with pytest.raises(NetworkReductionError, match="singular") as raised:
+            kron_reduce(full, [0], loads, name="net_test")
+        assert raised.value.buses == (4, 5)
+        # without the floating pair the same network reduces
+        kron_reduce(full[:4, :4], [0], loads[:4], name="net_test")
+
+    def test_nothing_to_eliminate_keeps_the_matrix(self):
+        rng = np.random.default_rng(6)
+        full = build_bus_admittance(3, random_branches(3, rng))
+        net = kron_reduce(full, [0, 1, 2], None, name="net_test")
+        assert np.array_equal(net.g, full.real) and np.array_equal(net.b, full.imag)
+
 
 class TestInternalEmf:
     def test_zero_reactance_is_terminal_voltage(self):
