@@ -31,6 +31,10 @@ COMMANDS = [
     ["assess", "bundled:wscc9", "--t-clear", "0.119", "--t-end", "3.119", "--out-dir", "{out}/v"],
     ["simulate", "bundled:wscc9", "--t-clear", "0.08", "--t-end", "3.0", "--out", "{out}/t.tsv"],
     ["simulate", "bundled:smib", "--t-clear", "0.2", "--t-end", "1.0", "--out", "{out}/t.tsv"],
+    # the trajectory TSV in many row chunks
+    ["simulate", "bundled:wscc9", "--t-clear", "0.1", "--t-end", "30", "--out", "{out}/t.tsv"],
+    # exact zeros in row 0, magnitudes down to 7e-18
+    ["simulate", "bundled:smib", "--t-clear", "0.5", "--t-end", "20", "--out", "{out}/t.tsv"],
     ["cct", "bundled:wscc9", "--t-lo", "0.1", "--t-hi", "0.2", "--out", "{out}/c.json"],
     ["cct", "bundled:smib", "--t-lo", "0.15", "--t-hi", "0.25", "--out", "{out}/c.json"],
     ["cct", "bundled:wscc9", "--t-lo", "0.06", "--t-hi", "0.24", "--first-swing-only",

@@ -19,12 +19,15 @@ workspace built and stepped with the ``dynamics`` and ``case`` modules'
 numpy and reductions wrapped in counting callables; the timed runs never
 see the wrappers.
 
-Every figure is the minimum over the repeats; each repeat times every
-configuration of both trees in turn, so a slow spell of a shared host
-hits both sides alike.  OLD_ROOT is loaded twice, as two packages timed
-as two trees: the ``old/old`` column, their ratio, is the noise floor
-of the same session for the ``new/old`` beside it.  Standard library
-and numpy only.
+Each repeat times each configuration on the trees back to back, their
+order reversed every other repeat, so the ratios of one repeat compare
+runs milliseconds apart and a slow spell of a shared host hits every
+side alike.  The ``old`` and ``new`` columns are minima over the
+repeats; the ratios are taken within each repeat and reported as their
+quartiles (25th, 50th and 75th percentiles).  OLD_ROOT is loaded twice,
+as two packages timed as two trees: the quartiles of ``old/old``, their
+ratio, are the noise floor of the same run for the ``new/old``
+quartiles beside it.  Standard library and numpy only.
 
 Usage:  python scripts/step_cost.py OLD_ROOT NEW_ROOT [--repeats N] [--steps S]
 """
@@ -182,23 +185,31 @@ def main(argv: list[str]) -> int:
     cases = {side: pkg.load_case(Path(pkg.__file__).parent / "cases" / "wscc9.json")
              for side, pkg in trees.items()}
     rings = {side: ten_machine_case(pkg) for side, pkg in trees.items()}
-    labels = [f"post-fault step, B = {rows}" for rows in ROWS]
-    labels += [f"ring10 post-fault step, B = {RING_ROWS}", "fault-on prefix step"]
-    labels += [f"Workspace.steps only, B = {rows}" for rows in KERNEL_ROWS]
-    best = {(side, label): float("inf") for side in trees for label in labels}
-    for _ in range(args.repeats):
-        for side, pkg in trees.items():
-            costs = [pool_cost(pkg, cases[side], rows, args.steps) for rows in ROWS]
-            costs.append(pool_cost(pkg, rings[side], RING_ROWS, args.steps))
-            costs.append(prefix_cost(pkg, cases[side], args.steps))
-            costs += [kernel_cost(pkg, cases[side], rows, args.steps) for rows in KERNEL_ROWS]
-            for label, cost in zip(labels, costs):
-                best[side, label] = min(best[side, label], cost)
-    print(f"us per step, min of {args.repeats} interleaved repeats, {args.steps} steps each")
-    print(f"  {'':34s} {'old':>8s} {'new':>8s} {'new/old':>8s} {'old/old':>8s}")
-    for label in labels:
-        old, again, new = (best[side, label] for side in trees)
-        print(f"  {label:34s} {old:8.1f} {new:8.1f} {new / old:8.3f} {again / old:8.3f}")
+    configs = {  # label -> the cost of one tree
+        **{f"post-fault step, B = {rows}":
+           lambda s, rows=rows: pool_cost(trees[s], cases[s], rows, args.steps) for rows in ROWS},
+        f"ring10 post-fault step, B = {RING_ROWS}":
+            lambda s: pool_cost(trees[s], rings[s], RING_ROWS, args.steps),
+        "fault-on prefix step": lambda s: prefix_cost(trees[s], cases[s], args.steps),
+        **{f"Workspace.steps only, B = {rows}":
+           lambda s, rows=rows: kernel_cost(trees[s], cases[s], rows, args.steps)
+           for rows in KERNEL_ROWS},
+    }
+    runs = {side: np.empty((args.repeats, len(configs))) for side in trees}
+    for repeat in range(args.repeats):
+        for i, cost in enumerate(configs.values()):  # the trees back to back, in turns
+            for side in list(trees)[:: 1 if repeat % 2 == 0 else -1]:
+                runs[side][repeat, i] = cost(side)
+    old, again, new = runs.values()
+    ratios = {"new/old": new / old, "old/old": again / old}
+    quartiles = {name: np.percentile(r, [25, 50, 75], axis=0).T for name, r in ratios.items()}
+    print(f"us per step over {args.repeats} interleaved repeats, {args.steps} steps each: "
+          "old and new the minima, ratios per repeat as quartiles q1 median q3")
+    print(f"  {'':34s} {'old':>8s} {'new':>8s}   {'new/old':^20s}   {'old/old':^20s}")
+    for i, label in enumerate(configs):
+        spans = ["  ".join(f"{q:.3f}" for q in quartiles[name][i]) for name in ratios]
+        print(f"  {label:34s} {old[:, i].min():8.1f} {new[:, i].min():8.1f}   "
+              f"{spans[0]:20s}   {spans[1]:20s}")
     calls = [calls_per_step(trees[side], cases[side]) for side in ("old", "new")]
     print(f"  {'numpy calls per post-fault step':34s} {calls[0]:8d} {calls[1]:8d}")
     return 0

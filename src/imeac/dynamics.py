@@ -432,6 +432,18 @@ def simulate(case: StabilityCase, cfg: SimulationConfig) -> Trajectory:
     )
 
 
+WRITE_ROWS = 128  # trajectory rows formatted and written at once
+TIE_MARGIN = 1e-4  # a significand this close to a rounding tie is Python's to round
+_POW10 = np.array([float(f"1e{k}") for k in range(-90, 111)])  # _POW10[k + 90]: 10**k, rounded once
+_LEAD = np.frombuffer(b"".join(  # lead = significand // 1e8: "d.dd", 1000 the round-up to "1.00"
+    b"1.00" if i == 1000 else b"%d.%02d" % divmod(i, 100) for i in range(1001)), "<u4")
+_DIGITS4 = np.frombuffer(b"".join(b"%04d" % i for i in range(10**4)), "<u4")
+_EXP = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-99, 100)), "<u4")
+# one formatted field, [-]d.dddddddddde+dd then a tab or newline: the sign byte is dropped if unused
+_CELL = np.dtype({"names": ["sign", "lead", "mid", "low", "exp", "sep"],
+                  "formats": ["u1", "<u4", "<u4", "<u4", "<u4", "u1"],
+                  "offsets": [0, 1, 5, 9, 13, 17], "itemsize": 18})
+
 _CHANNEL_UNITS = {
     "delta": "rad",
     "omega": "radps",
@@ -450,20 +462,74 @@ def trajectory_header(n: int) -> str:
     return "# " + "\t".join(cols)
 
 
+def format_rows(table: np.ndarray) -> str:
+    """Rows of ``"%.10e"`` fields, tab-separated, each row ending in a newline: Python's bytes.
+
+    One numpy pass per table.  Each value |x| in (1e-99, 1e99) gets its
+    exponent e (from log10, corrected once) and its significand y =
+    |x| * 10**(10 - e) in [1e10, 1e11), rounded half-even by ``rint``;
+    the 11 digits come from exact integer divisions of rint(y) < 2**53
+    and table look-ups, and a round-up to 1e11 moves to the next power
+    of ten.  y is two roundings from exact (the tabled power of ten and
+    the product), so |y - exact| <= (2u + u*u) * y < 2.3e-5 with u =
+    2**-53, and rint(y) is the correctly rounded significand unless the
+    exact value lies within that of a tie.  Python's ``%`` formats each
+    row in which some value is within ``TIE_MARGIN`` (over 4x that bound)
+    of a tie, or is nan, inf or outside (1e-99, 1e99) but not 0.0: those
+    need Python's rounding or a three-digit exponent.
+    """
+    rows, cols = table.shape
+    a = np.abs(table)
+    fast = (a > 1e-99) & (a < 1e99)
+    x = np.where(fast, a, 1.0)  # a stand-in for 0, nan, inf and three-digit exponents
+    e = np.floor(np.log10(x)).astype(np.int64)  # off by one next to a power of ten
+    y = x * _POW10[100 - e]
+    e += y >= 1e11
+    e -= y < 1e10
+    y = x * _POW10[100 - e]
+    r = np.rint(y)
+    slow = (np.abs(y - r) > 0.5 - TIE_MARGIN) | ~fast & (a != 0.0)
+    e += r >= 1e11  # 9.99999999995e3 -> 1.0000000000e+04: lead 1000 reads "1.00"
+    r *= fast  # 0.0 -> lead 0, "0.00"
+    lead, tail = np.divmod(r.astype(np.int64), 10**8)
+    mid, low = np.divmod(tail, 10**4)
+    cells = np.empty((rows, cols), _CELL)
+    cells["sign"], cells["sep"] = 45, 9  # "-", tab
+    cells["sep"][:, -1] = 10  # newline
+    cells["lead"], cells["mid"], cells["low"] = _LEAD[lead], _DIGITS4[mid], _DIGITS4[low]
+    cells["exp"] = _EXP[e + 99]
+    keep = np.ones((rows, cols, _CELL.itemsize), bool)
+    keep[..., 0] = np.signbit(table)
+    text = cells.view(np.uint8).reshape(keep.shape)[keep].tobytes().decode("ascii")
+    fallback = np.flatnonzero(slow.any(1)).tolist()
+    if not fallback:
+        return text
+    lines = text.splitlines(keepends=True)
+    row_format = "\t".join(["%.10e"] * cols) + "\n"
+    for i in fallback:
+        lines[i] = row_format % tuple(table[i].tolist())
+    return "".join(lines)
+
+
 def write_trajectory(stream: IO[str], traj: Trajectory, ke: np.ndarray, pe: np.ndarray) -> None:
     """Write the trajectory export: one header row, one row per sample.
 
     Angles stay in radians (the header names the units); ke/pe are the
-    energy channels computed by the energy module.
+    energy channels computed by the energy module, machines x samples
+    as the record's channels (ValueError otherwise).  Rows go out
+    ``WRITE_ROWS`` at a time, each chunk copied from the channels into
+    one table and formatted by ``format_rows``, so the writer's memory
+    does not grow with the record.
     """
     n = traj.n_machines
+    if np.shape(ke) != traj.omega.shape or np.shape(pe) != traj.omega.shape:
+        raise ValueError(f"ke and pe must be machines x samples {traj.omega.shape}, "
+                         f"got {np.shape(ke)} and {np.shape(pe)}")
     stream.write(trajectory_header(n) + "\n")
-    blocks = [
-        traj.times[None, :],
-        traj.delta, traj.omega, traj.delta_coi, traj.omega_coi, traj.f_coi,
-        ke, pe,
-    ]
-    table = np.vstack(blocks).T
-    row_format = "\t".join(["%.10e"] * table.shape[1]) + "\n"
-    for row in table:  # row by row: the whole table as Python floats is several MB
-        stream.write(row_format % tuple(row.tolist()))
+    channels = [traj.times[None, :], traj.delta, traj.omega, traj.delta_coi, traj.omega_coi,
+                traj.f_coi, ke, pe]
+    table = np.empty((min(WRITE_ROWS, traj.n_samples), 1 + 7 * n))
+    for start in range(0, traj.n_samples, WRITE_ROWS):
+        chunk = table[: min(WRITE_ROWS, traj.n_samples - start)]
+        np.concatenate([c[:, start : start + len(chunk)] for c in channels], out=chunk.T)
+        stream.write(format_rows(chunk))

@@ -10,10 +10,12 @@ off a whole trajectory record, independently of the clearing-time
 engine, which streams its rows block by block.  ``family_reference``
 is the surface family run member by member the same way: simulate ->
 compute_energy per member, independently of the family's shared row
-pool.  ``ReferenceStepper`` is the RK4 step one allocating call per
-stage, with the guard after every step, and ``RowPool.advance`` on it:
-the oracle of the block workspace (``Workspace.steps``) and of the
-per-block guard with its replay.
+pool.  ``write_trajectory_rows`` is the trajectory export one Python
+``%`` per row over the whole table: the oracle of ``write_trajectory``'s
+chunked numpy formatting.  ``ReferenceStepper`` is the RK4 step one
+allocating call per stage, with the guard after every step, and
+``RowPool.advance`` on it: the oracle of the block workspace
+(``Workspace.steps``) and of the per-block guard with its replay.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from imeac import (
 
 from imeac.assess import UNDETERMINED, MachineAssessment, anchor_index, margin_at_anchor
 from imeac.case import coi_frame, coi_share, mismatch
-from imeac.dynamics import OMEGA_DIVERGENCE, Block, Workspace
+from imeac.dynamics import OMEGA_DIVERGENCE, Block, Workspace, trajectory_header
 from imeac.events import _hermite
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -308,6 +310,18 @@ def family_reference(case, spec, sep=None) -> np.ndarray:
             np.full(traj.n_samples, tid), traj.times, traj.delta_coi[a], traj.delta_coi[b], pe,
         )))
     return np.concatenate(ribbons)
+
+
+def write_trajectory_rows(stream, traj, ke, pe) -> None:
+    """The trajectory export row by row, one ``"%.10e"`` a field: ``write_trajectory``'s oracle."""
+    stream.write(trajectory_header(traj.n_machines) + "\n")
+    table = np.vstack([
+        traj.times[None, :], traj.delta, traj.omega, traj.delta_coi, traj.omega_coi, traj.f_coi,
+        ke, pe,
+    ]).T
+    row_format = "\t".join(["%.10e"] * table.shape[1]) + "\n"
+    for row in table:
+        stream.write(row_format % tuple(row.tolist()))
 
 
 class ReferenceStepper:

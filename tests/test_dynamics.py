@@ -12,12 +12,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from imeac import (
     SimulationConfig,
     Trajectory,
     coi_forces,
     compute_energy,
+    load_bundled,
     probe_clearing_time,
     scan_clearing_times,
     simulate,
@@ -31,7 +34,9 @@ from imeac.dynamics import (
     FaultOnPrefix,
     RowPool,
     SwingKernel,
+    WRITE_ROWS,
     Workspace,
+    format_rows,
     trajectory_header,
     write_trajectory,
 )
@@ -48,6 +53,7 @@ from conftest import (
     two_machine_case,
     w_overflow_after_clearing,
     w_overflow_case,
+    write_trajectory_rows,
 )
 from test_properties import ten_machine_case
 
@@ -504,6 +510,11 @@ class TestSimulate:
         assert np.all(np.isfinite(traj.omega))
 
 
+def percent_rows(table: np.ndarray) -> str:
+    """Python's ``"%.10e"`` of every value, tab-separated rows: what ``format_rows`` must write."""
+    return "".join("\t".join("%.10e" % v for v in row) + "\n" for row in table.tolist())
+
+
 class TestTrajectoryExport:
     def test_roundtrip_through_tsv(self, wscc, wscc_stable_run):
         traj = wscc_stable_run
@@ -519,7 +530,7 @@ class TestTrajectoryExport:
         np.testing.assert_allclose(data[:, 1 : 1 + wscc.n].T, traj.delta, rtol=1e-9)
 
     def test_bytes_equal_per_value_formatting(self, wscc, wscc_sep, wscc_stable_run):
-        # the one-format-per-row writer against formatting every value alone
+        # the numpy writer against formatting every value alone, special values in row 0
         traj = wscc_stable_run
         channels = compute_energy(wscc, traj, wscc_sep)
         pe = channels.pe.copy()
@@ -534,6 +545,72 @@ class TestTrajectoryExport:
             "\t".join(f"{v:.10e}" for v in row) + "\n" for row in table
         )
         assert stream.getvalue().encode() == expected.encode()
+
+    @pytest.mark.parametrize("name, t_clear, t_end", [
+        ("wscc9", 0.1, 3.1), ("smib", 0.5, 3.0), ("threebus_lossless", 0.1, 2.0),
+        ("wscc9", 0.05, WRITE_ROWS * 1e-3),
+    ], ids=["wscc9", "smib", "threebus_lossless", "one row past a chunk"])
+    def test_bytes_equal_the_row_loop(self, name, t_clear, t_end):
+        case = load_bundled(name)
+        traj = simulate(case, SimulationConfig(t_clear=t_clear, t_end=t_end))
+        channels = compute_energy(case, traj, solve_postfault_sep(case))
+        got, want = io.StringIO(), io.StringIO()
+        write_trajectory(got, traj, channels.ke, channels.pe)
+        write_trajectory_rows(want, traj, channels.ke, channels.pe)
+        assert got.getvalue().encode() == want.getvalue().encode()
+
+    @pytest.mark.parametrize("channel", ["ke", "pe"])
+    @pytest.mark.parametrize("samples", [-1, 1])
+    def test_energy_channels_must_match_the_record(self, wscc, wscc_stable_run, channel, samples):
+        # the chunks read the first n_samples of each channel: a longer one is refused too
+        traj = wscc_stable_run
+        shape = (wscc.n, traj.n_samples + samples)
+        ke, pe = (np.zeros(shape if c == channel else traj.omega.shape) for c in ("ke", "pe"))
+        with pytest.raises(ValueError, match="machines x samples"):
+            write_trajectory(io.StringIO(), traj, ke, pe)
+
+    @seed(20211021)
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=24), cols=st.integers(1, 4))
+    @example(values=[math.nan, math.inf, -math.inf, 0.0, -0.0], cols=1)
+    @example(values=[5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308], cols=2)
+    @example(values=[1e-99, -1e-99, 1.0000000000000001e-99, 1.5e-99, 9.99999999995e-100, 1e-100],
+             cols=3)
+    @example(values=[9.99999999999e98, 9.999999999995e98, -9.9999999999951e98, 1e99, 1e100,
+                     -1e100], cols=2)
+    def test_any_float_formats_as_percent(self, values, cols):
+        values = values + [1.0] * (-len(values) % cols)
+        table = np.array(values).reshape(-1, cols)
+        assert format_rows(table) == percent_rows(table)
+
+    @pytest.mark.parametrize("kind", ["near ties", "round-ups to a power of ten"])
+    def test_hard_roundings_format_as_percent(self, kind):
+        # near ties: (k + 0.5) * 10**(e - 10) as the nearest float, nudged by
+        # 0-4 ulps either way, so the significand y lands within the float
+        # error of y of a tie (about 2e-5 per ulp below 1e11)
+        if kind == "near ties":
+            ks = [10**10, 12345678901, 31415926535, 50000000000, 99999999998,
+                  *np.random.default_rng(3).integers(10**10, 10**11, 20).tolist()]
+            ties = [float(f"{k}5e{e - 11}") for e in range(-20, 5) for k in ks]
+        else:
+            ties = [9.99999999995e3, 9.999999999951e3, 9.9999999999949e3, 99999999999.5,
+                    9.99999999995e-1, 9.99999999995e-5, 9.99999999995e-99, 9.99999999995e98,
+                    9.999999999999999e-6, 9.9999999999951e-10]
+        bits = np.array(ties).view(np.int64)[:, None] + np.arange(-4, 5)
+        table = np.concatenate([bits.view(np.float64), -bits.view(np.float64)], axis=1)
+        assert format_rows(table) == percent_rows(table)
+
+    def test_memory_stays_flat_in_the_horizon(self, wscc, wscc_sep):
+        # the writer formats a chunk at a time: its numpy data is the same
+        # whatever the record's length, not a copy of the whole table
+        held = []
+        for t_end in (3.0, 30.0):
+            traj = simulate(wscc, SimulationConfig(t_clear=0.1, t_end=t_end))
+            channels = compute_energy(wscc, traj, wscc_sep)
+            held.append(numpy_data_held(
+                lambda: write_trajectory(io.StringIO(), traj, channels.ke, channels.pe),
+                opcodes=False)[1])
+        assert held[1] <= held[0] + 64 * 1024, held
 
 
 class TestFaultOnPrefix:
@@ -654,15 +731,17 @@ class TestGuardReplay:
             assert len(got[0].samples) == 1 and lost == {1, 2} and ended[1] == ended[2] == dt
 
 
-def numpy_data_held(run):
-    """run() and the most numpy array data (bytes) it held at once, seen before every bytecode it ran.
+def numpy_data_held(run, opcodes: bool = True):
+    """run() and the most numpy array data (bytes) it held at once.
 
-    tracemalloc traces numpy's data allocations in their own domain; the
-    frames run() enters are traced opcode by opcode, so a temporary that
-    lives within one statement shows too.
+    tracemalloc traces numpy's data allocations in their own domain.  With
+    ``opcodes`` the data is seen before every bytecode the frames run()
+    enters run, so a temporary that lives within one statement shows too;
+    without, as each Python function returns, its locals still held:
+    coarser, and cheap enough for a run of thousands of calls.
     """
     only_numpy = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
-    most, outer = 0, sys.gettrace()
+    most, outer, outer_profile = 0, sys.gettrace(), sys.getprofile()
 
     def held():
         return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(only_numpy).traces)
@@ -673,16 +752,25 @@ def numpy_data_held(run):
         most = max(most, held())
         return trace
 
+    def profile(frame, event, arg):
+        nonlocal most
+        if event == "return":
+            most = max(most, held())
+
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         before = held()
-        sys.settrace(trace)
+        if opcodes:
+            sys.settrace(trace)
+        else:
+            sys.setprofile(profile)
         try:
             result = run()
         finally:
             sys.settrace(outer)
+            sys.setprofile(outer_profile)
     finally:
         if started:
             tracemalloc.stop()

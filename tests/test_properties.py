@@ -411,16 +411,42 @@ def scan_grid(case, horizon, first_swing_only) -> list:
         return []
 
 
-def draw_bracket(draw, scan) -> tuple[int, int]:
-    """Grid indices of a bracket: stable/unstable ends from the scan when it has them, else any.
+def grid_verdicts(case, horizon, first_swing_only) -> list:
+    """Each grid point's verdict, stable True or False, or None where its probe fails.
 
-    draw(strategy) supplies each choice: a Hypothesis data.draw, or numpy_draw.
+    One scan of the grid; when one of its probes fails, each point is probed alone.
     """
-    stable = [k for k, p in zip(GRID, scan) if p.stable]
-    unstable = [k for k, p in zip(GRID, scan) if not p.stable and stable and k > stable[0]]
+    scan = scan_grid(case, horizon, first_swing_only)
+    if scan:
+        return [p.stable for p in scan]
+    verdicts = []
+    for k in GRID:
+        try:
+            verdicts.append(probe_clearing_time(
+                case, k * RESOLUTION, dt=DT, horizon=horizon, first_swing_only=first_swing_only,
+            ).stable)
+        except ImeacError:
+            verdicts.append(None)
+    return verdicts
+
+
+def draw_bracket(draw, verdicts) -> tuple[int, int]:
+    """Grid indices of a bracket drawn from the grid's verdicts (``grid_verdicts``; [] for none).
+
+    Stable/unstable ends when some stable point lies below an unstable one;
+    else two points with verdicts, so the search stops on its ends'
+    verdicts, not on a failing probe; else any two.  draw(strategy)
+    supplies each choice: a Hypothesis data.draw, or numpy_draw.
+    """
+    stable = [k for k, v in zip(GRID, verdicts) if v]
+    unstable = [k for k, v in zip(GRID, verdicts) if v is False and stable and k > stable[0]]
     if unstable:
         hi = draw(st.sampled_from(unstable))
         return draw(st.sampled_from([k for k in stable if k < hi])), hi
+    known = [k for k, v in zip(GRID, verdicts) if v is not None]
+    if len(known) > 1:
+        lo = draw(st.sampled_from(known[:-1]))
+        return lo, draw(st.sampled_from([k for k in known if k > lo]))
     lo = draw(st.integers(1, 29))
     return lo, draw(st.integers(lo + 1, 30))
 
@@ -451,7 +477,7 @@ def check_find_cct_equals_reference_bisection(case, draw, horizon, first_swing_o
     # starts every probe bisection visits and only probes from the
     # bracket's bisection tree, and a probe it starts but does not visit
     # never raises or warns
-    k_lo, k_hi = draw_bracket(draw, scan_grid(case, horizon, first_swing_only))
+    k_lo, k_hi = draw_bracket(draw, grid_verdicts(case, horizon, first_swing_only))
     t_lo, t_hi = k_lo * RESOLUTION, k_hi * RESOLUTION
     with warnings.catch_warnings(record=True) as expected_warnings:
         warnings.simplefilter("always")
@@ -505,7 +531,7 @@ def check_find_cct_equals_exhaustive_scan(case, draw, first_swing_only, note=eve
     # scan of the bracket grid is stable up to one point and unstable
     # after it, find_cct returns that edge
     scan = scan_grid(case, HORIZON, first_swing_only)
-    k_lo, k_hi = draw_bracket(draw, scan)
+    k_lo, k_hi = draw_bracket(draw, [p.stable for p in scan])
     verdicts = [p.stable for p in scan[k_lo - 1 : k_hi]]
     if not (verdicts and verdicts[0] and not verdicts[-1]
             and verdicts == sorted(verdicts, reverse=True)):
