@@ -13,7 +13,7 @@ PYTHONPATH=<root>/src) and prints, per item, same/DIFF.  The items:
   prefix is extended out of order;
 * the fault-on prefix extended in pieces (to samples 37, 100 and 250):
   its samples, states and divergence time, on wscc9 and on the W
-  overflow case below, whose fault-on stage diverges at sample 82;
+  overflow case below, whose fault-on stage diverges at sample 218;
 * the ``simulate`` arrays of three configurations per bundled case, and
   of wscc9 with damping 0.02 on every machine;
 * a generated 10-machine case (from 8 machines on, the order of a
@@ -49,9 +49,10 @@ Each result is reduced to plain values (arrays as dtype, shape and raw
 bytes; floats as hex), with the warnings it raised and, when the call
 raised, the error's type and message, so "same" means equal bits,
 warnings and errors.  A DIFF line gives the largest absolute and
-relative difference over the item's float leaves and says whether any
-other leaf differs: a verdict, an event kind, a count, an error text or
-a warning.  Exits 1 if anything differs.  Standard library and numpy
+relative difference and the largest |d|/max(1, |x|) (the measure of a
+stated tolerance, as cli_identity.py reports it) over the item's float
+leaves and says whether any other leaf differs: a verdict, an event
+kind, a count, an error text or a warning.  Exits 1 if anything differs.  Standard library and numpy
 only.
 
 Usage:  python scripts/engine_identity.py OLD_ROOT NEW_ROOT
@@ -122,13 +123,15 @@ def ten_machine_case(imeac=None):
 
 
 def differences(old, new, gaps=None):
-    """Largest |old - new| and relative difference over float leaves, and whether other leaves differ.
+    """Largest |old - new|, relative and scaled difference over float leaves; other leaves differ?
 
     Walks two canonical results in step; relative differences are taken
-    where either value is nonzero.  A float leaf that is not finite on
-    one side only, or a shape that differs, counts as another leaf.
+    where either value is nonzero, scaled ones are |old - new| / max(1,
+    |old|), the measure of a stated tolerance.  A float leaf that is not
+    finite on one side only, or a shape that differs, counts as another
+    leaf.
     """
-    gaps = {"abs": 0.0, "rel": 0.0, "other": False} if gaps is None else gaps
+    gaps = {"abs": 0.0, "rel": 0.0, "scaled": 0.0, "other": False} if gaps is None else gaps
     pair = isinstance(old, tuple) and isinstance(new, tuple) and len(old) == len(new) > 0
     tag = old[0] if pair and old[0] == new[0] and isinstance(old[0], str) else None
     if tag == "float":
@@ -151,6 +154,7 @@ def differences(old, new, gaps=None):
         gaps["abs"] = max(gaps["abs"], float(gap.max()))
         rel = gap[scale > 0] / scale[scale > 0]
         gaps["rel"] = max(gaps["rel"], float(rel.max()) if rel.size else 0.0)
+        gaps["scaled"] = max(gaps["scaled"], float((gap / np.maximum(1.0, np.abs(a[finite]))).max()))
     return gaps
 
 
@@ -172,7 +176,7 @@ def w_overflow_case(wscc):
 
 
 def w_overflow_after_clearing(wscc):
-    """wscc9 with inertias x 1e306, the post-fault network x 1e307 and speeds of +-2 rad/s."""
+    """wscc9 with inertias x 1e306, the post-fault network x 1e307 and speeds of +-6 rad/s."""
     from imeac import ReducedNetwork
 
     net = wscc.net_postfault
@@ -180,7 +184,7 @@ def w_overflow_after_clearing(wscc):
     return dataclasses.replace(
         wscc, machines=tuple(dataclasses.replace(m, m=m.m * 1e306) for m in wscc.machines),
         net_postfault=ReducedNetwork((g + g.T) / 2, (b + b.T) / 2, name=net.name),
-        omega0=np.array([2.0, -2.0, 0.0]))
+        omega0=np.array([6.0, -6.0, 0.0]))
 
 
 def weak_postfault(wscc):
@@ -303,11 +307,11 @@ def items():
     out.append(("simulate light smib 0.1/3.0",
                 lambda: simulate(light, SimulationConfig(t_clear=0.1, t_end=3.0))))
     strong = w_overflow_case(wscc)
-    out.append(("simulate wscc9 W overflow 0.1/0.5",
-                lambda: simulate(strong, SimulationConfig(t_clear=0.1, t_end=0.5))))
+    out.append(("simulate wscc9 W overflow 0.3/0.6",
+                lambda: simulate(strong, SimulationConfig(t_clear=0.3, t_end=0.6))))
     # every row clears after W overflows: no post-fault motion overflows first
-    out.append(("scan wscc9 W overflow 0.100-0.240 s",
-                lambda: scan_clearing_times(strong, SCAN_TIMES[40:])))
+    out.append(("scan wscc9 W overflow 0.220-0.240 s",
+                lambda: scan_clearing_times(strong, SCAN_TIMES[160:])))
     for name, case in (("wscc9", wscc), ("wscc9 W overflow", strong)):
         out.append((f"prefix {name} extended to 37, 100, 250", lambda c=case: prefix_pieces(c)))
     out.append(("pool light smib: motion and W end rows at one step",
@@ -335,8 +339,8 @@ def items():
         # 0.3 s diverges after clearing, 2.0 s during the fault-on stage
         ("pair 0.05/1.0, 0.3/1.2, 2.0/3.0 s", two_machine_case(), 0, (0, 1),
          [(0.05, 1.0), (0.3, 1.2), (2.0, 3.0)]),
-        ("wscc9 W overflow after clearing 0.10, 0.07, 0.15 s, 1 s", heavy, 2, (1, 2),
-         [(0.10, 1.0), (0.07, 1.0), (0.15, 1.0)]),
+        ("wscc9 W overflow after clearing 0.10, 0.15, 0.07 s, 1 s", heavy, 2, (1, 2),
+         [(0.10, 1.0), (0.15, 1.0), (0.07, 1.0)]),
         ("wscc9 no SEP 0.02, 0.05, 0.10 s, 3 s", weak, 2, (1, 2),
          [(0.02, 3.0), (0.05, 3.0), (0.10, 3.0)]),
     ]
@@ -400,7 +404,8 @@ def main(argv: list[str]) -> int:
             continue
         gaps = differences(old[name], new[name])
         others = "other leaves differ" if gaps["other"] else "no other leaf differs"
-        print(f"  DIFF  {name}  (max abs {gaps['abs']:.3g}, max rel {gaps['rel']:.3g}; {others})")
+        print(f"  DIFF  {name}  (max abs {gaps['abs']:.3g}, max rel {gaps['rel']:.3g}, "
+              f"max |d|/max(1, |x|) {gaps['scaled']:.3g}; {others})")
     return 1 if differs else 0
 
 

@@ -13,11 +13,13 @@ reports, per tree, the microseconds per step of:
   states, block after block on one workspace: the RK4 kernel without a
   block's W pass, guard and record.
 
-It also counts the numpy calls of one undamped post-fault step of each
-tree (ufunc calls, reductions and array item assignments), on a one-off
-workspace built and stepped with the ``dynamics`` and ``case`` modules'
-numpy and reductions wrapped in counting callables; the timed runs never
-see the wrappers.
+It also counts the numpy calls of one step of each tree, of each kind
+in ``STEP_KINDS``: an undamped post-fault step, a damped one and a
+fault-on prefix step (ufunc calls, reductions and array item
+assignments), on a one-off workspace built and stepped with the
+``dynamics`` and ``case`` modules' numpy and reductions wrapped in
+counting callables; the timed runs never see the wrappers.
+``calls_per_step`` is the counter the test suite's call ceilings use.
 
 Each repeat times each configuration on the trees back to back, their
 order reversed every other repeat, so the ratios of one repeat compare
@@ -35,6 +37,7 @@ Usage:  python scripts/step_cost.py OLD_ROOT NEW_ROOT [--repeats N] [--steps S]
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import sys
 import time
@@ -49,6 +52,8 @@ KERNEL_ROWS = (1, 32)
 RING_ROWS = 32
 DT = 1e-3
 FIRST_CLEAR = 100  # sample of the first row's clearing; row r clears 2 r samples later
+DAMPING = 0.02  # p.u. s/rad on every machine, for the damped step's calls
+STEP_KINDS = ("undamped post-fault", "damped post-fault", "fault-on prefix")  # calls_per_step's
 
 
 def load(root: Path, name: str):
@@ -99,10 +104,13 @@ def kernel_cost(pkg, case, rows: int, steps: int) -> float:
     return (time.perf_counter() - start) * 1e6 / (blocks * dynamics.BLOCK)
 
 
-def calls_per_step(pkg, case) -> int:
-    """numpy calls of one undamped post-fault step of ``Workspace.steps`` (one row).
+def calls_per_step(pkg, case, kind: str) -> int:
+    """numpy calls of one step of ``Workspace.steps`` (one row) of a ``STEP_KINDS`` kind.
 
-    The numpy of the ``dynamics`` and ``case`` modules, where the stage's
+    A post-fault step starts from a clearing state, on ``case`` or, for
+    the damped kind, on ``case`` with damping ``DAMPING`` on every
+    machine; a fault-on prefix step starts from the initial point.  The
+    numpy of the ``dynamics`` and ``case`` modules, where the stage's
     calls run, and their module-level reductions (``_sum``, where a tree
     has one) are swapped for counting wrappers while one-off workspaces
     are built and stepped; a ufunc's methods (``np.add.reduce``) count
@@ -143,8 +151,13 @@ def calls_per_step(pkg, case) -> int:
                 return Ufunc(attr)
             return attr if isinstance(attr, type) or not callable(attr) else wrap(attr)
 
+    fault = kind == "fault-on prefix"
+    if kind == "damped post-fault":
+        case = dataclasses.replace(case, machines=tuple(
+            dataclasses.replace(mach, d=DAMPING) for mach in case.machines))
     kernel = dynamics.SwingKernel(case)
-    head = post_fault_heads(dynamics, kernel, case, 1)
+    head = np.array([case.delta0, case.omega0]) if fault else post_fault_heads(
+        dynamics, kernel, case, 1)
     saved = [(module, name, getattr(module, name)) for module in (dynamics, pkg.case)
              for name in ("np", "_sum") if hasattr(module, name)]
     for module, name, value in saved:
@@ -152,7 +165,7 @@ def calls_per_step(pkg, case) -> int:
     try:
         calls = []
         for steps in (1, 2):
-            space = dynamics.Workspace(kernel, steps, (), False, DT)
+            space = dynamics.Workspace(kernel, steps, (), fault, DT)
             space.y[0] = head
             count.update(on=True, calls=0)
             space.steps(steps)
@@ -205,13 +218,14 @@ def main(argv: list[str]) -> int:
     quartiles = {name: np.percentile(r, [25, 50, 75], axis=0).T for name, r in ratios.items()}
     print(f"us per step over {args.repeats} interleaved repeats, {args.steps} steps each: "
           "old and new the minima, ratios per repeat as quartiles q1 median q3")
-    print(f"  {'':34s} {'old':>8s} {'new':>8s}   {'new/old':^20s}   {'old/old':^20s}")
+    print(f"  {'':40s} {'old':>8s} {'new':>8s}   {'new/old':^20s}   {'old/old':^20s}")
     for i, label in enumerate(configs):
         spans = ["  ".join(f"{q:.3f}" for q in quartiles[name][i]) for name in ratios]
-        print(f"  {label:34s} {old[:, i].min():8.1f} {new[:, i].min():8.1f}   "
+        print(f"  {label:40s} {old[:, i].min():8.1f} {new[:, i].min():8.1f}   "
               f"{spans[0]:20s}   {spans[1]:20s}")
-    calls = [calls_per_step(trees[side], cases[side]) for side in ("old", "new")]
-    print(f"  {'numpy calls per post-fault step':34s} {calls[0]:8d} {calls[1]:8d}")
+    for kind in STEP_KINDS:
+        calls = [calls_per_step(trees[side], cases[side], kind) for side in ("old", "new")]
+        print(f"  {f'numpy calls, {kind} step':40s} {calls[0]:8d} {calls[1]:8d}")
     return 0
 
 

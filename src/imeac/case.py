@@ -8,8 +8,9 @@ runs for the equilibrium check, the post-fault stable equilibrium point
 (SEP) solve, the PE baseline and the surface grid, and the RK4 stage on
 its workspace; ``coi_share`` makes it f_i-SYS, and ``coi_frame`` is the
 one COI projection.  Every machine-axis sum adds its terms one after
-another, ((x_0 + x_1) + x_2) + ..., whatever the memory layout: numpy
-itself pairs the terms of an axis innermost in memory from 8 on.
+another, ((x_0 + x_1) + x_2) + ..., whatever the memory layout, the
+force sum from P_m on: numpy itself pairs the terms of an axis innermost
+in memory from 8 on.
 
 Conventions: angles in radians, time in seconds, power and energy in
 per unit on the system base.  Machine inertia M is in p.u. s^2/rad
@@ -199,30 +200,28 @@ def force_kernel(products, pm, angles, fill: bool = False):
     mismatch_into writes P_m - P_e, P_ei = sum_j E_i E_j (G_ij cos d_ij +
     B_ij sin d_ij), at angles[s] (each (n, *rest)) on the k networks of
     ``products`` (k, 2, n, n) into out (k, n, *rest), (n, *rest) if k =
-    1, or a new array, adding the terms (n_j, [k,] n_i, *rest) one by
-    one; ``fill`` makes the products and P_m block-shaped.
+    1, or a new array: one reduction adds the rows P_m, -E_iE_jG_ij cos
+    d_ij and -E_iE_jB_ij sin d_ij (j = 0..n-1), each (k, n_i, *rest), one
+    by one from P_m; ``fill`` makes the products block-shaped.
     """
     n, rest, k = len(angles[0]), angles[0].shape[1:], len(products)
     nets, net = ((k,), (1,)) if k > 1 else ((), ())
     d_i = [a.reshape((1,) + net + (n,) + rest) for a in angles]  # each (1, [1,] n_i, *rest)
     d_j = [a.reshape((n, 1) + net + rest) for a in angles]  # each (n_j, 1, [1,] *rest)
-    trig = cos_d, sin_d = np.empty((2, n) + net + (n,) + rest)
-    lead, ones = (2, n) + nets + (n,), (1,) * len(rest)  # E_iE_jG_ij cos | E_iE_jB_ij sin
-    terms = pe, pe_sin = np.empty(lead + rest) if k > 1 else trig  # one network: in place
-    egb = np.transpose(products, (1, 3, 0, 2)).reshape(lead + ones)
-    pm = pm.reshape((n,) + ones)
-    if fill:
-        egb, pm = np.full(terms.shape, egb), np.full(terms.shape[2:], pm)
-    subtract, cos, sin, multiply, add = np.subtract, np.cos, np.sin, np.multiply, np.add
+    lead, ones = (2, n) + nets + (n,), (1,) * len(rest)  # -E_iE_jG_ij cos | -E_iE_jB_ij sin
+    rows = np.empty((1 + 2 * n,) + nets + (n,) + rest)  # P_m, then the terms
+    rows[0], terms = pm.reshape((n,) + ones), rows[1:].reshape(lead + rest)
+    trig = cos_d, sin_d = terms if k == 1 else np.empty((2, n) + net + (n,) + rest)  # in place
+    egb = -np.transpose(products, (1, 3, 0, 2)).reshape(lead + ones)
+    egb = np.full(terms.shape, egb) if fill else egb
+    subtract, cos, sin, multiply, reduce = np.subtract, np.cos, np.sin, np.multiply, np.add.reduce
 
     def mismatch_into(s: int, out):
         subtract(d_i[s], d_j[s], sin_d)  # d_i - d_j, then its sine in place
         cos(sin_d, cos_d)
         sin(sin_d, sin_d)
         multiply(egb, trig, terms)
-        add(pe, pe_sin, pe)
-        out = add.reduce(pe, 0, None, out)
-        return subtract(pm, out, out)
+        return reduce(rows, 0, None, out)
 
     return mismatch_into
 

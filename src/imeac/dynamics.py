@@ -16,9 +16,9 @@ motion.
 One RK4 kernel (``SwingKernel``) and one block loop (``RowPool.advance``)
 serve both stages and every path.  A block steps in one ``Workspace``,
 machine-major with rows innermost: a stage runs ``case.force_kernel`` at
-its point of one stage-point array, writing P_m - P_e for the W pass and
-acc/M beside delta | omega, so its dy/dt is a view of its input; it sums
-over machines only, so a batch row is bit-identical to the state alone.
+its point of one stage-point array, writing P_m - P_e beside delta |
+omega for the W pass and the RK4 sums (1/M rides in their constants); it
+sums over machines only, so a batch row is bit-identical to the state.
 One guard per block checks the motion and W together and cuts both at
 one step; a block that raised floating-point errors is replayed once,
 steps and W pass, up to the cut with warnings on, as a step-by-step loop
@@ -157,70 +157,70 @@ class SwingKernel:
 class Workspace:
     """The RK4 workspace of ``length`` steps of ``rows`` rows: () for a lone row's state, or (B,).
 
-    Machine-major, rows innermost: one stage-point array z (4L+1, 3, n,
-    *rows) holds delta | omega | acc/M at every RK4 stage point, so stage s
-    reads z[s, :2], its dy/dt k[s] is the view z[s, 1:] and sample s, y[s],
-    is z[4s, :2]; acc = P_m - P_e (4L+1, k, n, *rows), post-fault, or
-    fault-on post | fault.  A stage is ``case.force_kernel`` writing acc,
-    then damping and /M, on block-shaped constants with a positional out:
-    every call one contiguous loop, 45 calls a step (53 damped).
+    Machine-major, rows innermost: one stage-point array z (4L+1, c, n,
+    *rows) holds delta | omega | rate | acc at every RK4 stage point:
+    stage s reads z[s, :2], k[s] is z[s, 1:3], y[s] is z[4s, :2], acc is
+    P_m - P_e (post-fault, or fault-on fault | post) and the rate acc on
+    the active network minus D * omega, acc itself when undamped.  The
+    RK4 constants carry c / M for the rate (finite where 1/M is not).  A
+    stage is ``case.force_kernel`` writing acc, then the damping: 29
+    calls a step (37 damped), each one loop with a positional out.
     """
 
     def __init__(self, kernel: SwingKernel, length: int, rows: tuple, fault: bool, dt: float):
         n, column = kernel.n, (kernel.n,) + (1,) * len(rows)  # a machine vector along the rows
-        nets = (kernel.post, kernel.faulton) if fault else (kernel.post,)
-        self.shape, self.dt = (length, rows), dt
-        z = np.empty((4 * length + 1, 3, n) + rows)
-        self.y, self.k = z[::4, :2], z[:, 1:]
-        self.acc = np.empty((4 * length + 1, len(nets), n) + rows)
+        nets = (kernel.faulton, kernel.post) if fault else (kernel.post,)
+        first = 2 if kernel.d is None else 3  # acc's first channel: undamped, the rate is acc
+        self.shape, self.weights = (length, rows), (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+        z = np.empty((4 * length + 1, first + len(nets), n) + rows)
+        self.y, self.k, self.acc = z[::4, :2], z[:, 1:3], z[:, first:]
         self.share = np.full(self.acc.shape, kernel.m_share.reshape(column))  # also as share[:, 0]
-        forces = force_kernel(nets, kernel.pm, z[:, 0], fill=True)
-        m = np.full((n,) + rows, kernel.m.reshape(column))
-        d = None if kernel.d is None else np.full(m.shape, kernel.d.reshape(column))
-        omegas, rates = list(z[:, 1]), list(z[:, 2])
-        accs, acts = list(self.acc if fault else self.acc[:, 0]), list(self.acc[:, -1])
+        stage = forces = force_kernel(nets, kernel.pm, z[:, 0], fill=True)
+        add, subtract, multiply, reduce = np.add, np.subtract, np.multiply, np.add.reduce
+        accs = list(self.acc if fault else z[:, first])
+        if kernel.d is not None:
+            d = np.full((n,) + rows, kernel.d.reshape(column))
+            omegas, rates, acts = list(z[:, 1]), list(z[:, 2]), list(z[:, first])
 
-        def stage(i: int) -> None:  # acc[i] and z[i, 2] at z[i, :2]
-            forces(i, accs[i])
-            act = acts[i] if d is None else (  # act - d * omega
-                np.subtract(acts[i], np.multiply(d, omegas[i], rates[i]), rates[i]))
-            np.divide(act, m, rates[i])
+            def stage(i: int, out) -> None:  # acc, then the rate acc - d * omega
+                forces(i, out)
+                subtract(acts[i], multiply(d, omegas[i], rates[i]), rates[i])
 
-        xs, ks, (tmp, tmp2) = list(z[:, :2]), list(self.k), np.empty((2, 2, n) + rows)
-        half, full, two, sixth = (np.full(tmp.shape, c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
+        c = np.array([0.5 * dt, dt, *self.weights]).reshape((6,) + (1,) * len(column))
+        c = np.stack([np.broadcast_to(x, (6, n) + rows) for x in (c, c / kernel.m.reshape(column))], 1)
+        half, full, final = c[0], c[1], c[2:]  # c | c / M: the stage points', the RK4 sum's
+        xs, ks, tmp, tmp4 = list(z[:, :2]), list(self.k), np.empty(half.shape), np.empty(final.shape)
+        quads = [z[i : i + 4, 1:3] for i in range(0, 4 * length, 4)]  # each step's four k
 
         def steps(count: int, last: bool = True) -> None:
             """RK4 steps from y[0], four stages each, then with ``last`` the stage at y[count]."""
             for s in range(count):
                 y0, i = xs[4 * s], 4 * s
-                stage(i)
-                for j, c in ((i, half), (i + 1, half), (i + 2, full)):
-                    np.add(y0, np.multiply(c, ks[j], tmp), xs[j + 1])
-                    stage(j + 1)
-                # y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), in that order
-                np.add(ks[i], np.multiply(two, ks[i + 1], tmp), tmp)
-                np.add(tmp, np.multiply(two, ks[i + 2], tmp2), tmp)
-                np.add(tmp, ks[i + 3], tmp)
-                np.add(y0, np.multiply(sixth, tmp, tmp), xs[i + 4])
+                stage(i, accs[i])
+                for j, h in ((i, half), (i + 1, half), (i + 2, full)):
+                    add(y0, multiply(h, ks[j], tmp), xs[j + 1])
+                    stage(j + 1, accs[j + 1])
+                # y + (((w1 k1 + w2 k2) + w3 k3) + w4 k4): one multiply, one reduce, one add
+                add(y0, reduce(multiply(final, quads[s], tmp4), 0, None, tmp), xs[i + 4])
             if last:
-                stage(4 * count)
+                stage(4 * count, accs[4 * count])
 
         self.steps = steps  # a closure: its loop reads locals only
 
     def channels(self, used: int, w0: np.ndarray):
         """W, omega_coi and coi_share(acc) from the first ``used`` stages (4 a step, maybe 1 more).
 
-        W_k+1 = W_k + inc_k from w0 (n, *rows), with the RK4 weights: the
-        augmented-state integral bit for bit.  W at step k reads the stages
-        up to that step only, so ``RowPool.advance`` checks it with the
-        motion, in one guard, and cuts both at one step.
+        W_k+1 = W_k + inc_k from w0 (n, *rows), with the motion's RK4 sum:
+        the augmented-state integral bit for bit.  W at step k reads the
+        stages up to that step only, so ``RowPool.advance`` checks it with
+        the motion, in one guard, and cuts both at one step.
         """
-        k, acc, dt = self.k[:used], self.acc[:used], self.dt
+        k, acc, (w1, w2, w3, w4) = self.k[:used], self.acc[:used], self.weights
         f = coi_share(acc, self.share[:used], 2)
         omega_coi = coi_frame(k[:, 0], self.share[:used, 0], 1)
-        g = -f[:, 0] * omega_coi
+        g = -f[:, -1] * omega_coi
         end = used // 4 * 4
-        inc = (dt / 6.0) * (g[0:end:4] + 2.0 * g[1:end:4] + 2.0 * g[2:end:4] + g[3:end:4])
+        inc = w1 * g[0:end:4] + w2 * g[1:end:4] + w3 * g[2:end:4] + w4 * g[3:end:4]
         inc[0] += w0
         return np.add.accumulate(inc), omega_coi[::4], f[::4]
 
@@ -361,7 +361,7 @@ class RowPool:
             space.channels(4 * stepped + (healthy is None), w0)
         cols[1 : pos + 1, :2], cols[1 : pos + 1, 2] = y[1 : pos + 1], w[:pos]
         cols[: pos + 1, 3] = omega_coi[: pos + 1]
-        cols[: pos + 1, 4:] = f[: pos + 1, ::-1]  # active | post, or post twice
+        cols[: pos + 1, 4:] = f[: pos + 1]  # active | post, or post twice
         left = self._left - pos
         keep = left > 0 if healthy is None else healthy
         for j, start in zip(self.rows[~keep].tolist(), self._start[~keep].tolist()):

@@ -16,6 +16,9 @@ chunked numpy formatting.  ``ReferenceStepper`` is the RK4 step one
 allocating call per stage, with the guard after every step, and
 ``RowPool.advance`` on it: the oracle of the block workspace
 (``Workspace.steps``) and of the per-block guard with its replay.
+``legacy_simulate`` is the integrator's arithmetic before P_m led the
+force sum and 1/M moved into the RK4 constants: the reference of the
+tolerance the engine's results keep to it.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from imeac import (
 )
 
 from imeac.assess import UNDETERMINED, MachineAssessment, anchor_index, margin_at_anchor
-from imeac.case import coi_frame, coi_share, mismatch
-from imeac.dynamics import OMEGA_DIVERGENCE, Block, Workspace, trajectory_header
+from imeac.case import coi_frame, coi_share, machine_sum, mismatch, network_products
+from imeac.dynamics import OMEGA_DIVERGENCE, Block, Trajectory, Workspace, trajectory_header
 from imeac.events import _hermite
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -129,7 +132,8 @@ def w_overflow_case(wscc: StabilityCase) -> StabilityCase:
     """wscc9 with its post-fault network scaled to max |E_i E_j B_ij| = 0.2 x the largest float.
 
     The fault-on motion is wscc9's; only the W integrand (post-fault
-    forces) overflows, in the fault-on stage at 0.082 s.
+    forces times omega_COI) overflows, in the fault-on stage at 0.218 s
+    when the fault lasts that long.
     """
     net, e = wscc.net_postfault, wscc.e_vector()
     scale = 0.2 * np.finfo(float).max / np.max(np.abs(np.outer(e, e) * net.b))
@@ -139,7 +143,7 @@ def w_overflow_case(wscc: StabilityCase) -> StabilityCase:
 
 
 def w_overflow_after_clearing(wscc: StabilityCase) -> StabilityCase:
-    """wscc9 with inertias x 1e306, the post-fault network x 1e307 and initial speeds of +-2 rad/s.
+    """wscc9 with inertias x 1e306, the post-fault network x 1e307 and initial speeds of +-6 rad/s.
 
     The motion stays slow (|omega| far below the 1e4 rad/s guard), while
     the post-fault forces reach about 1e307: only W overflows, after
@@ -152,7 +156,7 @@ def w_overflow_after_clearing(wscc: StabilityCase) -> StabilityCase:
         wscc,
         machines=tuple(dataclasses.replace(mach, m=mach.m * 1e306) for mach in wscc.machines),
         net_postfault=ReducedNetwork((g + g.T) / 2, (b + b.T) / 2, name=net.name),
-        omega0=np.array([2.0, -2.0, 0.0]),
+        omega0=np.array([6.0, -6.0, 0.0]),
     )
 
 
@@ -327,34 +331,43 @@ def write_trajectory_rows(stream, traj, ke, pe) -> None:
 class ReferenceStepper:
     """The RK4 step of a ``SwingKernel``, one allocating call per stage: the oracle.
 
-    Each stage allocates its (dy/dt, acc) from the (n,) constants
-    (fault-on: acc (..., 2, n), post | fault), each step checks the
-    guard on the new state, and ``channels`` stacks the stages of a list.
-    ``advance`` is ``RowPool.advance`` stepping one step at a time and
-    stopping at the first step whose motion fails the guard.
+    Each stage allocates its (k, acc) from the (n,) constants: k = omega |
+    rate, the rate P_m - P_e - D omega on the active network, and acc =
+    P_m - P_e (fault-on: acc (..., 2, n), fault | post).  The RK4
+    constants carry 1/M, c for delta and c / M for the rate.  Each step
+    checks the guard on the new state, and ``channels`` stacks the
+    stages of a list.  ``advance`` is ``RowPool.advance`` stepping one
+    step at a time and stopping at the first step whose motion fails the
+    guard.
     """
 
     def __init__(self, kernel):
         self.kernel = kernel
 
     def stage(self, y, fault_stage):
-        """(dy/dt, acc) at y: acc = P_m - P_e, undamped."""
+        """(k, acc) at y: acc = P_m - P_e, undamped."""
         kernel, n = self.kernel, self.kernel.n
         delta, omega = y[..., :n], y[..., n:]
         if fault_stage:
-            acc = np.stack([mismatch(p, kernel.pm, delta) for p in (kernel.post, kernel.faulton)], -2)
-            act = acc[..., 1, :]
+            acc = np.stack([mismatch(p, kernel.pm, delta) for p in (kernel.faulton, kernel.post)], -2)
+            act = acc[..., 0, :]
         else:
             acc = act = mismatch(kernel.post, kernel.pm, delta)
         act = act if kernel.d is None else act - kernel.d * omega
-        return np.concatenate((omega, act / kernel.m), axis=-1), acc
+        return np.concatenate((omega, act), axis=-1), acc
+
+    def constants(self, c):
+        """c | c / M along delta | omega."""
+        return np.concatenate((np.full(self.kernel.n, c), c / self.kernel.m))
 
     def step(self, y, k1, fault_stage, dt):
         """One classical RK4 step from y, whose first stage's k1 is known; also its later stages."""
-        s2 = self.stage(y + 0.5 * dt * k1, fault_stage)
-        s3 = self.stage(y + 0.5 * dt * s2[0], fault_stage)
-        s4 = self.stage(y + dt * s3[0], fault_stage)
-        return y + (dt / 6.0) * (k1 + 2.0 * s2[0] + 2.0 * s3[0] + s4[0]), [s2, s3, s4]
+        half, full = self.constants(0.5 * dt), self.constants(dt)
+        w1, w2, w3, w4 = (self.constants(w) for w in rk4_weights(dt))
+        s2 = self.stage(y + half * k1, fault_stage)
+        s3 = self.stage(y + half * s2[0], fault_stage)
+        s4 = self.stage(y + full * s3[0], fault_stage)
+        return y + (w1 * k1 + w2 * s2[0] + w3 * s3[0] + w4 * s4[0]), [s2, s3, s4]
 
     def healthy(self, y, axis=-1):
         """The divergence guard on the motion, per row (axis=None: the whole batch)."""
@@ -381,9 +394,9 @@ class ReferenceStepper:
             k = np.concatenate(ks).reshape((len(ks),) + ks[0].shape)
             f = coi_share(np.concatenate(accs).reshape((len(accs),) + accs[0].shape), m_share)
             omega_coi = coi_frame(k[..., :n], m_share)
-            g = -(f if f.ndim == k.ndim else f[..., 0, :]) * omega_coi
-            end = len(ks) // 4 * 4
-            inc = (dt / 6.0) * (g[0:end:4] + 2.0 * g[1:end:4] + 2.0 * g[2:end:4] + g[3:end:4])
+            g = -(f if f.ndim == k.ndim else f[..., 1, :]) * omega_coi
+            end, (w1, w2, w3, w4) = len(ks) // 4 * 4, rk4_weights(dt)
+            inc = w1 * g[0:end:4] + w2 * g[1:end:4] + w3 * g[2:end:4] + w4 * g[3:end:4]
             inc[0] += w0
             w = np.add.accumulate(inc)
         finite = np.isfinite(w)
@@ -409,7 +422,7 @@ class ReferenceStepper:
             healthy = finite if cut < pos else finite & healthy
             pos = cut
         rec[1 : pos + 1, ..., 2 * n : 3 * n] = w[:pos]
-        active, post = (f[..., 1, :], f[..., 0, :]) if pool.fault else (f, f)
+        active, post = (f[..., 0, :], f[..., 1, :]) if pool.fault else (f, f)
         rec[: pos + 1, ..., 3 * n :] = np.concatenate((omega_coi, active, post), -1)[: pos + 1]
         left = pool._left - pos
         keep = left > 0 if healthy is None else healthy
@@ -423,13 +436,78 @@ class ReferenceStepper:
         return block
 
 
+def rk4_weights(dt):
+    """The RK4 sum's weights dt/6, dt/3, dt/3, dt/6, as the workspace forms them."""
+    return (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+
+
+def legacy_simulate(case, cfgs):
+    """The ``Trajectory`` of each config (one dt) in the integrator's earlier arithmetic.
+
+    The legacy oracle: one RK4 of delta | omega | W, the configs stepped
+    as one batch, each row with its own guard after every step, as the
+    engine computed before P_m led the force sum and 1/M moved into the
+    RK4 constants: P_m - sum_j (E_iE_jG_ij cos d_ij + E_iE_jB_ij sin
+    d_ij), the j-sum term by term; d omega/dt = (P_m - P_e - D omega) /
+    M; y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), W's block included.
+    """
+    n, dt, rows = case.n, cfgs[0].dt, len(cfgs)
+    m, pm, d = case.m_vector(), case.pm_vector(), case.d_vector()
+    m_share = m / m.sum()
+    post = network_products(case.net_postfault, case.e_vector())
+    fault = network_products(case.net_faulton, case.e_vector())
+    clears = np.array([cfg.clear_index for cfg in cfgs])[:, None]
+
+    def mismatch_of(products, delta):
+        eg, eb = products
+        diff = delta[..., :, None] - delta[..., None, :]
+        return pm - machine_sum(eg * np.cos(diff) + eb * np.sin(diff))[..., 0]
+
+    def stage(y, fault_rows):
+        delta, omega = y[:, :n], y[:, n : 2 * n]
+        acc_pf, acc_f = mismatch_of(post, delta), mismatch_of(fault, delta)
+        f_pf = coi_share(acc_pf, m_share)
+        f_act = np.where(fault_rows, coi_share(acc_f, m_share), f_pf)
+        acc = np.where(fault_rows, acc_f, acc_pf)
+        acc = acc - d * omega if d.any() else acc
+        omega_coi = coi_frame(omega, m_share)
+        dy = np.concatenate((omega, acc / m, -f_pf * omega_coi), 1)
+        return dy, np.concatenate((omega_coi, f_act, f_pf), 1)
+
+    y = np.tile(np.concatenate((case.delta0, case.omega0, np.zeros(n))), (rows, 1))
+    table, ends = [], np.array([cfg.n_steps + 1 for cfg in cfgs])
+    with np.errstate(all="ignore"):  # a lost row steps on, unrecorded
+        for k in range(ends.max()):
+            fault_rows = k < clears
+            k1, channels = stage(y, fault_rows)
+            table.append(np.concatenate((y, channels), 1))
+            k2 = stage(y + 0.5 * dt * k1, fault_rows)[0]
+            k3 = stage(y + 0.5 * dt * k2, fault_rows)[0]
+            k4 = stage(y + dt * k3, fault_rows)[0]
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            lost = ~(np.isfinite(y).all(1) & (np.abs(y[:, n : 2 * n]).max(1) <= OMEGA_DIVERGENCE))
+            ends = np.where(lost & (ends > k + 1), k + 1, ends)
+    table = np.array(table)
+    trajectories = []
+    for r, cfg in enumerate(cfgs):
+        rec, end = table[: ends[r], r], ends[r]
+        trajectories.append(Trajectory(
+            times=np.arange(end) * dt, delta=rec[:, :n].T, omega=rec[:, n : 2 * n].T,
+            delta_coi=coi_frame(rec[:, :n], m_share).T, omega_coi=rec[:, 3 * n : 4 * n].T,
+            f_coi=rec[:, 4 * n : 5 * n].T, f_coi_pf=rec[:, 5 * n :].T,
+            pe_integral=rec[:, 2 * n : 3 * n].T, clear_index=cfg.clear_index,
+            diverged=end <= cfg.n_steps, divergence_time=end * dt if end <= cfg.n_steps else None,
+        ))
+    return trajectories
+
+
 def as_rows(a):
     """A motion or stage array (S, 2, ..., n) as rows of delta | omega (S, ..., 2n)."""
     return a.swapaxes(1, -2).reshape(a.shape[:1] + a.shape[2:-1] + (-1,))
 
 
 def rows_ahead(a):
-    """A workspace array (S, k, n, *rows) on k networks, post | fault, as (S, *rows, [2,] n)."""
+    """A workspace array (S, k, n, *rows) on k networks, fault | post, as (S, *rows, [2,] n)."""
     a = np.moveaxis(a, (1, 2), (-2, -1))
     return a if a.shape[-2] == 2 else a[..., 0, :]
 
@@ -444,19 +522,22 @@ def run_workspace(kernel, y0, steps, fault_stage, dt):
 
 
 def machine_last(space):
-    """A workspace's y (S, 2, ..., n), k (S, 2, ..., n) and acc (S, ..., n), fault-on (S, ..., 2, n)."""
+    """A workspace's y (S, 2, ..., n), k (S, 2, ..., n) and acc (S, ..., n), fault-on (S, ..., 2, n).
+
+    k is omega | rate, the rate P_m - P_e - D omega on the active network.
+    """
     return np.moveaxis(space.y, 2, -1), np.moveaxis(space.k, 2, -1), rows_ahead(space.acc)
 
 
 def workspace_block(kernel, y0, steps, fault_stage, dt):
-    """The motion, the stages' dy/dt and acc of ``run_workspace``, the machine axis last (``machine_last``)."""
+    """The motion, the stages' k and acc of ``run_workspace``, the machine axis last (``machine_last``)."""
     return machine_last(run_workspace(kernel, y0, steps, fault_stage, dt))
 
 
 def assert_block_equals_reference(kernel, y0, steps, fault_stage, dt, w0=None):
     """The workspace block from y0 against the reference stepper's, bit for bit.
 
-    States, every stage's dy/dt and acc, and the channels from W = w0
+    States, every stage's k and acc, and the channels from W = w0
     (zeros by default) must be equal; the run must stay within the guard.
     Returns the workspace as ``workspace_block`` does, and W.
     """

@@ -198,10 +198,15 @@ class TestSumOrder:
         return ten_machine_case()
 
     def expected(self, case, delta):
-        """(P_m - P_e, f_i-SYS) at angles (..., n), each j-sum spelled out on the same products."""
+        """(P_m - P_e, f_i-SYS) at angles (..., n), each sum spelled out on the same products.
+
+        P_m - P_e adds P_m, every -E_iE_jG_ij cos d_ij, then every
+        -E_iE_jB_ij sin d_ij, one term after another.
+        """
         eg, eb = network_products(case.net_postfault, case.e_vector())
         diff = delta[..., :, None] - delta[..., None, :]
-        acc = case.pm_vector() - term_by_term(eg * np.cos(diff) + eb * np.sin(diff))
+        pm = np.broadcast_to(case.pm_vector()[:, None], diff.shape[:-1] + (1,))
+        acc = term_by_term(np.concatenate((pm, -eg * np.cos(diff), -eb * np.sin(diff)), -1))
         m = case.m_vector()
         return acc, acc - term_by_term(acc)[..., None] * (m / m.sum())
 

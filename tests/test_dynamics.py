@@ -9,12 +9,14 @@ import re
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import imeac
 from imeac import (
     SimulationConfig,
     Trajectory,
@@ -26,6 +28,7 @@ from imeac import (
     simulate,
     solve_postfault_sep,
 )
+from imeac.assess import assess_system
 from imeac.case import coi_frame, coi_share, mismatch, network_products
 from imeac.dynamics import (
     BLOCK,
@@ -48,7 +51,9 @@ from conftest import (
     assert_block_equals_reference,
     assess_machines,
     coi_identity_errors,
+    legacy_simulate,
     light_smib,
+    rk4_weights,
     run_pool,
     two_machine_case,
     w_overflow_after_clearing,
@@ -56,6 +61,9 @@ from conftest import (
     write_trajectory_rows,
 )
 from test_properties import ten_machine_case
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from step_cost import STEP_KINDS, calls_per_step  # noqa: E402  (the script's counter, shared)
 
 
 def double_sum_forces(case, net, delta):
@@ -205,8 +213,8 @@ class TestRk4Step:
             acc = assert_block_equals_reference(kernel, y, 1, True, 1e-3)[2]
             f = coi_share(acc[0], kernel.m_share)
             fault = coi_forces(wscc.net_faulton, wscc.machines, y[..., :n])
-            assert np.array_equal(f[..., 1, :], fault)
-            assert np.array_equal(f[..., 0, :], post)
+            assert np.array_equal(f[..., 0, :], fault)
+            assert np.array_equal(f[..., 1, :], post)
             acc = assert_block_equals_reference(kernel, y, 1, False, 1e-3)[2]
             assert np.array_equal(coi_share(acc[0], kernel.m_share), post)
 
@@ -217,12 +225,12 @@ def rk4(kernel, y, w, fault_stage, dt):
     return as_rows(ys)[1], w_next[-1]
 
 
-def damped_swing_derivative(case, delta, omega, fault_stage):
-    """d omega / dt = (P_m - P_e - D omega) / M, the damping term always written out."""
+def damped_swing_rate(case, delta, omega, fault_stage):
+    """The rate M d omega / dt = P_m - P_e - D omega, the damping term always written out."""
     net = case.net_faulton if fault_stage else case.net_postfault
     products = network_products(net, case.e_vector())
     acc = mismatch(products, case.pm_vector(), delta)
-    return (acc - case.d_vector() * omega) / case.m_vector()
+    return acc - case.d_vector() * omega
 
 
 def with_damping(case):
@@ -244,27 +252,27 @@ class TestDamping:
             omega = omega_sign * (np.abs(omega) + 0.1)
         return np.concatenate([case.delta0 + rng.normal(0.0, 0.5, (5, n)), omega], axis=1)
 
-    def check_derivative(self, case, batch):
+    def check_rate(self, case, batch):
         # the first stage of a workspace block, one row and a batch in the
         # block's shape as the row pool steps them, equal to the reference
         kernel = SwingKernel(case)
         n = case.n
         for fault_stage in (True, False):
             for y in (batch[0], batch):
-                dy = as_rows(assert_block_equals_reference(kernel, y, 1, fault_stage, 1e-3)[1])[0]
-                want = damped_swing_derivative(case, y[..., :n], y[..., n:], fault_stage)
-                assert np.array_equal(dy[..., n:], want)
+                k = as_rows(assert_block_equals_reference(kernel, y, 1, fault_stage, 1e-3)[1])[0]
+                want = damped_swing_rate(case, y[..., :n], y[..., n:], fault_stage)
+                assert np.array_equal(k[..., n:], want)
 
     def test_damped_derivative_keeps_the_damping_term(self, damped):
         assert SwingKernel(damped).d is not None
-        self.check_derivative(damped, self.states(damped))
+        self.check_rate(damped, self.states(damped))
 
     @pytest.mark.parametrize("omega_sign", [-1.0, 1.0])
     def test_undamped_derivative_equals_the_damped_form(self, wscc, omega_sign):
         # no damping term at all when every D is 0: acc - 0 * omega is acc
         # for finite omega of either sign
         assert SwingKernel(wscc).d is None
-        self.check_derivative(wscc, self.states(wscc, omega_sign))
+        self.check_rate(wscc, self.states(wscc, omega_sign))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_damped_simulate_equals_scan_row(self, damped):
@@ -283,10 +291,13 @@ def augmented_reference(case, cfg):
     """simulate's record from one RK4 of the augmented state delta | omega | W.
 
     The integrator as written before W left the step: dW/dt = -f_pf *
-    omega_coi is a third block of every stage, each stage evaluates both
-    networks' forces, and the guard checks all three blocks after each
-    step.  Returns one row per sample (state | omega_coi | f_coi |
-    f_coi_pf) and the divergence time, None when there is none.
+    omega_coi is a third block of every stage (a step's four in one
+    multiply, after its stages), each stage evaluates both networks'
+    forces, and the guard checks all three blocks after each step.
+    omega's block of a stage is its rate P_m - P_e - D omega, and the RK4
+    constants carry 1/M (c for delta and W, c / M for omega).  Returns
+    one row per sample (state | omega_coi | f_coi | f_coi_pf) and the
+    divergence time, None when there is none.
     """
     n, dt = case.n, cfg.dt
     m, pm, d = case.m_vector(), case.pm_vector(), case.d_vector()
@@ -294,7 +305,11 @@ def augmented_reference(case, cfg):
     post = network_products(case.net_postfault, case.e_vector())
     fault = network_products(case.net_faulton, case.e_vector())
 
+    def constants(c):
+        return np.concatenate((np.full(n, c), c / m, np.full(n, c)))
+
     def stage(y, fault_stage):
+        """The motion's block of dy/dt, then omega_coi | f_coi | f_coi_pf."""
         delta, omega = y[:n], y[n : 2 * n]
         acc = mismatch(post, pm, delta)
         f_pf = f_act = coi_share(acc, m_share)
@@ -302,22 +317,23 @@ def augmented_reference(case, cfg):
             acc = mismatch(fault, pm, delta)
             f_act = coi_share(acc, m_share)
         acc = acc - d * omega if d.any() else acc
-        omega_coi = coi_frame(omega, m_share)
-        dy = np.concatenate((omega, acc / m, -f_pf * omega_coi))
-        return dy, np.concatenate((omega_coi, f_act, f_pf))
+        return np.concatenate((omega, acc)), np.concatenate((coi_frame(omega, m_share), f_act, f_pf))
 
+    half, full = constants(0.5 * dt), constants(dt)
+    w1, w2, w3, w4 = (constants(w) for w in rk4_weights(dt))
     y = np.concatenate((case.delta0, case.omega0, np.zeros(n)))
     rows = []
     for k in range(cfg.n_steps + 1):
         fault_stage = k < cfg.clear_index
-        k1, channels = stage(y, fault_stage)
-        rows.append(np.concatenate((y, channels)))
+        stages = [stage(y, fault_stage)]
+        rows.append(np.concatenate((y, stages[0][1])))
         if k == cfg.n_steps:
             break
-        k2 = stage(y + 0.5 * dt * k1, fault_stage)[0]
-        k3 = stage(y + 0.5 * dt * k2, fault_stage)[0]
-        k4 = stage(y + dt * k3, fault_stage)[0]
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for c in (half, half, full):  # no stage reads W
+            stages.append(stage(y[: 2 * n] + c[: 2 * n] * stages[-1][0], fault_stage))
+        motion, channels = (np.array(x) for x in zip(*stages))
+        k1, k2, k3, k4 = np.concatenate((motion, -channels[:, 2 * n :] * channels[:, :n]), 1)
+        y = y + (w1 * k1 + w2 * k2 + w3 * k3 + w4 * k4)
         if not (np.isfinite(y).all() and np.abs(y[n : 2 * n]).max() <= OMEGA_DIVERGENCE):
             return np.array(rows), (k + 1) * dt
     return np.array(rows), None
@@ -376,26 +392,26 @@ class TestAugmentedReference:
 
     def test_w_alone_overflowing_in_the_fault_on_stage_ends_the_record(self, wscc):
         case = w_overflow_case(wscc)
-        cfg = SimulationConfig(t_clear=0.1, t_end=0.5)
+        cfg = SimulationConfig(t_clear=0.3, t_end=0.6)
         # the steps past the overflow raise no floating-point warnings
         # that a per-step guard would not have raised
         (traj, raised), ((table, divergence_time), want) = (
             recording_warnings(run, case, cfg) for run in (simulate, augmented_reference)
         )
         assert raised == want != []
-        assert traj.diverged and traj.divergence_time == 82 * cfg.dt
-        assert traj.n_samples == 82
+        assert traj.diverged and traj.divergence_time == 218 * cfg.dt
+        assert traj.n_samples == 218
         for name in ("delta", "omega", "pe_integral", "omega_coi", "f_coi", "f_coi_pf"):
             assert np.isfinite(getattr(traj, name)).all(), name
         # the motion is wscc9's: only W left the guard region
-        assert np.array_equal(traj.delta, simulate(wscc, cfg).delta[:, :82])
+        assert np.array_equal(traj.delta, simulate(wscc, cfg).delta[:, :218])
         assert divergence_time == traj.divergence_time
         assert_equals_reference(traj, table)
-        message = r"^simulation diverged during the fault-on stage at t=0\.082 s$"
+        message = r"^simulation diverged during the fault-on stage at t=0\.218 s$"
         with pytest.raises(ImeacError, match=message):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                scan_clearing_times(case, [0.1, 0.2])
+                scan_clearing_times(case, [0.3, 0.4])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_w_alone_overflowing_after_clearing_ends_each_row_at_its_step(self, wscc):
@@ -406,7 +422,7 @@ class TestAugmentedReference:
         assert max(np.abs(samples[:, case.n : 2 * case.n]).max() for samples, _ in records) < 100.0
         ends = {len(samples) if lost else None for samples, lost in records}
         assert None in ends and len(ends) > 4
-        cfg = SimulationConfig(t_clear=0.02, t_end=0.52)
+        cfg = SimulationConfig(t_clear=0.16, t_end=0.66)
         (traj, raised), ((table, _), want) = (
             recording_warnings(run, case, cfg) for run in (simulate, augmented_reference)
         )
@@ -433,6 +449,48 @@ class TestAugmentedReference:
             assert np.array_equal(samples[:, : case.n].T, traj.delta[:, k:])
             if lost:
                 assert traj.divergence_time == (k + len(samples)) * dt < (k + steps) * dt
+
+
+LEGACY_TOL = 1e-9  # |new - legacy| / max(1, |legacy|), every channel and sample
+
+
+class TestLegacyArithmetic:
+    """The engine against ``legacy_simulate``, the arithmetic it replaced: within LEGACY_TOL.
+
+    P_m leading the force sum and 1/M in the RK4 constants move results
+    by rounding only; verdicts do not move.
+    """
+
+    @pytest.mark.parametrize("name, t_clear", [
+        ("smib", 0.15), ("threebus_lossless", 0.1), ("wscc9", 0.08), ("wscc9", 0.20),
+        ("wscc9 damped", 0.15), ("ring10", 0.16),
+    ])
+    def test_simulate_stays_within_tolerance(self, wscc, name, t_clear):
+        case = {"wscc9": wscc, "wscc9 damped": with_damping(wscc),
+                "ring10": ten_machine_case()}.get(name) or load_bundled(name)
+        cfg = SimulationConfig(t_clear=t_clear, t_end=round(t_clear + 3.0, 3))
+        traj, (legacy,) = simulate(case, cfg), legacy_simulate(case, [cfg])
+        assert not traj.diverged and not legacy.diverged
+        for channel in ("delta", "omega", "delta_coi", "omega_coi", "f_coi", "f_coi_pf",
+                        "pe_integral"):
+            x, y = getattr(legacy, channel), getattr(traj, channel)
+            assert x.shape == y.shape == (case.n, cfg.n_steps + 1)
+            assert np.max(np.abs(y - x) / np.maximum(1.0, np.abs(x))) <= LEGACY_TOL, channel
+
+    def test_scan_verdicts_equal_legacy(self, wscc, wscc_sep):
+        # the 91-point 2 ms scan of 0.060-0.240 s, 3 s horizon: the stable
+        # verdict and the leading LOSP's machine of every point
+        times = [round(0.060 + 0.002 * k, 3) for k in range(91)]
+        scan = scan_clearing_times(wscc, times)
+        cfgs = [SimulationConfig(t_clear=t, t_end=round(t + 3.0, 3)) for t in times]
+        legacy = []
+        for traj in legacy_simulate(wscc, cfgs):
+            channels = compute_energy(wscc, traj, wscc_sep)
+            sa = assess_system(assess_machines(wscc, traj, channels, detect_events(wscc, traj)))
+            legacy.append((sa.stable, sa.leading_losp and sa.leading_losp[0]))
+        got = [(p.stable, p.assessment.leading_losp and p.assessment.leading_losp[0]) for p in scan]
+        assert got == legacy
+        assert {stable for stable, _ in got} == {True, False}
 
 
 class TestSimulate:
@@ -618,7 +676,7 @@ class TestFaultOnPrefix:
     @pytest.mark.parametrize("name", ["wscc9", "wscc9 W overflow"])
     def test_extended_in_pieces_equals_extended_once(self, wscc, name):
         # sweeps extend the prefix on demand (a sorted scan one step per
-        # probe); the W overflow case's fault-on stage diverges at sample 82
+        # probe); the W overflow case's fault-on stage diverges at sample 218
         case = wscc if name == "wscc9" else w_overflow_case(wscc)
         kernel = SwingKernel(case)
         pieces, once = (FaultOnPrefix(kernel, case, 1e-3) for _ in range(2))
@@ -626,8 +684,8 @@ class TestFaultOnPrefix:
         last = once.state(250)  # one extension; the earlier states come from its samples
         want = [once.state(37), once.state(100), last]
         assert pieces.pool.ended.get(0) == once.pool.ended.get(0) == (
-            None if name == "wscc9" else 82 * 1e-3)
-        assert len(pieces.samples) == len(once.samples) == (250 if name == "wscc9" else 82)
+            None if name == "wscc9" else 218 * 1e-3)
+        assert len(pieces.samples) == len(once.samples) == (250 if name == "wscc9" else 218)
         assert np.array_equal(np.array(pieces.samples), np.array(once.samples))
         for a, b in zip(got, want):
             assert (a is None and b is None) or np.array_equal(a, b)
@@ -675,8 +733,9 @@ class TestGuardReplay:
     def scenario(self, name, smib, wscc):
         """(case, dt, heads, steps, fault) of a batch in which a row leaves the guard."""
         if name == "subnormal inertia":
-            # an equilibrium row goes on; the other's P_m - P_e over M
-            # overflows on its first step, raising numpy warnings
+            # an equilibrium row goes on; the other's rate times c / M
+            # (finite, where 1/M is not) takes |omega| past 1e4 on its first
+            # step, without a floating-point error
             case = two_machine_case(pm=0.8, m0=1e-309, m1=1.0, fault_b=0.0)
             head = np.concatenate([case.delta0, case.omega0, np.zeros(2)])
             return case, 1e-3, [head, head + [0.1, 0.0, 0.0, 0.0, 0.0, 0.0]], 50, False
@@ -726,7 +785,8 @@ class TestGuardReplay:
         lost = {j for j, t in ended.items() if t is not None}
         assert lost and (fault or set(ended) > lost)
         assert fault or any(len(b.samples) - 1 < BLOCK and b.rows.size > 1 for b in got[:-1])
-        assert (raised != []) == (name not in ("light smib", "W and motion at one step"))
+        assert (raised != []) == (name not in ("light smib", "W and motion at one step",
+                                               "subnormal inertia"))
         if name == "W and motion at one step":  # the motion and W cut one block at one step
             assert len(got[0].samples) == 1 and lost == {1, 2} and ended[1] == ended[2] == dt
 
@@ -775,6 +835,20 @@ def numpy_data_held(run, opcodes: bool = True):
         if started:
             tracemalloc.stop()
     return result, most - before
+
+
+STEP_CALL_CEILINGS = {"undamped post-fault": 29, "damped post-fault": 37, "fault-on prefix": 29}
+
+
+class TestStepCalls:
+    """numpy calls per RK4 step, by ``scripts/step_cost.py``'s counter: ceilings no change may pass."""
+
+    def test_every_kind_has_a_ceiling(self):
+        assert tuple(STEP_CALL_CEILINGS) == STEP_KINDS
+
+    @pytest.mark.parametrize("kind", STEP_KINDS)
+    def test_calls_per_step_stay_within_the_ceiling(self, wscc, kind):
+        assert calls_per_step(imeac, wscc, kind) <= STEP_CALL_CEILINGS[kind]
 
 
 class TestWorkspaceAllocation:
@@ -848,12 +922,12 @@ class TestWorkspaceReuse:
                 assert np.array_equal(a.rows, b.rows) and np.array_equal(a.start, b.start)
                 assert np.array_equal(a.samples, b.samples, equal_nan=True)
             assert got[1:] == other[1:]
-        # subnormal inertia cuts the first block and replays it with warnings; the
-        # one-step case cuts it too, without warnings
+        # subnormal inertia and the one-step case cut the first block, without warnings
         cut_first = name in ("subnormal inertia", "W and motion at one step")
         assert (len(got[0][0].samples) - 1 < BLOCK) == cut_first
         assert (got[2] != []) == (name not in (
-            "wscc9 rows", "wscc9 lone row", "light smib", "W and motion at one step"))
+            "wscc9 rows", "wscc9 lone row", "light smib", "W and motion at one step",
+            "subnormal inertia"))
 
 
 class TestRowPool:
