@@ -43,7 +43,13 @@ PYTHONPATH=<root>/src) and prints, per item, same/DIFF.  The items:
   three bundled cases and of the 10-machine case, and ``coi_forces`` on
   the post-fault network of wscc9 and of the 10-machine case at one
   state, a (12, n) batch and a (3, 4, n) view of (n, 3, 4) memory, the
-  layout of a surface-grid chunk.
+  layout of a surface-grid chunk;
+* the path quadrature, at n = 10 as well: ``energy.pe_baseline`` of
+  wscc9 and of the 10-machine case, and ``pe_line_to_nodes`` from the
+  10-machine case's post-fault SEP to 40 COI-frame ends within 1 rad of
+  it, for machines 0 and 9.
+
+The cases other than the bundled ones come from ``shared_cases.py``.
 
 Each result is reduced to plain values (arrays as dtype, shape and raw
 bytes; floats as hex), with the warnings it raised and, when the call
@@ -61,7 +67,6 @@ Usage:  python scripts/engine_identity.py OLD_ROOT NEW_ROOT
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import os
 import pickle
 import subprocess
@@ -71,6 +76,9 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+
+from shared_cases import (light_smib, ten_machine_case, two_machine_case,
+                          w_overflow_after_clearing, w_overflow_case, weak_postfault, with_damping)
 
 BUNDLED = ("smib", "threebus_lossless", "wscc9")
 SCAN_TIMES = [round(0.060 + 0.001 * k, 3) for k in range(181)]
@@ -91,35 +99,6 @@ def canon(x):
     if isinstance(x, dict):
         return ("dict",) + tuple((canon(k), canon(v)) for k, v in sorted(x.items()))
     return repr(x)
-
-
-def ten_machine_case(imeac=None):
-    """A generated ring case with 10 machines, built like tests/test_properties.py's cases.
-
-    ``imeac`` is the package to build it with, the importable one by default.
-    """
-    imeac = imeac or importlib.import_module("imeac")
-    MachineParams, StabilityCase = imeac.MachineParams, imeac.StabilityCase
-    staged_reduction = imeac.network.staged_reduction
-
-    n, n_bus = 10, 11
-    unit = iter(np.random.default_rng(5).random(64)).__next__
-    branches = [(b, (b + 1) % n_bus, 0.02 * unit(), 0.05 + 0.25 * unit(), 0.0)
-                for b in range(n_bus)]
-    loads = np.array([complex(0.2 + 0.8 * unit(), -0.3 * unit()) if b >= n else 0.0
-                      for b in range(n_bus)])
-    pre, fault, post = staged_reduction(
-        n_bus=n_bus, branches=branches, load_admittances=loads, gen_buses=list(range(n)),
-        xd_primes=[0.05 + 0.25 * unit() for _ in range(n)], fault_bus=3,
-        cleared_branch=branches[5][:2],
-    )
-    m = [0.02 + 0.2 * unit() for _ in range(n)]
-    e = np.array([1.0 + 0.2 * unit() for _ in range(n)])
-    delta0 = np.array([0.6 * unit() - 0.3 for _ in range(n)])
-    diff = delta0[:, None] - delta0[None, :]
-    pm = e * np.einsum("...ij,j->...i", pre.g * np.cos(diff) + pre.b * np.sin(diff), e)
-    machines = tuple(MachineParams(id=i, m=m[i], pm=float(pm[i]), e=e[i]) for i in range(n))
-    return StabilityCase(machines, pre, fault, post, delta0, np.zeros(n), label="ring10")
 
 
 def differences(old, new, gaps=None):
@@ -156,60 +135,6 @@ def differences(old, new, gaps=None):
         gaps["rel"] = max(gaps["rel"], float(rel.max()) if rel.size else 0.0)
         gaps["scaled"] = max(gaps["scaled"], float((gap / np.maximum(1.0, np.abs(a[finite]))).max()))
     return gaps
-
-
-def light_smib(smib):
-    """smib with every machine but the infinite bus 100x lighter."""
-    return dataclasses.replace(smib, machines=tuple(
-        dataclasses.replace(m, m=m.m * 0.01) if m.m < 1e5 else m for m in smib.machines))
-
-
-def w_overflow_case(wscc):
-    """wscc9 with its post-fault network scaled to max |E_i E_j B_ij| = 0.2 x the largest float."""
-    from imeac import ReducedNetwork
-
-    net, e = wscc.net_postfault, wscc.e_vector()
-    scale = 0.2 * np.finfo(float).max / np.max(np.abs(np.outer(e, e) * net.b))
-    g, b = net.g * scale, net.b * scale
-    post = ReducedNetwork((g + g.T) / 2, (b + b.T) / 2, name=net.name)
-    return dataclasses.replace(wscc, net_postfault=post)
-
-
-def w_overflow_after_clearing(wscc):
-    """wscc9 with inertias x 1e306, the post-fault network x 1e307 and speeds of +-6 rad/s."""
-    from imeac import ReducedNetwork
-
-    net = wscc.net_postfault
-    g, b = net.g * 1e307, net.b * 1e307
-    return dataclasses.replace(
-        wscc, machines=tuple(dataclasses.replace(m, m=m.m * 1e306) for m in wscc.machines),
-        net_postfault=ReducedNetwork((g + g.T) / 2, (b + b.T) / 2, name=net.name),
-        omega0=np.array([6.0, -6.0, 0.0]))
-
-
-def weak_postfault(wscc):
-    """wscc9 with its post-fault G and B scaled by 0.5: the post-fault SEP does not converge."""
-    from imeac import ReducedNetwork
-
-    net = wscc.net_postfault
-    return dataclasses.replace(
-        wscc, net_postfault=ReducedNetwork(net.g * 0.5, net.b * 0.5, name=net.name))
-
-
-def two_machine_case():
-    """Lossless pair, machine 0 10^4 times lighter, bolted fault: it runs away near 1 s."""
-    from imeac import MachineParams, ReducedNetwork, StabilityCase
-
-    pm, b, m = 1.0, 1.5, np.array([1e-4, 1.0])
-    delta0 = np.array([np.arcsin(pm / b), 0.0])
-    delta0 -= (m @ delta0) / m.sum()
-
-    def net(bval, name):
-        return ReducedNetwork(np.zeros((2, 2)), np.array([[-bval, bval], [bval, -bval]]), name)
-
-    machines = (MachineParams(0, m[0], pm, 1.0), MachineParams(1, m[1], -pm, 1.0))
-    return StabilityCase(machines, net(b, "net_prefault"), net(0.0, "net_faulton"),
-                         net(b, "net_postfault"), delta0, np.zeros(2), label="pair")
 
 
 def readme_window(case, axes, half=2.0):
@@ -263,13 +188,13 @@ def force_layouts(case):
 def items():
     """(name, zero-argument call) for every engine result compared."""
     from imeac import (SimulationConfig, SurfaceSpec, coi_forces, compute_energy, find_cct,
-                       load_bundled, scan_clearing_times, simulate, solve_postfault_sep,
-                       surface_from_trajectories, surface_grid)
+                       load_bundled, pe_line_to_nodes, scan_clearing_times, simulate,
+                       solve_postfault_sep, surface_from_trajectories, surface_grid)
+    from imeac.energy import pe_baseline
 
     cases = {name: load_bundled(name) for name in BUNDLED}
     wscc = cases["wscc9"]
-    damped = dataclasses.replace(
-        wscc, machines=tuple(dataclasses.replace(m, d=0.02) for m in wscc.machines))
+    damped = with_damping(wscc)
     ring = ten_machine_case()
     out = []
     for name, case in cases.items():
@@ -333,11 +258,13 @@ def items():
         spec = SurfaceSpec(focus_machine=focus, axis_machines=axes, window=window, grid_n=81)
         out.append((f"surface_grid {name} focus {focus} axes {axes[0]},{axes[1]} 81x81",
                     lambda c=case, spec=spec: surface_grid(c, spec).pe))
+    pair = two_machine_case(pm=1.0, m0=1e-4, m1=1.0)
     families = [
         ("wscc9 README family 0.05:0.20:0.01, 3 s", wscc, 2, (1, 2),
          [(round(0.05 + 0.01 * k, 2), 3.0) for k in range(16)]),
-        # 0.3 s diverges after clearing, 2.0 s during the fault-on stage
-        ("pair 0.05/1.0, 0.3/1.2, 2.0/3.0 s", two_machine_case(), 0, (0, 1),
+        # machine 0 10^4 times lighter: 0.3 s diverges after clearing, 2.0 s
+        # during the fault-on stage
+        ("pair 0.05/1.0, 0.3/1.2, 2.0/3.0 s", pair, 0, (0, 1),
          [(0.05, 1.0), (0.3, 1.2), (2.0, 3.0)]),
         ("wscc9 W overflow after clearing 0.10, 0.15, 0.07 s, 1 s", heavy, 2, (1, 2),
          [(0.10, 1.0), (0.15, 1.0), (0.07, 1.0)]),
@@ -353,7 +280,14 @@ def items():
         weak, simulate(weak, SimulationConfig(0.05, 3.0)), solve_postfault_sep(weak))))
     for name, case in [*cases.items(), ("ring10", ring)]:
         out.append((f"solve_postfault_sep {name}", lambda c=case: solve_postfault_sep(c)))
+    sep = solve_postfault_sep(ring).delta_s
+    ends = sep + np.random.default_rng(11).uniform(-1.0, 1.0, (40, ring.n))
+    ends -= (ends @ ring.m_vector())[:, None] / ring.m_vector().sum()  # into the COI frame
+    for focus in (0, 9):
+        out.append((f"pe_line_to_nodes ring10 40 ends focus {focus}",
+                    lambda f=focus: pe_line_to_nodes(ring, sep, ends, f)))
     for name, case in (("wscc9", wscc), ("ring10", ring)):
+        out.append((f"pe_baseline {name}", lambda c=case: pe_baseline(c, solve_postfault_sep(c))))
         for layout, delta in force_layouts(case):
             out.append((f"coi_forces {name} {layout}", lambda c=case, d=delta: coi_forces(
                 c.net_postfault, c.machines, d)))

@@ -5,7 +5,7 @@ reports, per tree, the microseconds per step of:
 
 * a ``RowPool`` of B = 1, 4, 12 and 32 post-fault rows on wscc9 (each
   tree's default block length, so the per-block work is included), and
-  of B = 32 rows on ring10, the 10-machine case of engine_identity.py,
+  of B = 32 rows on ring10, the 10-machine case of shared_cases.py,
   built with each tree's own package;
 * the ``FaultOnPrefix``, extended over the same number of steps in one
   call;
@@ -37,7 +37,6 @@ Usage:  python scripts/step_cost.py OLD_ROOT NEW_ROOT [--repeats N] [--steps S]
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.util
 import sys
 import time
@@ -45,14 +44,13 @@ from pathlib import Path
 
 import numpy as np
 
-from engine_identity import ten_machine_case
+from shared_cases import ten_machine_case, with_damping
 
 ROWS = (1, 4, 12, 32)
 KERNEL_ROWS = (1, 32)
 RING_ROWS = 32
 DT = 1e-3
 FIRST_CLEAR = 100  # sample of the first row's clearing; row r clears 2 r samples later
-DAMPING = 0.02  # p.u. s/rad on every machine, for the damped step's calls
 STEP_KINDS = ("undamped post-fault", "damped post-fault", "fault-on prefix")  # calls_per_step's
 
 
@@ -108,8 +106,8 @@ def calls_per_step(pkg, case, kind: str) -> int:
     """numpy calls of one step of ``Workspace.steps`` (one row) of a ``STEP_KINDS`` kind.
 
     A post-fault step starts from a clearing state, on ``case`` or, for
-    the damped kind, on ``case`` with damping ``DAMPING`` on every
-    machine; a fault-on prefix step starts from the initial point.  The
+    the damped kind, on ``with_damping(case)`` (D = 0.02 on every
+    machine); a fault-on prefix step starts from the initial point.  The
     numpy of the ``dynamics`` and ``case`` modules, where the stage's
     calls run, and their module-level reductions (``_sum``, where a tree
     has one) are swapped for counting wrappers while one-off workspaces
@@ -153,8 +151,7 @@ def calls_per_step(pkg, case, kind: str) -> int:
 
     fault = kind == "fault-on prefix"
     if kind == "damped post-fault":
-        case = dataclasses.replace(case, machines=tuple(
-            dataclasses.replace(mach, d=DAMPING) for mach in case.machines))
+        case = with_damping(case)
     kernel = dynamics.SwingKernel(case)
     head = np.array([case.delta0, case.omega0]) if fault else post_fault_heads(
         dynamics, kernel, case, 1)

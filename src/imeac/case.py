@@ -39,6 +39,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def freeze_arrays(obj, *names: str) -> None:
+    """Set a frozen dataclass's array fields to read-only float arrays: the inputs, not copies."""
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=float)
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class MachineParams:
     """One classical machine: constant EMF magnitude behind x'd.

@@ -64,9 +64,9 @@ class ProbeResult:
     ke_at_clear and total_at_clear are each machine's kinetic and total
     energy at clearing.  divergence_time is the time of the first sample
     past the record of a probe whose post-fault run left the guard
-    region, else None.  assessment is None when the simulation diverged
-    before any machine reached a verdict (for example on its first
-    post-fault step); such a probe counts as unstable.
+    region, else None: such a probe is unstable.  assessment is None
+    when the simulation diverged before any machine reached a verdict
+    (for example on its first post-fault step).
     """
 
     t_clear: float
@@ -82,7 +82,7 @@ class ProbeResult:
 
     @property
     def stable(self) -> bool:
-        return self.assessment is not None and self.assessment.stable
+        return not self.diverged and self.assessment is not None and self.assessment.stable
 
 
 @dataclass(frozen=True)
@@ -184,15 +184,17 @@ class _Sweep:
         """Probe j's final verdict: True (stable), False (unstable), its exception, or None.
 
         A probe is final as unstable as soon as ``first_dlps`` finds a
-        DLP among its events so far, and final as stable or failed only
-        when its row has left the pool; None means not final yet.  Never
-        warns.
+        DLP among its events so far or its row ended on the divergence
+        guard, and final as stable or failed only when its row has left
+        the pool; None means not final yet.  Never warns.
         """
         events = self._events(j)
         if first_dlps(events):
             return False
-        if j not in self.pool.ended:
+        if j not in self._joined or j not in self.pool.ended:
             return self.outcomes[j]  # None while running, or the start's error
+        if self.pool.ended[j] is not None:
+            return False  # diverged after clearing
         try:  # a row with events is stable; one without has no margin to warn about
             return any(events) or self.result(j).stable
         except ImeacError as exc:
@@ -415,6 +417,9 @@ def find_cct(
     results = {k: sweep.result(j) for k, j in probes.items()}
     lo, hi = a, b
     ordered = sorted(results.items())
+    if not first_dlps(p.events for p in results[hi].machine_assessments):  # so it diverged
+        raise ImeacError(f"t={hi * resolution:g} s, the final bracket's unstable end, diverged "
+                         f"at t={results[hi].divergence_time:g} s without a DLP: no MDM to name")
     mdm = identify_mdm(results[lo].machine_assessments, results[hi].machine_assessments)
     curve = tuple(
         (k * resolution, p.machine_assessments[mdm].margin)

@@ -43,7 +43,7 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .case import StabilityCase, coi_frame, coi_share, force_kernel, network_products
+from .case import StabilityCase, coi_frame, coi_share, force_kernel, freeze_arrays, network_products
 
 OMEGA_DIVERGENCE = 1e4  # rad/s; far beyond any physical swing
 GRID_TOL = 1e-12  # s; switching instants land on the sample grid to this plus 4 ulps (off_grid)
@@ -127,11 +127,8 @@ class Trajectory:
     divergence_time: float | None = None
 
     def __post_init__(self):
-        for name in ("times", "delta", "omega", "delta_coi", "omega_coi", "f_coi", "f_coi_pf",
-                     "pe_integral"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, "times", "delta", "omega", "delta_coi", "omega_coi", "f_coi",
+                      "f_coi_pf", "pe_integral")
 
     @property
     def n_machines(self) -> int:

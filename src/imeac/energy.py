@@ -4,12 +4,12 @@ Kinetic energy is a state function: V_KEi = 1/2 M_i omega_i-SYS^2.
 Potential energy is the path integral of -f_i-SYS^(PF) d delta_i-SYS
 along the actual trajectory; the integrator already accumulated it as
 the pe_integral state, so here it only gets its baseline: the PE of the
-initial point relative to the post-fault SEP, evaluated by straight-line
-path quadrature (16-point Gauss-Legendre) in the COI angle
-space.  With transfer conductances the integral is path-dependent; the
-straight-line baseline is the conventional choice and shifts every
-machine's PE by a constant, which cancels in all energy differences and
-margins.
+initial point relative to the post-fault SEP, by ``pe_line_integral``:
+the one straight-path quadrature (16-point Gauss-Legendre) in the COI
+angle space, which also serves the surface grid's stack of nodes.  With
+transfer conductances the integral is path-dependent; the straight-line
+baseline is the conventional choice and shifts every machine's PE by a
+constant, which cancels in all energy differences and margins.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .case import (
     StabilityCase,
     coi_forces,
     coi_frame,
+    freeze_arrays,
 )
 from .dynamics import Trajectory
 
@@ -49,6 +50,7 @@ def path_rule(segments: int) -> tuple[np.ndarray, np.ndarray]:
 
 PATH_SEGMENTS = 15  # path points - 1
 PATH_S, PATH_WEIGHTS = path_rule(PATH_SEGMENTS)
+CHUNK_BYTES = 64 * 1024  # per (n, n, ends, points) force temporary: 56 ends at n = 3
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,7 @@ class EnergyChannels:
     baseline_from_sep: bool
 
     def __post_init__(self):
-        for name in ("ke", "pe", "total"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, "ke", "pe", "total")
 
 
 def pe_line_integral(
@@ -78,12 +77,24 @@ def pe_line_integral(
     end_coi: np.ndarray,
     segments: int = PATH_SEGMENTS,
 ) -> np.ndarray:
-    """Per-machine integral of -f_i d delta_i-SYS on a straight COI path."""
+    """Per-machine integral of -f_i d delta_i-SYS on straight COI paths to end_coi, (n,) or (K, n).
+
+    Ends go in chunks whose force temporary fits CHUNK_BYTES, each path
+    machine-major, (n, ends, points), seen as (ends, points, n): trig and
+    sums run over contiguous points, and the machine sums add their terms
+    in one order in any layout, so an end's bits do not depend on its chunk.
+    """
     start = np.asarray(start_coi, dtype=float)
     end = np.asarray(end_coi, dtype=float)
+    ends = end.reshape(-1, end.shape[-1])
+    chunk = max(1, CHUNK_BYTES // ((segments + 1) * ends.shape[-1] ** 2 * 8))
     s, weights = path_rule(segments)
-    path = start + s[:, None] * (end - start)
-    return -(weights @ coi_forces(net, machines, path)) * (end - start)
+    out = np.empty(ends.shape)
+    for base in range(0, len(ends), chunk):
+        span = ends[base : base + chunk] - start
+        path = (start[:, None, None] + s * span.T.copy()[:, :, None]).transpose(1, 2, 0)
+        out[base : base + len(span)] = -(weights @ coi_forces(net, machines, path)) * span
+    return out.reshape(end.shape)
 
 
 def pe_baseline(case: StabilityCase, sep: EquilibriumPoint | None) -> np.ndarray:

@@ -10,7 +10,8 @@ Two construction modes:
 * grid mode (3-machine cases only, where the COI plane is exactly
   two-dimensional: the third angle follows from sum M_i delta_i-SYS = 0)
   evaluates the focus machine's potential energy at every node of a
-  regular grid by straight-line path quadrature from the post-fault SEP.
+  regular grid: ``energy.pe_line_integral``, the straight-line path
+  quadrature from the post-fault SEP, run on the stack of nodes.
 
 With transfer conductances the potential is path-dependent and the two
 modes agree only approximately; for lossless cases they coincide.
@@ -25,13 +26,12 @@ from typing import IO
 
 import numpy as np
 
-from .case import StabilityCase, coi_forces, coi_frame, solve_postfault_sep
+from .case import StabilityCase, coi_frame, freeze_arrays, solve_postfault_sep
 from .dynamics import SimulationConfig, run_family
-from .energy import PATH_SEGMENTS, path_rule, pe_baseline
+from .energy import PATH_SEGMENTS, pe_baseline, pe_line_integral
 from .errors import ImeacError
 
 MAX_PATH_SWING = 20.0  # rad of angle-difference swing a path may have: rule error 5e-14
-CHUNK_BYTES = 64 * 1024  # per (n, n, nodes, points) force temporary: 56 nodes at n = 3
 MAX_GRID_N = 1024  # nodes per grid axis: grid_n**2 nodes take about 88 bytes each
 
 
@@ -66,10 +66,7 @@ class SurfaceGrid:
     axis_machines: tuple[int, int]
 
     def __post_init__(self):
-        for name in ("x_axis", "y_axis", "pe"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, "x_axis", "y_axis", "pe")
 
     def interpolate(self, x: float, y: float) -> float:
         """Bilinear PE value at an in-window point."""
@@ -161,27 +158,8 @@ def pe_line_to_nodes(
     focus: int,
     segments: int = PATH_SEGMENTS,
 ) -> np.ndarray:
-    """Focus-machine PE at many endpoints by straight-line quadrature.
-
-    Integrates -f_focus^(PF) d delta_focus-SYS from start_coi to each node
-    (shape (K, n)) with pe_line_integral's expression over stacks of as many
-    endpoints as keep a force temporary in CHUNK_BYTES.  A stack's paths are
-    built machine-major, (n, nodes, points), and reach coi_forces as a (nodes,
-    points, n) view, so every force temporary is (n, n, nodes, points): trig
-    and sums run over contiguous path points.  The machine sums add their
-    terms in one order in any layout: every node is pe_line_integral(...)[focus].
-    """
-    start = np.asarray(start_coi, dtype=float)
-    nodes = np.asarray(nodes, dtype=float)
-    chunk = max(1, CHUNK_BYTES // ((segments + 1) * nodes.shape[-1] ** 2 * 8))
-    s, weights = path_rule(segments)
-    out = np.empty(nodes.shape[0])
-    for base in range(0, nodes.shape[0], chunk):
-        ends = nodes[base : base + chunk]
-        path = (start[:, None, None] + s * (ends - start).T.copy()[:, :, None]).transpose(1, 2, 0)
-        forces = coi_forces(case.net_postfault, case.machines, path)
-        out[base : base + len(ends)] = (-(weights @ forces) * (ends - start))[:, focus]
-    return out
+    """Focus-machine PE at every node (K, n): pe_line_integral from start_coi to the stack."""
+    return pe_line_integral(case.net_postfault, case.machines, start_coi, nodes, segments)[:, focus]
 
 
 def surface_grid(case: StabilityCase, spec: SurfaceSpec, sep=None) -> SurfaceGrid:

@@ -18,23 +18,22 @@ allocating call per stage, with the guard after every step, and
 (``Workspace.steps``) and of the per-block guard with its replay.
 ``legacy_simulate`` is the integrator's arithmetic before P_m led the
 force sum and 1/M moved into the RK4 constants: the reference of the
-tolerance the engine's results keep to it.
+tolerance the engine's results keep to it.  ring10 and the modified
+cases (``ten_machine_case``, ``light_smib``, ...) come from
+``scripts/shared_cases.py``, which the scripts import too.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from imeac import (
-    MachineParams,
-    ReducedNetwork,
     SimulationConfig,
-    StabilityCase,
     compute_energy,
     load_bundled,
     scan_clearing_times,
@@ -46,6 +45,10 @@ from imeac.assess import UNDETERMINED, MachineAssessment, anchor_index, margin_a
 from imeac.case import coi_frame, coi_share, machine_sum, mismatch, network_products
 from imeac.dynamics import OMEGA_DIVERGENCE, Block, Trajectory, Workspace, trajectory_header
 from imeac.events import _hermite
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from shared_cases import (light_smib, ten_machine_case, two_machine_case,  # noqa: E402,F401
+                          w_overflow_after_clearing, w_overflow_case, weak_postfault, with_damping)
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -117,87 +120,6 @@ def coi_identity_errors(case, traj):
     momentum = np.max(np.abs(m @ traj.omega_coi))
     force = np.max(np.abs(traj.f_coi.sum(axis=0)))
     return momentum, force
-
-
-def light_smib(smib: StabilityCase) -> StabilityCase:
-    """smib with every machine but the infinite bus 100x lighter: most probes diverge."""
-    machines = tuple(
-        dataclasses.replace(mach, m=mach.m * 0.01) if mach.m < 1e5 else mach
-        for mach in smib.machines
-    )
-    return dataclasses.replace(smib, machines=machines)
-
-
-def w_overflow_case(wscc: StabilityCase) -> StabilityCase:
-    """wscc9 with its post-fault network scaled to max |E_i E_j B_ij| = 0.2 x the largest float.
-
-    The fault-on motion is wscc9's; only the W integrand (post-fault
-    forces times omega_COI) overflows, in the fault-on stage at 0.218 s
-    when the fault lasts that long.
-    """
-    net, e = wscc.net_postfault, wscc.e_vector()
-    scale = 0.2 * np.finfo(float).max / np.max(np.abs(np.outer(e, e) * net.b))
-    g, b = net.g * scale, net.b * scale
-    post = ReducedNetwork((g + g.T) / 2, (b + b.T) / 2, name=net.name)
-    return dataclasses.replace(wscc, net_postfault=post)
-
-
-def w_overflow_after_clearing(wscc: StabilityCase) -> StabilityCase:
-    """wscc9 with inertias x 1e306, the post-fault network x 1e307 and initial speeds of +-6 rad/s.
-
-    The motion stays slow (|omega| far below the 1e4 rad/s guard), while
-    the post-fault forces reach about 1e307: only W overflows, after
-    clearing, at a step that depends on the clearing time, and some
-    clearing times keep a finite W throughout.
-    """
-    net = wscc.net_postfault
-    g, b = net.g * 1e307, net.b * 1e307
-    return dataclasses.replace(
-        wscc,
-        machines=tuple(dataclasses.replace(mach, m=mach.m * 1e306) for mach in wscc.machines),
-        net_postfault=ReducedNetwork((g + g.T) / 2, (b + b.T) / 2, name=net.name),
-        omega0=np.array([6.0, -6.0, 0.0]),
-    )
-
-
-def two_machine_case(
-    pm: float = 0.8,
-    b: float = 1.5,
-    m0: float = 0.05,
-    m1: float = 0.08,
-    fault_b: float = 0.0,
-    post_b: float | None = None,
-    label: str = "pair",
-) -> StabilityCase:
-    """Lossless two-machine case in exact pre-fault equilibrium.
-
-    Unit EMFs, transfer susceptance b, machine 0 exporting pm; the
-    fault-on and post-fault transfer susceptances are configurable so
-    tests can stage anything from a bolted fault to a no-op switch.
-    """
-    post_b = b if post_b is None else post_b
-    d01 = math.asin(pm / b)
-    m = np.array([m0, m1])
-    delta0 = np.array([d01, 0.0])
-    delta0 = delta0 - (m @ delta0) / m.sum()
-
-    def net(bval: float, name: str) -> ReducedNetwork:
-        mat = np.array([[-bval, bval], [bval, -bval]])
-        return ReducedNetwork(g=np.zeros((2, 2)), b=mat, name=name)
-
-    machines = (
-        MachineParams(id=0, m=m0, pm=pm, e=1.0),
-        MachineParams(id=1, m=m1, pm=-pm, e=1.0),
-    )
-    return StabilityCase(
-        machines=machines,
-        net_prefault=net(b, "net_prefault"),
-        net_faulton=net(fault_b, "net_faulton"),
-        net_postfault=net(post_b, "net_postfault"),
-        delta0=delta0,
-        omega0=np.zeros(2),
-        label=label,
-    )
 
 
 def run_pool(kernel, heads, steps, dt, block, join_after=0, first=0, leave=None):

@@ -18,8 +18,7 @@ from imeac import (
     solve_postfault_sep,
 )
 from imeac.case import coi_frame, mismatch, network_products
-from conftest import two_machine_case
-from test_properties import ten_machine_case
+from conftest import ten_machine_case, two_machine_case
 
 
 def random_network(n: int, rng: np.random.Generator) -> ReducedNetwork:

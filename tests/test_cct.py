@@ -30,7 +30,7 @@ from imeac.assess import assess_system
 from imeac.cct import DEFAULT_HORIZON, DEPTH, _Sweep, identify_mdm, write_cct, write_margin_curve
 from imeac.dynamics import RowPool
 from imeac.events import detect_events
-from conftest import assess_machines, two_machine_case
+from conftest import assess_machines, two_machine_case, w_overflow_after_clearing
 
 
 class TestProbe:
@@ -326,6 +326,7 @@ class TestFindCct:
 
 
 SCAN_TIMES = [round(0.110 + 0.001 * k, 3) for k in range(63)]  # conftest's wscc_scan
+HEAVY_TIMES = [round(0.01 * k, 2) for k in range(1, 25)]
 
 
 class TestVerdicts:
@@ -341,6 +342,29 @@ class TestVerdicts:
                 if (verdict := sweep.verdict(j)) is not None:
                     assert final.setdefault(j, verdict) == verdict
         assert [final[j] for j in probes] == [sweep.result(j).stable for j in probes]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_diverged_probe_is_never_stable(self, wscc):
+        # W overflows after clearing from 0.14 s on, and the guard cuts each
+        # such row after its first DSPs: a part-record that assesses stable
+        # is still an unstable probe, and the sweep's verdict says so too
+        case, times = w_overflow_after_clearing(wscc), HEAVY_TIMES
+        scan = scan_clearing_times(case, times, horizon=1.0)
+        diverged = [p for p in scan if p.diverged]
+        assert [p.t_clear for p in diverged] == times[13:]
+        assert all(p.assessment.stable and not p.stable for p in diverged)
+        sweep = _Sweep(case, 1e-3, solve_postfault_sep(case), 1.0, False)
+        probes = sweep.start_all(times)
+        while sweep.pool.size:
+            sweep.advance()
+        assert [sweep.verdict(j) for j in probes] == [p.stable for p in scan]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bracket_closing_on_a_diverged_probe_names_no_mdm(self, wscc):
+        # stable at 0.13 s, diverged at 0.14 s without a DLP: no machine to name
+        message = "^t=0.14 s, the final bracket's unstable end, diverged at t=0.428 s "
+        with pytest.raises(ImeacError, match=message + "without a DLP: no MDM to name$"):
+            find_cct(w_overflow_after_clearing(wscc), 0.10, 0.20, resolution=0.01, horizon=1.0)
 
     def test_wscc9_first_swing_scan_has_one_edge(self, wscc):
         # no island on swing 1: stable through 0.160 s, unstable from

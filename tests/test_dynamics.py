@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import math
 import re
 import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,15 +53,14 @@ from conftest import (
     light_smib,
     rk4_weights,
     run_pool,
+    ten_machine_case,
     two_machine_case,
     w_overflow_after_clearing,
     w_overflow_case,
+    with_damping,
     write_trajectory_rows,
 )
-from test_properties import ten_machine_case
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from step_cost import STEP_KINDS, calls_per_step  # noqa: E402  (the script's counter, shared)
+from step_cost import STEP_KINDS, calls_per_step  # the script's counter, shared
 
 
 def double_sum_forces(case, net, delta):
@@ -231,12 +228,6 @@ def damped_swing_rate(case, delta, omega, fault_stage):
     products = network_products(net, case.e_vector())
     acc = mismatch(products, case.pm_vector(), delta)
     return acc - case.d_vector() * omega
-
-
-def with_damping(case):
-    """case with damping D = 0.02 on every machine."""
-    machines = tuple(dataclasses.replace(mach, d=0.02) for mach in case.machines)
-    return dataclasses.replace(case, machines=machines)
 
 
 class TestDamping:

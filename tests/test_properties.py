@@ -12,6 +12,7 @@ after another.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from collections import Counter
 
@@ -42,7 +43,7 @@ from imeac.cct import identify_mdm
 from imeac.dynamics import BLOCK, FaultOnPrefix, SwingKernel
 from imeac.events import EventScanner, detect_events
 from imeac.network import staged_reduction
-from conftest import coi_identity_errors, run_pool, workspace_block
+from conftest import coi_identity_errors, run_pool, ten_machine_case, workspace_block
 
 DT = 2e-3
 HORIZON = 0.6
@@ -294,16 +295,19 @@ def check_rows_leaving_mid_run_leave_the_others_alone(case, draw, note=event):
         assert np.array_equal(got, want)
 
 
-def ten_machine_case() -> StabilityCase:
-    """A fixed generated case with 10 machines, past the 2-4 that the strategy draws.
-
-    From 8 terms on, numpy sums a contiguous axis pairwise, not one term
-    after another, so this case checks the batch contract where the
-    order of the machine-axis sums matters.  It is the ring10 case of
-    scripts/engine_identity.py.
-    """
+def test_ring10_is_the_generated_case_of_its_draws():
+    # the shared ring10 builder is this module's generator on fixed draws, bit
+    # for bit: networks, machines and angles (not the label)
     u = list(np.random.default_rng(5).random(64))
-    return replayed_case([10, 1, *u[:24], 3, 5, *u[24:], False])
+    replayed = replayed_case([10, 1, *u[:24], 3, 5, *u[24:], False])
+
+    def bits(case):
+        nets = (case.net_prefault, case.net_faulton, case.net_postfault)
+        machines = np.array([dataclasses.astuple(mach) for mach in case.machines])
+        return [a.tobytes() for net in nets for a in (net.g, net.b)] + [
+            machines.tobytes(), case.delta0.tobytes(), case.omega0.tobytes()]
+
+    assert bits(ten_machine_case()) == bits(replayed)
 
 
 def test_ten_machine_batch_rows_equal_rows_alone():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import tracemalloc
 import warnings
@@ -12,7 +11,6 @@ import pytest
 
 from imeac import (
     ImeacError,
-    ReducedNetwork,
     SimulationConfig,
     SurfaceGrid,
     SurfaceSpec,
@@ -25,12 +23,19 @@ from imeac import (
     surface_from_trajectories,
     surface_grid,
 )
-from imeac import surface
-from imeac.case import coi_forces
+from imeac import energy
+from imeac.case import coi_forces, coi_frame
 from imeac.energy import PATH_S, PATH_SEGMENTS, PATH_WEIGHTS
 from imeac.events import detect_events
 from imeac.surface import write_surface_grid, write_surface_trajectories
-from conftest import family_reference, pe_at_time, two_machine_case, w_overflow_after_clearing
+from conftest import (
+    family_reference,
+    pe_at_time,
+    ten_machine_case,
+    two_machine_case,
+    w_overflow_after_clearing,
+    weak_postfault,
+)
 
 WINDOW = ((-0.6, 1.6), (-0.4, 1.0))
 
@@ -51,6 +56,19 @@ class TestSpecValidation:
             small_spec(grid_n=1)
 
 
+def quadrature_ends(star):
+    """(case, post-fault SEP, ends) of star's 7 grid nodes, and of 40 COI-frame ends on ring10."""
+    rng = np.random.default_rng(21)
+    x, y = rng.uniform(-1, 1.5, 7), rng.uniform(-1, 1, 7)
+    ring = ten_machine_case()
+    starts = [solve_postfault_sep(case).delta_s for case in (star, ring)]
+    ring_ends = starts[1] + rng.uniform(-1.0, 1.0, (40, ring.n))
+    return [
+        (star, starts[0], grid_node_angles(star, small_spec(), x, y)),
+        (ring, starts[1], coi_frame(ring_ends, ring.m_vector() / ring.m_vector().sum())),
+    ]
+
+
 class TestGridNodes:
     def test_nodes_stay_in_coi_frame(self, star):
         rng = np.random.default_rng(8)
@@ -63,28 +81,23 @@ class TestGridNodes:
         np.testing.assert_allclose(nodes[:, 2], y, atol=1e-15)
 
     def test_batched_quadrature_matches_single_calls(self, star):
-        sep = solve_postfault_sep(star)
-        rng = np.random.default_rng(21)
-        x = rng.uniform(-1.0, 1.5, 7)
-        y = rng.uniform(-0.8, 1.0, 7)
-        nodes = grid_node_angles(star, small_spec(), x, y)
-        batched = pe_line_to_nodes(star, sep.delta_s, nodes, focus=1)
-        for k in range(7):
-            single = pe_line_integral(
-                star.net_postfault, star.machines, sep.delta_s, nodes[k]
-            )[1]
-            assert batched[k] == single
+        # a stack of ends (K, n) through pe_line_integral: each end's bits alone
+        for case, start, ends in quadrature_ends(star):
+            net, machines = case.net_postfault, case.machines
+            stacked = pe_line_integral(net, machines, start, ends)
+            assert stacked.shape == ends.shape
+            for end, got in zip(ends, stacked):
+                assert np.array_equal(got, pe_line_integral(net, machines, start, end))
 
     @pytest.mark.parametrize("per_chunk", [1, 7])
     def test_quadrature_does_not_depend_on_the_chunk(self, star, monkeypatch, per_chunk):
-        # one node per chunk and all seven in one chunk give the default's bits
-        sep = solve_postfault_sep(star)
-        rng = np.random.default_rng(21)
-        nodes = grid_node_angles(star, small_spec(), rng.uniform(-1, 1.5, 7), rng.uniform(-1, 1, 7))
-        default = pe_line_to_nodes(star, sep.delta_s, nodes, focus=1)
-        budget = per_chunk * (PATH_SEGMENTS + 1) * star.n**2 * 8
-        monkeypatch.setattr(surface, "CHUNK_BYTES", budget)
-        assert np.array_equal(pe_line_to_nodes(star, sep.delta_s, nodes, focus=1), default)
+        # one end per chunk and seven in one chunk give the default's bits
+        for case, start, ends in quadrature_ends(star):
+            net, machines = case.net_postfault, case.machines
+            default = pe_line_integral(net, machines, start, ends)
+            with monkeypatch.context() as patch:
+                patch.setattr(energy, "CHUNK_BYTES", per_chunk * (PATH_SEGMENTS + 1) * case.n**2 * 8)
+                assert np.array_equal(pe_line_integral(net, machines, start, ends), default)
 
     def test_quadrature_memory_stays_cache_sized(self, star):
         # 6561 nodes of an 81x81 grid: the chunks' force temporaries must
@@ -114,7 +127,7 @@ class TestGridNodes:
             seen.append((delta.shape, delta.strides))
             return coi_forces(net, machines, delta)
 
-        monkeypatch.setattr(surface, "coi_forces", spy)
+        monkeypatch.setattr(energy, "coi_forces", spy)
         assert np.array_equal(pe_line_to_nodes(star, sep.delta_s, nodes, focus=1), plain)
         assert sum(shape[0] for shape, _ in seen) == len(nodes)
         for shape, strides in seen:  # a length-1 node axis has no stride to compare
@@ -132,7 +145,7 @@ class TestGridNodes:
         x, y = np.meshgrid(np.linspace(a - 2.0, a + 2.0, 21), np.linspace(b - 2.0, b + 2.0, 21))
         nodes = grid_node_angles(case, small_spec(), x.ravel(), y.ravel())
         start, s, weights = sep.delta_s, PATH_S, PATH_WEIGHTS
-        chunk = max(1, surface.CHUNK_BYTES // ((PATH_SEGMENTS + 1) * case.n**2 * 8))
+        chunk = max(1, energy.CHUNK_BYTES // ((PATH_SEGMENTS + 1) * case.n**2 * 8))
         reference = []
         for base in range(0, len(nodes), chunk):
             ends = nodes[base : base + chunk]
@@ -220,8 +233,7 @@ class TestSurfaceGrid:
 
     def test_unconverged_sep_is_refused(self, wscc):
         # halving the post-fault network leaves no SEP: grid PE would have no baseline
-        net = wscc.net_postfault
-        weak = dataclasses.replace(wscc, net_postfault=ReducedNetwork(net.g * 0.5, net.b * 0.5, net.name))
+        weak = weak_postfault(wscc)
         sep = solve_postfault_sep(weak)
         assert not sep.converged
         spec = small_spec(focus_machine=2, window=((-1.0, 1.0), (-1.0, 1.0)))
@@ -275,8 +287,6 @@ class TestTrajectoryFamily:
             surface_from_trajectories(star, small_spec())
 
     def test_diverged_member_skipped_with_warning(self):
-        from conftest import two_machine_case
-
         case = two_machine_case(pm=1.0, m0=1e-4, m1=1.0, fault_b=0.0)
         spec = SurfaceSpec(
             focus_machine=0,
